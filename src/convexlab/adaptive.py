@@ -120,7 +120,7 @@ def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarra
     if not np.any(live):
         return labels
     idx = np.nonzero(live)[0]
-    viol = xc[idx] @ inst.body.normals.T > inst.r          # (m_live, N)
+    viol = inst.body.violated(xc[idx])                      # (m_live, N)
     any_viol = viol.any(axis=1)
     labels[idx[~any_viol]] = 1                              # inside the body
     flap_rows = idx[any_viol]
@@ -153,7 +153,7 @@ def convexified_oracle(inst: AdaptiveInstance):
         labels = np.zeros(points.shape[0], dtype=np.int8)
         idx = np.nonzero(ok)[0]
         if idx.size:
-            no_viol = ~(xc[idx] @ inst.body.normals.T > inst.r).any(axis=1)
+            no_viol = ~inst.body.violated(xc[idx]).any(axis=1)
             labels[idx[no_viol]] = 1
         return labels
 
@@ -189,7 +189,7 @@ def _triple_seed_scan(inst, points, a_const, oracle_batch=None):
     pts = pts[mask2]
     if pts.shape[0] == 0:
         return (np.empty((0, inst.ambient_dim)), np.empty(0, int)) + (None, None)
-    viol = inst.control.coords(pts) @ inst.body.normals.T > inst.r
+    viol = inst.body.violated(inst.control.coords(pts))
     counts = viol.sum(axis=1)
     unique = counts == 1
     pts = pts[unique]
@@ -294,25 +294,22 @@ def estimate_distance_lb(
 
 
 def detect_events(inst: AdaptiveInstance, transcript, q: int) -> dict:
-    """Exact evaluation of the transcript events used by the hardness argument.
+    """Exact evaluation of the clustering events E1 and E2 over a transcript.
 
-    Events are computed over the restricted query set {x : |x_C| <= sqrt(n)};
-    the colinearity and norm-comparison events use all queries.  An empty
-    transcript satisfies every event vacuously.
+    Only E1 and E2 are computed, over the restricted query set
+    {x : |x_C| <= sqrt(n)}.  An empty transcript satisfies both vacuously.
     """
     points = transcript.all_points() if hasattr(transcript, "all_points") else np.atleast_2d(transcript)
     if points.size == 0:
-        return {k: True for k in ("E1", "E2", "E11", "E12", "E13", "E14", "E15")}
+        return {"E1": True, "E2": True}
     if points.shape[1] != inst.ambient_dim:
         raise DimensionMismatchError(f"transcript points must have dimension {inst.ambient_dim}")
 
-    root_n = math.sqrt(inst.n)
     xc = inst.control.coords(points)
     xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
-    restricted = xc_norm <= root_n
+    restricted = xc_norm <= math.sqrt(inst.n)
     rest_idx = np.nonzero(restricted)[0]
-    dots = xc @ inst.body.normals.T                        # (m, N)
-    viol = dots > inst.r
+    viol = inst.body.violated(xc)                          # (m, N)
     viol[~restricted] = False                              # flaps live inside the ball
     counts = viol.sum(axis=1)
 
@@ -320,6 +317,7 @@ def detect_events(inst: AdaptiveInstance, transcript, q: int) -> dict:
 
     # E1: restricted queries touch at most q flaps each, and queries sharing a
     # flap are pairwise within 1000 sqrt(q) n^{1/4}.
+    # E2: queries sharing a flap agree on the strip indicator of its direction.
     e1 = bool((counts[rest_idx] <= q).all()) if rest_idx.size else True
     e2 = True
     shared = np.nonzero(viol[rest_idx].any(axis=0))[0] if rest_idx.size else []
@@ -339,59 +337,7 @@ def detect_events(inst: AdaptiveInstance, transcript, q: int) -> dict:
             vals = out[members, i]
             if vals.any() and not vals.all():
                 e2 = False
-
-    # E11: no restricted query violates q or more halfspaces.
-    e11 = bool((counts[rest_idx] < q).all()) if rest_idx.size else True
-
-    # E12: every query in a flap stays in the control shell |x_C| >= sqrt(n) - 100q.
-    in_flap = counts > 0
-    e12 = bool((xc_norm[in_flap] >= root_n - 100.0 * q).all()) if in_flap.any() else True
-
-    # E13: no restricted query has <x, g_i> >= r + 100 q n^{1/4}.
-    e13 = (
-        bool((dots[rest_idx].max(axis=1) < inst.r + 100.0 * q * inst.n ** 0.25).all())
-        if rest_idx.size
-        else True
-    )
-
-    # E14: fails when some flap member x and restricted z (control parts not
-    # colinear, z_C = (1+a) x_C + b y with y unit, y perp x_C, b > 0) give
-    # |<y, g_i>| >= 100 sqrt(q).
-    e14 = True
-    if rest_idx.size >= 2:
-        for xi in rest_idx:
-            flaps_x = np.nonzero(viol[xi])[0]
-            if flaps_x.size == 0:
-                continue
-            xci = xc[xi]
-            xci_sq = float(xci @ xci)
-            if xci_sq == 0.0:
-                continue
-            for zi in rest_idx:
-                if zi == xi:
-                    continue
-                y_vec = xc[zi] - (float(xc[zi] @ xci) / xci_sq) * xci
-                b = float(np.linalg.norm(y_vec))
-                if b <= 1e-12:
-                    continue  # colinear control parts
-                y_unit = y_vec / b
-                g_dots = np.abs(inst.body.normals[flaps_x] @ y_unit)
-                if (g_dots >= 100.0 * math.sqrt(q)).any():
-                    e14 = False
-                    break
-            if not e14:
-                break
-
-    # E15: every pair satisfies |x - y| <= 2 |(x - y)_C|.
-    e15 = True
-    if points.shape[0] >= 2:
-        diff = points[:, None, :] - points[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        diff_c = xc[:, None, :] - xc[None, :, :]
-        dist_c_sq = np.einsum("ijk,ijk->ij", diff_c, diff_c)
-        e15 = bool((dist_sq <= 4.0 * dist_c_sq + 1e-12).all())
-
-    return {"E1": e1, "E2": e2, "E11": e11, "E12": e12, "E13": e13, "E14": e14, "E15": e15}
+    return {"E1": e1, "E2": e2}
 
 
 def event_rate_experiment(n: int, q: int, instances: int, rng: RngStream) -> ExperimentReport:

@@ -15,6 +15,8 @@ from .errors import LabError
 from .experiments import REGISTRY, ExperimentConfig, run_experiment
 from .report import fmt12
 
+FORMATS = ("json", "csv")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,7 +66,7 @@ def _add_run_args(run: argparse.ArgumentParser):
     run.add_argument("--q", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
     run.add_argument("--out", default=None, help="write the report to this path")
-    run.add_argument("--format", dest="fmt", default="json", choices=("json", "csv"))
+    run.add_argument("--format", dest="fmt", default="json", choices=FORMATS)
     run.add_argument("--calibration", default=None, help="calibration record path")
     run.add_argument(
         "--set",
@@ -161,22 +163,40 @@ def _cmd_run_config(args) -> int:
     unknown = set(raw) - known
     if unknown:
         raise LabError(f"unknown config fields: {sorted(unknown)}")
+    for key in ("experiment", "output_path", "calibration_path"):
+        value = raw.get(key)
+        if (value is not None or key == "experiment") and not isinstance(value, str):
+            raise LabError(f"config field {key!r} must be a string, got {value!r}")
+    for key in ("seed", "n", "N", "q", "trials"):
+        value = raw.get(key)
+        if (value is not None or key == "seed") and not _is_int(value):
+            raise LabError(f"config field {key!r} must be an integer, got {value!r}")
+    fmt = raw.get("fmt", "json")
+    if fmt not in FORMATS:
+        raise LabError(f"config field 'fmt' must be one of {FORMATS}, got {fmt!r}")
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise LabError("overrides must be a mapping of constants to numbers")
+    for key, value in overrides.items():
+        if not (_is_int(value) or isinstance(value, float)):
+            raise LabError(f"override {key!r} must be a number, got {value!r}")
     config = ExperimentConfig(
         experiment=raw["experiment"],
-        seed=int(raw["seed"]),
+        seed=raw["seed"],
         n=raw.get("n"),
         N=raw.get("N"),
         q=raw.get("q"),
         trials=raw.get("trials"),
         overrides={k: float(v) for k, v in overrides.items()},
         output_path=raw.get("output_path"),
-        fmt=raw.get("fmt", "json"),
+        fmt=fmt,
         calibration_path=raw.get("calibration_path"),
     )
     return _execute(config)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_make_instance(args) -> int:

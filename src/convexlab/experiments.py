@@ -77,9 +77,7 @@ def _echo(report: ExperimentReport, config: ExperimentConfig):
 def run_verify_tail_bounds(config: ExperimentConfig) -> ExperimentReport:
     n = config.dim()
     trials = config.samples(100_000)
-    report = gauss.verify_tail_bounds(n, trials, config.rng())
-    _echo(report, config)
-    return report
+    return gauss.verify_tail_bounds(n, trials, config.rng())
 
 
 # -- body geometry --------------------------------------------------------------
@@ -99,7 +97,6 @@ def run_r_estimate(config: ExperimentConfig) -> ExperimentReport:
         report.value("ratio"),
         source="closed-form",
     )
-    _echo(report, config)
     return report
 
 
@@ -135,7 +132,6 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
         0.03,
         source="derived",
     )
-    _echo(report, config)
     return report
 
 
@@ -156,7 +152,6 @@ def run_high_degree_bound(config: ExperimentConfig) -> ExperimentReport:
             )
             stream_index += 1
             report.merge(sub, prefix=f"{label} q={q}")
-    _echo(report, config)
     return report
 
 
@@ -174,7 +169,6 @@ def run_flap_dogear_ratio(config: ExperimentConfig) -> ExperimentReport:
         report.merge(sub, prefix=label)
         pointwise = nazarov.pointwise_flap_dogear_check(n, N, r, c1)
         report.merge(pointwise, prefix=label)
-    _echo(report, config)
     return report
 
 
@@ -185,9 +179,7 @@ def run_unique_volume(config: ExperimentConfig) -> ExperimentReport:
     points = int(config.override("points_per_body", 2000))
     c1 = config.override("c1", LN2)
     r = nazarov.solve_r(n, N, c1)
-    report = nazarov.estimate_unique_volume(n, N, r, bodies, points, config.rng(), c1=c1)
-    _echo(report, config)
-    return report
+    return nazarov.estimate_unique_volume(n, N, r, bodies, points, config.rng(), c1=c1)
 
 
 def run_calibrate_c0(config: ExperimentConfig) -> ExperimentReport:
@@ -214,7 +206,6 @@ def run_calibrate_c0(config: ExperimentConfig) -> ExperimentReport:
         from .storage import save_calibration
 
         save_calibration(record, config.output_path)
-    _echo(report, config)
     return report
 
 
@@ -274,7 +265,6 @@ def run_moment_matching(config: ExperimentConfig) -> ExperimentReport:
         1e-12,
         source="closed-form",
     )
-    _echo(report, config)
     return report
 
 
@@ -327,7 +317,6 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
             0.0,
             source="closed-form",
         )
-    _echo(report, config)
     return report
 
 
@@ -384,7 +373,6 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
                 calibration=calibration,
             )
             report.merge(sub, prefix=f"{family} hull-sampling")
-    _echo(report, config)
     return report
 
 
@@ -409,7 +397,6 @@ def run_distance_lb(config: ExperimentConfig) -> ExperimentReport:
         0.0,
         source="closed-form",
     )
-    _echo(report, config)
     return report
 
 
@@ -417,9 +404,7 @@ def run_detect_events(config: ExperimentConfig) -> ExperimentReport:
     n = config.dim()
     q = config.budget(3)
     instances = config.samples(1000)
-    report = adaptive.event_rate_experiment(n, q, instances, config.rng())
-    _echo(report, config)
-    return report
+    return adaptive.event_rate_experiment(n, q, instances, config.rng())
 
 
 def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
@@ -449,7 +434,6 @@ def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
             decreasing,
             source="derived",
         )
-    _echo(report, config)
     return report
 
 
@@ -477,11 +461,9 @@ def run_view_tv(config: ExperimentConfig) -> ExperimentReport:
     tau = c0 * tolerant.C1_DEFAULT / 100.0
     rng = config.rng()
     queries = _shell_queries(n, q, tau, rng.child(0))
-    report = tolerant.view_experiment(
+    return tolerant.view_experiment(
         queries, n, trials, rng.child(1), calibration, N_override=config.N
     )
-    _echo(report, config)
-    return report
 
 
 def run_eps_gap(config: ExperimentConfig) -> ExperimentReport:
@@ -489,11 +471,9 @@ def run_eps_gap(config: ExperimentConfig) -> ExperimentReport:
     N = config.halfspaces(n)
     draws = config.samples(200)
     points = int(config.override("points_per_draw", 1000))
-    report = tolerant.estimate_eps_bounds(
+    return tolerant.estimate_eps_bounds(
         n, N, draws, points, config.rng(), _calibration(config)
     )
-    _echo(report, config)
-    return report
 
 
 def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
@@ -554,7 +534,6 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         )
         for i, n in enumerate(grid):
             report.add_estimate(f"star_rate_trend[n={n}]", star_rates[i])
-    _echo(report, config)
     return report
 
 
@@ -569,7 +548,6 @@ def run_bivariate_tail(config: ExperimentConfig) -> ExperimentReport:
                 sub = tolerant.bivariate_tail_check(rho, h, k, trials, rng.child(index))
                 index += 1
                 report.merge(sub)
-    _echo(report, config)
     return report
 
 
@@ -590,9 +568,7 @@ def run_no_distance(config: ExperimentConfig) -> ExperimentReport:
             break
     if inst is None:
         raise DomainError("no coefficient draw with a negative coordinate found")
-    report = ptf.estimate_no_distance(inst, lines, points_per_line, rng.child(1000))
-    _echo(report, config)
-    return report
+    return ptf.estimate_no_distance(inst, lines, points_per_line, rng.child(1000))
 
 
 def run_response_tv(config: ExperimentConfig) -> ExperimentReport:
@@ -610,7 +586,6 @@ def run_response_tv(config: ExperimentConfig) -> ExperimentReport:
         tvs[l] = sub.value("tv")
         report.merge(sub, prefix=f"l={l}")
     report.add_estimate("tv_trend_l1_minus_l3", tvs[1] - tvs[3])
-    _echo(report, config)
     return report
 
 
@@ -661,6 +636,11 @@ SUITE_SEQUENCE = (
 )
 
 
+def _suite_seed(seed: int, index: int) -> int:
+    """Seed of the index-th suite experiment, drawn from the (seed, index) stream."""
+    return int(RngStream(seed, index).generator().integers(2**63))
+
+
 def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
     """The full verification suite at desk parameters, one sub-report each."""
     report = ExperimentReport("all-lemmas", {"n": config.dim(), "N": config.halfspaces(config.dim())}, config.seed)
@@ -669,7 +649,7 @@ def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
         fn, _ = REGISTRY[name]
         sub_config = ExperimentConfig(
             experiment=name,
-            seed=RngStream(config.seed).child(index).stream_id,
+            seed=_suite_seed(config.seed, index),
             n=config.n,
             N=config.N,
             overrides=dict(config.overrides),
@@ -702,5 +682,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"unknown experiment {config.experiment!r}; run the manifest command for the list"
             ) from None
         report = fn(config)
+        _echo(report, config)
     report.wall_time = time.perf_counter() - started
     return report

@@ -43,11 +43,8 @@ def std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def cdf_array(x: np.ndarray) -> np.ndarray:
-    return 0.5 * special.erfc(-np.asarray(x, dtype=np.float64) / _SQRT2)
-
-
 def sf_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise upper tail; an independent reference specification kept for tests."""
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 

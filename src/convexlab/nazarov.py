@@ -96,6 +96,17 @@ class NazarovBody:
     def radius(self) -> float:
         return math.sqrt(self.n)
 
+    def violated(self, points: np.ndarray) -> np.ndarray:
+        """Boolean (m, N) mask of strict violations x . g_i > r for intrinsic points.
+
+        The one batch form of the violation rule; a tie x . g_i == r counts
+        as inside the halfspace.  The ball test is left to the caller.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if points.shape[1] != self.n:
+            raise DimensionMismatchError(f"points must have dimension {self.n}")
+        return points @ self.normals.T > self.r
+
 
 @functools.lru_cache(maxsize=256)
 def solve_r(n: int, N: int, c1: float) -> float:
@@ -165,23 +176,13 @@ def sample_body(
     return NazarovBody(n=n, N=N, r=r, normals=normals, frame=frame, stream=rng, c1=c1)
 
 
-def violated_mask(body: NazarovBody, points: np.ndarray) -> np.ndarray:
-    """Boolean (m, N) mask of strict violations x . g_i > r for intrinsic points."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != body.n:
-        raise DimensionMismatchError(f"points must have dimension {body.n}")
-    return points @ body.normals.T > body.r
-
-
-def violation_counts(body: NazarovBody, points: np.ndarray) -> np.ndarray:
-    return violated_mask(body, points).sum(axis=1)
-
-
 def classify(body: NazarovBody, x: np.ndarray) -> PointClass:
     """Classify one intrinsic point: outside the ball, in the body, or in flaps.
 
     Ties x . g_i == r count as inside the halfspace; points with norm exactly
-    sqrt(n) count as inside the ball.
+    sqrt(n) count as inside the ball.  This scalar form computes the rule on
+    its own, apart from NazarovBody.violated: it is the independent reference
+    specification that tests check the batch kernel against.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (body.n,):
@@ -192,13 +193,6 @@ def classify(body: NazarovBody, x: np.ndarray) -> PointClass:
     if violated.size == 0:
         return PointClass(PointKind.IN_BODY, ())
     return PointClass(PointKind.IN_FLAPS, tuple(int(i) for i in violated))
-
-
-def classify_ambient(body: NazarovBody, x: np.ndarray) -> PointClass:
-    """Classify an ambient-space point through the body's embedding frame."""
-    if body.frame is None:
-        return classify(body, x)
-    return classify(body, body.frame.coords(x))
 
 
 def membership_prob(n: int, N: int, r: float, norm: float) -> float:
@@ -380,7 +374,7 @@ def body_unique_fraction(body: NazarovBody, points: int, rng: RngStream) -> floa
         m = min(chunk, points - done)
         x = gen.standard_normal((m, body.n))
         inside = np.einsum("ij,ij->i", x, x) <= body.n
-        counts = (x @ body.normals.T > body.r).sum(axis=1)
+        counts = body.violated(x).sum(axis=1)
         hits += int(np.count_nonzero(inside & (counts == 1)))
         done += m
     return hits / points

@@ -3,7 +3,8 @@
 Each unit owns a child stream derived from (seed, unit index), results are
 reduced in unit order, and cross-unit aggregation is plain summation, so the
 numbers an experiment reports never depend on how many workers ran it.
-Worker count comes only from the CONVEXLAB_WORKERS environment variable.
+Worker count comes only from the CONVEXLAB_WORKERS environment variable,
+which must be a positive integer when set.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import DomainError
 from .rng import RngStream
 
 ENV_WORKERS = "CONVEXLAB_WORKERS"
@@ -21,8 +23,10 @@ def worker_count() -> int:
     try:
         count = int(raw)
     except ValueError:
-        count = 1
-    return max(1, count)
+        count = 0
+    if count < 1:
+        raise DomainError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
+    return count
 
 
 def map_units(fn, n_units: int, rng: RngStream, *args):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
 from .gauss import Frame, sample_haar_frame
-from .report import ExperimentReport, binom_se, wilson_interval
+from .report import ExperimentReport, binom_se, tv_from_counts, wilson_interval
 from .rng import RngStream
 
 DEFAULT_CLIP = 10.0
@@ -270,7 +270,10 @@ def eval_ptf_batch(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
 
 
 def eval_ptf_rescaled(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
-    """Identical set through the unscaled basis: sum c_i (u_i . x)^2 <= n mu."""
+    """Identical set through the unscaled basis: sum c_i (u_i . x)^2 <= n mu.
+
+    Independent reference specification kept for tests of eval_ptf_batch.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     proj = points @ inst.basis.vectors.T
     quad = (proj**2) @ inst.coeffs
@@ -427,15 +430,9 @@ def response_tv_experiment(
         if not bad:
             yes_ok[key_yes] = yes_ok.get(key_yes, 0) + 1
             no_ok[key_no] = no_ok.get(key_no, 0) + 1
-    keys = set(yes_counts) | set(no_counts)
-    tv = 0.5 * sum(abs(yes_counts.get(k, 0) - no_counts.get(k, 0)) for k in keys) / trials
+    tv = tv_from_counts(yes_counts, no_counts, trials)
     kept = trials - bad_hits
-    keys_ok = set(yes_ok) | set(no_ok)
-    tv_ok = (
-        0.5 * sum(abs(yes_ok.get(k, 0) - no_ok.get(k, 0)) for k in keys_ok) / kept
-        if kept
-        else 0.0
-    )
+    tv_ok = tv_from_counts(yes_ok, no_ok, kept)
     bad_freq = bad_hits / trials
     bad_bound = q * n * n ** (-4.5)
     report.add_estimate("tv", tv, 0.0, trials)

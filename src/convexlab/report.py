@@ -177,6 +177,14 @@ def binom_se(successes: int, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
+def tv_from_counts(counts_a: dict, counts_b: dict, total: int) -> float:
+    """Total variation between two empirical distributions given as key counts."""
+    if total == 0:
+        return 0.0
+    keys = set(counts_a) | set(counts_b)
+    return 0.5 * sum(abs(counts_a.get(k, 0) - counts_b.get(k, 0)) for k in keys) / total
+
+
 def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
     """Wilson score interval; default z is the two-sided 99% quantile."""
     if trials <= 0:

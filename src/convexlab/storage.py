@@ -197,8 +197,7 @@ def oracle_for(inst):
         def body_oracle(pts):
             pts = np.atleast_2d(pts)
             inside = np.einsum("ij,ij->i", pts, pts) <= inst.n
-            counts = (pts @ inst.normals.T > inst.r).sum(axis=1)
-            return (inside & (counts == 0)).astype(np.int8)
+            return (inside & ~inst.violated(pts).any(axis=1)).astype(np.int8)
 
         return body_oracle, inst.n
     raise FormatError(f"no oracle for {type(inst).__name__}")

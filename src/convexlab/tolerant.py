@@ -30,7 +30,7 @@ from .gauss import (
     std_normal_sf,
 )
 from .nazarov import NazarovBody, default_halfspace_count, sample_body, solve_r
-from .report import ExperimentReport, binom_se
+from .report import ExperimentReport, binom_se, tv_from_counts
 from .rng import RngStream
 
 C1_DEFAULT = 1.0 / 100.0
@@ -76,7 +76,11 @@ def region_boundaries(c2: float) -> tuple[float, float, float, float]:
 
 
 def region_of(a: float, c2: float) -> str:
-    """Coarse region of an action coordinate; interval endpoints go to the curb."""
+    """Coarse region of an action coordinate; interval endpoints go to the curb.
+
+    Scalar reference specification kept for tests; the labeling paths use
+    region_codes.
+    """
     l1, l2, m2, r1 = region_boundaries(c2)
     if a < l1:
         return REGION_LEFT
@@ -227,7 +231,7 @@ def _extended_codes(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
     if not live.any():
         return codes
     idx = np.nonzero(live)[0]
-    viol = xc[idx] @ inst.body.normals.T > inst.r
+    viol = inst.body.violated(xc[idx])
     counts = viol.sum(axis=1)
     body_rows = idx[counts == 0]
     codes[body_rows] = _EXT_ONE
@@ -247,6 +251,11 @@ def _extended_codes(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
 
 
 def eval_extended(inst: TolerantInstance, x: np.ndarray) -> str:
+    """Extended label ("0", "1", "0*" or "1*") of one point, kept for tests.
+
+    It reads the batch labeling, so it pins the label names and the
+    dimension check rather than the labeling rule itself.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.ambient_dim,):
         raise DimensionMismatchError(f"expected one point of dimension {inst.ambient_dim}")
@@ -295,7 +304,7 @@ def detect_bad(inst: TolerantInstance, queries: np.ndarray):
     in_shell = (norms >= lo) & (norms <= hi)
     xc = inst.control.coords(queries)
     in_ball = np.einsum("ij,ij->i", xc, xc) <= inst.n
-    viol = (xc @ inst.body.normals.T > inst.r) & in_ball[:, None]
+    viol = inst.body.violated(xc) & in_ball[:, None]
     counts = viol.sum(axis=1)
     eligible = in_shell & (counts == 1)
     idx = np.nonzero(eligible)[0]
@@ -367,9 +376,9 @@ def view_experiment(
         no_counts[key_no] = no_counts.get(key_no, 0) + 1
 
     report.add_estimate("bad_rate", bad_hits / trials, binom_se(bad_hits, trials), trials)
-    tv_all = _tv_from_counts(yes_counts_all, no_counts_all, trials)
+    tv_all = tv_from_counts(yes_counts_all, no_counts_all, trials)
     report.add_estimate("tv_unconditioned", tv_all, 0.0, trials)
-    tv_cond = _tv_from_counts(yes_counts, no_counts, kept) if kept else 0.0
+    tv_cond = tv_from_counts(yes_counts, no_counts, kept)
     cells = len(set(yes_counts) | set(no_counts)) or 1
     noise = math.sqrt(cells / (2.0 * max(kept, 1)))
     report.add_estimate("tv_conditioned", tv_cond, 0.0, kept)
@@ -395,13 +404,6 @@ def view_experiment(
                 source="analytic",
             )
     return report
-
-
-def _tv_from_counts(counts_a: dict, counts_b: dict, total: int) -> float:
-    if total == 0:
-        return 0.0
-    keys = set(counts_a) | set(counts_b)
-    return 0.5 * sum(abs(counts_a.get(k, 0) - counts_b.get(k, 0)) for k in keys) / total
 
 
 # -- the distance constants -----------------------------------------------------

@@ -179,6 +179,7 @@ class TestZeroLabelAnatomy:
 class TestEvents:
     def test_empty_transcript_vacuous(self, inst16):
         flags = detect_events(inst16, QueryTranscript(dim=32), 3)
+        assert set(flags) == {"E1", "E2"}
         assert all(flags.values())
 
     def test_duplicate_flap_point_keeps_strip_event(self, inst100):

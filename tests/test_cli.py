@@ -3,8 +3,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from convexlab import experiments, parallel
 from convexlab.cli import main
+from convexlab.errors import DomainError
 from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment
+from convexlab.report import ExperimentReport
 
 
 def run_cli(args, env_extra=None):
@@ -99,6 +104,38 @@ class TestDeterminism:
         body2.pop("wall_time")
         assert body1 == body2
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+    def test_bad_worker_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("CONVEXLAB_WORKERS", raw)
+        with pytest.raises(DomainError, match=f"CONVEXLAB_WORKERS.*{raw!r}"):
+            parallel.worker_count()
+
+    def test_suite_seed_reaches_sub_experiments(self, monkeypatch):
+        # Stub experiments record the seed each suite member receives.
+        seen = []
+
+        def stub(config):
+            seen.append(config.seed)
+            report = ExperimentReport(config.experiment, {}, config.seed)
+            report.add_estimate("c0_hat", 0.5)
+            return report
+
+        monkeypatch.setattr(
+            experiments, "REGISTRY", {name: (stub, "") for name in experiments.SUITE_SEQUENCE}
+        )
+
+        def sub_seeds(seed):
+            seen.clear()
+            experiments.run_all_lemmas(ExperimentConfig(experiment="all-lemmas", seed=seed))
+            return list(seen)
+
+        first = sub_seeds(1)
+        assert len(first) == len(experiments.SUITE_SEQUENCE)
+        assert len(set(first)) == len(first)
+        assert sub_seeds(1) == first
+        for other in (20240808, 999):
+            assert set(sub_seeds(other)).isdisjoint(first)
+
 
 class TestInstanceCommands:
     def test_make_and_check(self, tmp_path):
@@ -169,6 +206,33 @@ class TestRunConfig:
         path.write_text(json.dumps({"experiment": "mystery", "seed": 1}))
         result = run_cli(["run-config", str(path)])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 7.9),
+            ("seed", True),
+            ("seed", None),
+            ("fmt", "xml"),
+            ("overrides", {"c1": True}),
+            ("overrides", {"c1": "abc"}),
+            ("n", 64.5),
+            ("N", "256"),
+            ("q", True),
+            ("trials", 1e5),
+            ("experiment", ["r-estimate"]),
+            ("output_path", 7),
+            ("calibration_path", 1.5),
+        ],
+    )
+    def test_coercible_field_rejected(self, tmp_path, capsys, field, value):
+        cfg = {"experiment": "r-estimate", "seed": 6, "n": 64, "N": 256, field: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run-config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr("c1" if field == "overrides" else field) in err
 
 
 class TestShorthand:

@@ -5,12 +5,11 @@ import pytest
 
 from conftest import bisect_quantile
 from convexlab.errors import DimensionMismatchError, DomainError, ResourceLimitError
-from convexlab.gauss import sample_haar_frame, std_normal_cdf
+from convexlab.gauss import std_normal_cdf
 from convexlab.nazarov import (
     NazarovBody,
     PointKind,
     classify,
-    classify_ambient,
     default_halfspace_count,
     effective_c1_half,
     estimate_unique_volume,
@@ -23,7 +22,6 @@ from convexlab.nazarov import (
     solve_r_half,
     verify_flap_dogear_ratio,
     verify_high_degree_bound,
-    violation_counts,
 )
 from convexlab.rng import RngStream
 
@@ -112,18 +110,54 @@ class TestClassify:
         body = sample_body(8, 32, 5.0, RngStream(3))
         with pytest.raises(DimensionMismatchError):
             classify(body, np.zeros(9))
+        with pytest.raises(DimensionMismatchError):
+            body.violated(np.zeros((4, 9)))
 
-    def test_embedding_frame_agrees_with_intrinsic(self):
-        n, d = 6, 12
-        frame = sample_haar_frame(d, n, RngStream(21))
-        body = sample_body(n, 32, solve_r_half(n, 32), RngStream(22), frame=frame)
-        plain = NazarovBody(n=n, N=32, r=body.r, normals=body.normals)
-        gen = RngStream(23).generator()
-        for _ in range(50):
-            x = gen.standard_normal(d)
-            via_frame = classify_ambient(body, x)
-            direct = classify(plain, frame.coords(x))
-            assert via_frame == direct
+    @staticmethod
+    def _assert_kernel_matches_spec(body, points):
+        """Batch kernel and storage oracle against the scalar classify spec."""
+        from convexlab.storage import oracle_for
+
+        mask = body.violated(points)
+        oracle, dim = oracle_for(body)
+        assert mask.shape == (points.shape[0], body.N) and dim == body.n
+        labels = oracle(points)
+        for x, row, label in zip(points, mask, labels):
+            spec = classify(body, x)
+            if spec.kind is PointKind.OUTSIDE:
+                assert label == 0
+                continue
+            assert tuple(int(i) for i in np.nonzero(row)[0]) == spec.violated
+            assert bool(label) == (spec.kind is PointKind.IN_BODY)
+
+    def test_kernel_matches_classify_on_random_points(self):
+        n, num = 8, 32
+        body = sample_body(n, num, solve_r(n, num, 2.0), RngStream(24))
+        pts = 1.2 * RngStream(25).generator().standard_normal((400, n))
+        kinds = {classify(body, x).kind for x in pts}
+        assert kinds == set(PointKind)
+        self._assert_kernel_matches_spec(body, pts)
+
+    def test_kernel_tie_and_ball_boundary(self):
+        normals = np.array([[1.0, 0.0], [0.0, 1.0]])
+        body = NazarovBody(n=2, N=2, r=0.5, normals=normals)
+        pts = np.array([
+            [0.5, 0.0],             # tie x . g = r: inside
+            [0.5 + 1e-9, 0.0],      # just past the tie: violates g_0
+            [1.0, -1.0],            # norm exactly sqrt(n), violates g_0
+            [-1.0, -1.0],           # norm exactly sqrt(n), in the body
+            [1.0, 1.0],             # norm exactly sqrt(n), violates both
+            [1.0, 1.0 + 1e-9],      # just outside the ball
+        ])
+        np.testing.assert_array_equal(
+            body.violated(pts),
+            [[False, False], [True, False], [True, False], [False, False],
+             [True, True], [True, True]],
+        )
+        kinds = [classify(body, x).kind for x in pts]
+        assert kinds == [PointKind.IN_BODY, PointKind.IN_FLAPS, PointKind.IN_FLAPS,
+                         PointKind.IN_BODY, PointKind.IN_FLAPS, PointKind.OUTSIDE]
+        self._assert_kernel_matches_spec(body, pts)
 
 
 class TestMembershipProb:
@@ -199,7 +233,7 @@ class TestUniqueVolume:
         body = sample_body(n, num, solve_r(n, num, 0.5), RngStream(55))
         pts = RngStream(56).generator().standard_normal((5000, n))
         inside = np.einsum("ij,ij->i", pts, pts) <= n
-        counts = violation_counts(body, pts)
+        counts = body.violated(pts).sum(axis=1)
         unique = inside & (counts == 1)
         multi = inside & (counts >= 2)
         in_body = inside & (counts == 0)
