@@ -189,7 +189,7 @@ def _triple_seed_scan(inst, points, a_const, oracle_batch=None):
     pts = pts[mask2]
     if pts.shape[0] == 0:
         return (np.empty((0, inst.ambient_dim)), np.empty(0, int)) + (None, None)
-    viol = inst.body.violated(inst.control.coords(pts))
+    viol = inst.body.violated(xc[mask2])
     counts = viol.sum(axis=1)
     unique = counts == 1
     pts = pts[unique]

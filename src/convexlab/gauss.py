@@ -44,8 +44,36 @@ def std_normal_sf(x: float) -> float:
 
 
 def sf_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise upper tail; an independent reference specification kept for tests."""
+    """Elementwise upper tail, the one vectorized form of std_normal_sf.
+
+    The count samplers draw from it; tests pin it against the series cdf in
+    conftest, which shares no code with it.
+    """
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
+
+
+def upper_orthant(h: float, k: float, rho: float) -> float:
+    """P[X > h, Y > k] for standard normals X, Y with correlation rho, h, k > 0.
+
+    Owen's T form (Owen 1956): sf(h)/2 + sf(k)/2 - T(h, a_h) - T(k, a_k) with
+    a_h = (k - rho h) / (h sqrt(1 - rho^2)) and a_k symmetric.  At rho = +-1
+    the pair is degenerate: Y = X gives sf(max(h, k)) and Y = -X gives 0.
+    """
+    if not (h > 0 and k > 0):
+        raise DomainError(f"need h, k > 0, got h={h}, k={k}")
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"need -1 <= rho <= 1, got {rho}")
+    if rho == 1.0:
+        return std_normal_sf(max(h, k))
+    if rho == -1.0:
+        return 0.0
+    s = math.sqrt(1.0 - rho * rho)
+    p = (
+        0.5 * (std_normal_sf(h) + std_normal_sf(k))
+        - special.owens_t(h, (k - rho * h) / (h * s))
+        - special.owens_t(k, (h - rho * k) / (k * s))
+    )
+    return min(max(float(p), 0.0), std_normal_sf(max(h, k)))
 
 
 def std_normal_isf(q: float) -> float:

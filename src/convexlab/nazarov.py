@@ -8,11 +8,12 @@ halfspace; points violating two or more sit in the multiply-violated region
 Gaussian and check the closed-form inequalities that govern them.
 
 Two sampling regimes are used deliberately.  Estimators of expectations over
-*both* body and point draw the N halfspace projections of each point directly
-as iid N(0, ||x||^2) scalars, which is the exact distribution of x . g_i for
-a fresh body (no approximation involved) and avoids materializing N x n
-normals per trial.  Estimators of per-body quantities (volume spread,
-concentration) materialize real normal matrices.
+*both* body and point draw each point's violation count directly.  For a
+fresh body the N indicators [x . g_i > r] are iid Bernoulli(sf(r/|x|)), so the
+count is exactly Binomial(N, sf(r/|x|)); and a standard Gaussian point's
+norm is exactly chi-distributed with n degrees of freedom.  Neither the
+point nor the N x n normals are materialized.  Estimators of per-body
+quantities (volume spread, concentration) materialize real normal matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-from .gauss import Frame, std_normal_isf, std_normal_sf
+from .gauss import Frame, sf_array, std_normal_isf, std_normal_sf
 from .report import ExperimentReport, binom_se, mean_se, wilson_interval
 from .rng import RngStream
 
@@ -206,20 +207,30 @@ def membership_prob(n: int, N: int, r: float, norm: float) -> float:
     return math.exp(N * math.log1p(-std_normal_sf(r / norm)))
 
 
-# -- projection sampling (fresh body per point) -------------------------------
+# -- count sampling (fresh body per point) ------------------------------------
 
 
-def _count_batches(norms: np.ndarray, N: int, r: float, gen: np.random.Generator):
-    """Yield violation counts for points of the given norms, fresh body each.
+def _count_batches(norms: np.ndarray, N: int, r: float, gen: np.random.Generator) -> np.ndarray:
+    """Violation counts of points with the given norms, a fresh body for each.
 
-    For a fixed point x and a fresh body, the N inner products x . g_i are
-    exactly iid N(0, ||x||^2); counts above r are drawn accordingly.
+    For a fixed x the N inner products x . g_i are iid N(0, |x|^2), so the
+    count of those above r is exactly Binomial(N, sf(r/|x|)); at |x| = 0,
+    r/|x| = inf and no halfspace is violated.
     """
-    chunk = max(1, 4_000_000 // max(N, 1))
-    for start in range(0, norms.size, chunk):
-        batch = norms[start : start + chunk]
-        z = gen.standard_normal((batch.size, N))
-        yield batch, (z * batch[:, None] > r).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return gen.binomial(N, sf_array(r / norms))
+
+
+def unique_multi_hits(n: int, N: int, r: float, points: int, gen: np.random.Generator):
+    """(unique, multi) hits among `points` Gaussian points, a fresh body each.
+
+    A hit lies inside Ball(sqrt(n)) and violates exactly one (unique) or at
+    least two (multi) halfspaces; points outside the ball count as neither.
+    Dividing by `points` estimates the two expected volumes.
+    """
+    norms = np.sqrt(gen.chisquare(n, points))  # chi law: norms of N(0, I_n) points
+    counts = _count_batches(norms[norms <= math.sqrt(n)], N, r, gen)
+    return int(np.count_nonzero(counts == 1)), int(np.count_nonzero(counts >= 2))
 
 
 def verify_high_degree_bound(
@@ -245,9 +256,8 @@ def verify_high_degree_bound(
     report.add_estimate("bound", bound)
 
     shell_gen = rng.child(0).generator()
-    shell_hits = 0
-    for _, counts in _count_batches(np.full(trials, math.sqrt(n)), N, r, shell_gen):
-        shell_hits += int(np.count_nonzero(counts >= q))
+    shell_counts = _count_batches(np.full(trials, math.sqrt(n)), N, r, shell_gen)
+    shell_hits = int(np.count_nonzero(shell_counts >= q))
     freq = shell_hits / trials
     report.add_estimate("shell_tail", freq, binom_se(shell_hits, trials), trials)
     report.assert_leq(
@@ -262,11 +272,10 @@ def verify_high_degree_bound(
     ball_total = 0
     while ball_total < trials:
         want = trials - ball_total
-        draws = ball_gen.standard_normal((max(2 * want, 128), n))
-        norms = np.sqrt(np.einsum("ij,ij->i", draws, draws))
+        norms = np.sqrt(ball_gen.chisquare(n, max(2 * want, 128)))
         norms = norms[norms <= math.sqrt(n)][:want]
-        for _, counts in _count_batches(norms, N, r, ball_gen):
-            ball_hits += int(np.count_nonzero(counts >= q))
+        counts = _count_batches(norms, N, r, ball_gen)
+        ball_hits += int(np.count_nonzero(counts >= q))
         ball_total += norms.size
     freq_ball = ball_hits / ball_total
     report.add_estimate("ball_tail", freq_ball, binom_se(ball_hits, ball_total), ball_total)
@@ -298,16 +307,7 @@ def verify_flap_dogear_ratio(
     report = ExperimentReport(
         "flap-dogear-ratio", {"n": n, "N": N, "r": r, "c1": c1, "trials": trials}, rng.seed
     )
-    gen = rng.child(0).generator()
-    draws = gen.standard_normal((trials, n))
-    norms = np.sqrt(np.einsum("ij,ij->i", draws, draws))
-    norms = norms[norms <= math.sqrt(n)]
-    unique_hits = 0
-    multi_hits = 0
-    for _, counts in _count_batches(norms, N, r, gen):
-        unique_hits += int(np.count_nonzero(counts == 1))
-        multi_hits += int(np.count_nonzero(counts >= 2))
-
+    unique_hits, multi_hits = unique_multi_hits(n, N, r, trials, rng.child(0).generator())
     threshold = flap_dogear_threshold(c1)
     p_unique = unique_hits / trials
     p_multi = multi_hits / trials

@@ -1,8 +1,9 @@
 """Experiment reports: named estimates, bound assertions, stable serialization.
 
 Report bodies are canonical: keys sorted, floats printed with 12 significant
-digits, wall time excluded.  Re-running an experiment with the same seed must
-produce byte-identical bodies regardless of worker count.
+digits, wall time and per-experiment timings excluded.  Re-running an
+experiment with the same seed must produce byte-identical bodies regardless
+of worker count.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class ExperimentReport:
     estimates: list[Estimate] = field(default_factory=list)
     assertions: list[BoundAssertion] = field(default_factory=list)
     wall_time: float = 0.0
+    timings: dict = field(default_factory=dict)  # sub-experiment name -> seconds
 
     def add_estimate(self, metric, value, ci_halfwidth=0.0, sample_count=0):
         self.estimates.append(Estimate(metric, float(value), float(ci_halfwidth), int(sample_count)))
@@ -126,6 +128,7 @@ class ExperimentReport:
     def to_json(self) -> str:
         payload = self.body_dict()
         payload["wall_time"] = self.wall_time
+        payload["timings"] = self.timings
         return json.dumps(payload, indent=2, sort_keys=True)
 
     CSV_HEADER = (

@@ -28,8 +28,15 @@ from .gauss import (
     std_normal_cdf,
     std_normal_quantile,
     std_normal_sf,
+    upper_orthant,
 )
-from .nazarov import NazarovBody, default_halfspace_count, sample_body, solve_r
+from .nazarov import (
+    NazarovBody,
+    default_halfspace_count,
+    sample_body,
+    solve_r,
+    unique_multi_hits,
+)
 from .report import ExperimentReport, binom_se, tv_from_counts
 from .rng import RngStream
 
@@ -453,21 +460,7 @@ def estimate_eps_bounds(
         rng.seed,
     )
     total = instance_draws * points_per_draw
-    gen = rng.generator()
-    unique_hits = 0
-    multi_hits = 0
-    chunk = max(1, 2_000_000 // max(N, 1))
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        x = gen.standard_normal((m, n))
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-        inside = norms <= math.sqrt(n)
-        z = gen.standard_normal((m, N)) * norms[:, None]
-        counts = (z > r).sum(axis=1)
-        unique_hits += int(np.count_nonzero(inside & (counts == 1)))
-        multi_hits += int(np.count_nonzero(inside & (counts >= 2)))
-        done += m
+    unique_hits, multi_hits = unique_multi_hits(n, N, r, total, rng.generator())
     v_u = unique_hits / total
     v_d = multi_hits / total
     se_u = binom_se(unique_hits, total)
@@ -538,6 +531,27 @@ def bivariate_tail_check(
     return report
 
 
+def same_unique_counts(
+    N: int, h: float, k: float, rho: float, trials: int, gen: np.random.Generator
+):
+    """(conditioning draws, star hits) over `trials` fresh bodies for a point pair.
+
+    X = x.g/|x| and Y = y.g/|y| are standard normals of correlation rho, and
+    a halfspace is violated by x when X > h and by y when Y > k.  The N
+    halfspaces of a fresh body give iid patterns over the cells [both, x only,
+    y only, neither], so a body is one Multinomial(N, cells) draw.  It
+    conditions when y violates exactly one halfspace, and is a star hit when
+    x violates that one and no other.
+    """
+    both = upper_orthant(h, k, rho)
+    cells = [both, std_normal_sf(h) - both, std_normal_sf(k) - both]
+    counts = gen.multinomial(N, cells + [max(1.0 - sum(cells), 0.0)], size=trials)
+    n11, n10, n01 = counts[:, 0], counts[:, 1], counts[:, 2]
+    y_unique = n11 + n01 == 1
+    star = y_unique & (n11 == 1) & (n10 == 0)
+    return int(np.count_nonzero(y_unique)), int(np.count_nonzero(star))
+
+
 def xy_pair_experiment(
     n: int,
     x: np.ndarray,
@@ -554,7 +568,8 @@ def xy_pair_experiment(
     that both control projections uniquely violate the same halfspace,
     conditioned on one of them doing so, over bodies with the subspace fixed
     first.  The second estimate is compared against the closed-form joint
-    Gaussian tail bound.
+    Gaussian tail bound.  Each body enters (ii) only through its counts of
+    the four halfspace patterns (see same_unique_counts).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -606,32 +621,14 @@ def xy_pair_experiment(
     xp = control.coords(x)
     yp = control.coords(y)
     nx, ny = float(np.linalg.norm(xp)), float(np.linalg.norm(yp))
-    rho = float(xp @ yp) / (nx * ny)
+    rho = min(max(float(xp @ yp) / (nx * ny), -1.0), 1.0)
     h_val, k_val = r / nx, r / ny
     report.add_estimate("norm_ratio", nx / ny)
     report.add_estimate("rho", rho)
 
-    gen2 = rng.child(2).generator()
-    cond_draws = 0
-    star_hits = 0
-    chunk = max(1, 1_000_000 // max(N, 1))
-    done = 0
-    cross = math.sqrt(max(1.0 - rho * rho, 0.0))
-    while done < trials:
-        m = min(chunk, trials - done)
-        g1 = gen2.standard_normal((m, N))
-        g2 = gen2.standard_normal((m, N))
-        viol_x = nx * g1 > r
-        viol_y = ny * (rho * g1 + cross * g2) > r
-        y_unique = (viol_y.sum(axis=1) == 1)
-        if y_unique.any():
-            rows = np.nonzero(y_unique)[0]
-            y_flap = np.argmax(viol_y[rows], axis=1)
-            x_same = viol_x[rows].sum(axis=1) == 1
-            x_flap = np.argmax(viol_x[rows], axis=1)
-            star_hits += int(np.count_nonzero(x_same & (x_flap == y_flap)))
-            cond_draws += rows.size
-        done += m
+    cond_draws, star_hits = same_unique_counts(
+        N, h_val, k_val, rho, trials, rng.child(2).generator()
+    )
     star_freq = star_hits / cond_draws if cond_draws else 0.0
     report.add_estimate(
         "same_unique_rate", star_freq, binom_se(star_hits, max(cond_draws, 1)), cond_draws

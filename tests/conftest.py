@@ -42,6 +42,13 @@ def series_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + erf)
 
 
+def two_proportion_z(hits_a: int, total_a: int, hits_b: int, total_b: int) -> float:
+    """Pooled two-sample z statistic for the difference of two frequencies."""
+    pooled = (hits_a + hits_b) / (total_a + total_b)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / total_a + 1.0 / total_b))
+    return (hits_a / total_a - hits_b / total_b) / se
+
+
 def bisect_quantile(p: float, cdf=series_normal_cdf) -> float:
     lo, hi = -12.0, 12.0
     for _ in range(200):

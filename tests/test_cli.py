@@ -137,6 +137,47 @@ class TestDeterminism:
             assert set(sub_seeds(other)).isdisjoint(first)
 
 
+    def test_blas_thread_count_invariance(self):
+        # Every oracle thresholds a BLAS matmul; the body must not depend on
+        # how many threads the BLAS splits it over.
+        script = (
+            "import hashlib; from convexlab.experiments import ExperimentConfig, run_experiment; "
+            "c = ExperimentConfig(experiment='detect-events', seed=5, n=100, q=3, trials=40); "
+            "print(hashlib.sha256(run_experiment(c).body_bytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+    def test_suite_timings_kept_outside_body(self, monkeypatch):
+        def stub(config):
+            report = ExperimentReport(config.experiment, {}, config.seed)
+            report.add_estimate("c0_hat", 0.5)
+            return report
+
+        monkeypatch.setattr(
+            experiments, "REGISTRY", {name: (stub, "") for name in experiments.SUITE_SEQUENCE}
+        )
+        config = ExperimentConfig(experiment="all-lemmas", seed=3)
+        report = experiments.run_all_lemmas(config)
+        untimed = experiments.run_all_lemmas(config)
+        untimed.timings.clear()
+        assert set(report.timings) == set(experiments.SUITE_SEQUENCE)
+        assert all(t >= 0.0 for t in report.timings.values())
+        assert report.body_bytes() == untimed.body_bytes()
+        assert "timings" not in report.body_dict()
+        assert json.loads(report.to_json())["timings"] == report.timings
+
+
 class TestInstanceCommands:
     def test_make_and_check(self, tmp_path):
         path = tmp_path / "inst.json"

@@ -9,10 +9,12 @@ from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import (
     Frame,
     sample_haar_frame,
+    sf_array,
     std_normal_cdf,
     std_normal_isf,
     std_normal_quantile,
     std_normal_sf,
+    upper_orthant,
     verify_tail_bounds,
 )
 from convexlab.rng import RngStream
@@ -50,6 +52,39 @@ class TestCdf:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 std_normal_cdf(bad)
+
+    def test_sf_array_matches_series(self):
+        # The count samplers draw from sf_array; the series oracle shares no code with it.
+        xs = np.linspace(-4.0, 4.0, 161)
+        oracle = np.array([1.0 - series_normal_cdf(x) for x in xs])
+        assert np.abs(sf_array(xs) - oracle).max() <= 1e-13
+
+
+class TestUpperOrthant:
+    @pytest.mark.parametrize("rho", [-0.3, 0.5, 0.95, 0.999])
+    @pytest.mark.parametrize("h,k", [(0.5, 1.2), (1.0, 1.0), (2.0, 3.0), (3.5, 3.2)])
+    def test_matches_scipy_bivariate_cdf(self, rho, h, k):
+        from scipy.stats import multivariate_normal
+
+        law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+        oracle = law.cdf([-h, -k])  # P[X > h, Y > k] by symmetry
+        assert abs(upper_orthant(h, k, rho) - oracle) <= 1e-9 * oracle + 1e-15
+
+    @pytest.mark.parametrize("h,k", [(0.5, 1.2), (2.0, 2.0), (3.0, 1.5)])
+    def test_degenerate_correlations(self, h, k):
+        from scipy.stats import multivariate_normal
+
+        law = multivariate_normal(mean=[0.0, 0.0], cov=np.ones((2, 2)), allow_singular=True)
+        tail = 1.0 - series_normal_cdf(max(h, k))
+        assert abs(upper_orthant(h, k, 1.0) - tail) <= 1e-13
+        assert abs(upper_orthant(h, k, 1.0) - law.cdf([-h, -k])) <= 1e-9 * tail
+        assert abs(upper_orthant(h, k, 1.0 - 1e-12) - tail) <= 1e-5 * tail
+        assert upper_orthant(h, k, -1.0) == 0.0
+
+    def test_domain(self):
+        for h, k, rho in ((0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 1.0 + 1e-12)):
+            with pytest.raises(DomainError):
+                upper_orthant(h, k, rho)
 
 
 class TestQuantile:

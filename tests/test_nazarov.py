@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bisect_quantile
+from conftest import bisect_quantile, two_proportion_z
 from convexlab.errors import DimensionMismatchError, DomainError, ResourceLimitError
 from convexlab.gauss import std_normal_cdf
 from convexlab.nazarov import (
     NazarovBody,
     PointKind,
+    _count_batches,
     classify,
     default_halfspace_count,
     effective_c1_half,
@@ -20,6 +21,7 @@ from convexlab.nazarov import (
     sample_body,
     solve_r,
     solve_r_half,
+    unique_multi_hits,
     verify_flap_dogear_ratio,
     verify_high_degree_bound,
 )
@@ -206,6 +208,47 @@ class TestHighDegreeBound:
     def test_q_validation(self):
         with pytest.raises(DomainError):
             verify_high_degree_bound(64, 256, 30.0, 0.01, 0, 1000, RngStream(0))
+
+
+@pytest.fixture(scope="module")
+def materialized_counts():
+    """Violation counts and ball membership of Gaussian points, one real body each."""
+    n, num, trials = 8, 16, 20_000
+    r = solve_r(n, num, 1.0)
+    root = RngStream(71)
+    pts = RngStream(72).generator().standard_normal((trials, n))
+    counts = np.array(
+        [int(sample_body(n, num, r, root.child(i)).violated(pts[i]).sum()) for i in range(trials)]
+    )
+    inside = np.einsum("ij,ij->i", pts, pts) <= n
+    return n, num, r, counts, inside
+
+
+class TestCountSamplers:
+    """Two-sample pins of the count-level draws against materialized bodies."""
+
+    def test_counts_match_materialized_bodies(self, materialized_counts):
+        from scipy.stats import chi2_contingency
+
+        n, num, r, counts, _ = materialized_counts
+        gen = RngStream(73).generator()
+        fast = _count_batches(np.sqrt(gen.chisquare(n, 200_000)), num, r, gen)
+        table = [np.bincount(np.minimum(c, 3), minlength=4) for c in (counts, fast)]
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    def test_unique_multi_match_materialized_bodies(self, materialized_counts):
+        n, num, r, counts, inside = materialized_counts
+        trials = counts.size
+        points = 200_000
+        unique, multi = unique_multi_hits(n, num, r, points, RngStream(74).generator())
+        ref_unique = int(np.count_nonzero(inside & (counts == 1)))
+        ref_multi = int(np.count_nonzero(inside & (counts >= 2)))
+        assert abs(two_proportion_z(unique, points, ref_unique, trials)) <= 4.0
+        assert abs(two_proportion_z(multi, points, ref_multi, trials)) <= 4.0
+
+    def test_zero_norm_violates_nothing(self):
+        counts = _count_batches(np.zeros(5), 16, 1.0, RngStream(75).generator())
+        assert np.array_equal(counts, np.zeros(5))
 
 
 class TestUniqueVolume:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
 from convexlab.gauss import std_normal_cdf
 from convexlab.rng import RngStream
@@ -21,6 +22,7 @@ from convexlab.tolerant import (
     eval_yes_batch,
     region_boundaries,
     region_of,
+    same_unique_counts,
     sample_tolerant_instance,
     view_experiment,
     xy_pair_experiment,
@@ -245,6 +247,34 @@ class TestBivariateTail:
             bivariate_tail_check(0.0, 1.0, 1.0, 1000, RngStream(0))
         with pytest.raises(DomainError):
             bivariate_tail_check(0.5, -1.0, 1.0, 1000, RngStream(0))
+
+
+def _paired_normal_star_counts(N, h, k, rho, trials, gen):
+    """Reference for same_unique_counts from materialized paired normal draws."""
+    g1 = gen.standard_normal((trials, N))
+    g2 = gen.standard_normal((trials, N))
+    viol_x = g1 > h
+    viol_y = rho * g1 + math.sqrt(1.0 - rho * rho) * g2 > k
+    rows = np.nonzero(viol_y.sum(axis=1) == 1)[0]
+    y_flap = np.argmax(viol_y[rows], axis=1)
+    x_same = viol_x[rows].sum(axis=1) == 1
+    x_flap = np.argmax(viol_x[rows], axis=1)
+    return rows.size, int(np.count_nonzero(x_same & (x_flap == y_flap)))
+
+
+class TestSameUniqueCounts:
+    @pytest.mark.parametrize("rho", [-0.3, 0.6, 0.95])
+    def test_matches_paired_normal_draws(self, rho):
+        N, h, k = 8, 1.0, 1.3
+        ref_trials, fast_trials = 40_000, 400_000
+        ref = _paired_normal_star_counts(N, h, k, rho, ref_trials, RngStream(421).generator())
+        fast = same_unique_counts(N, h, k, rho, fast_trials, RngStream(422).generator())
+        assert abs(two_proportion_z(fast[0], fast_trials, ref[0], ref_trials)) <= 4.0
+        assert abs(two_proportion_z(fast[1], fast[0], ref[1], ref[0])) <= 4.0
+
+    def test_identical_points_always_share_the_flap(self):
+        cond, star = same_unique_counts(16, 1.5, 1.5, 1.0, 10_000, RngStream(423).generator())
+        assert cond > 0 and star == cond
 
 
 class TestXYPair:
