@@ -28,6 +28,7 @@ from .nazarov import (
 )
 from .report import ExperimentReport, binom_se, wilson_interval
 from .rng import RngStream
+from .testers import BatchOracle
 
 ORTHO_TOL = 1e-8
 R_CONVENTION_TOL = 1e-9
@@ -71,6 +72,9 @@ class AdaptiveInstance:
     def strip_halfwidth(self) -> float:
         # Fixed by the construction, not configurable.
         return math.sqrt(self.n) / 2.0
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        return eval_adaptive_batch(self, points)
 
 
 @dataclass(frozen=True)
@@ -133,31 +137,15 @@ def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarra
     return labels
 
 
-def eval_adaptive(inst: AdaptiveInstance, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.ambient_dim,):
-        raise DimensionMismatchError(f"expected a point of dimension {inst.ambient_dim}")
-    return int(eval_adaptive_batch(inst, x[None, :])[0])
-
-
-def convexified_oracle(inst: AdaptiveInstance):
+def convexified_oracle(inst: AdaptiveInstance) -> BatchOracle:
     """Indicator of Ball(sqrt(2n)) intersected with the hidden body: the
     strip-free (width-zero) convex version of the instance, for controls."""
 
-    def oracle_batch(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        norms_sq = np.einsum("ij,ij->i", points, points)
-        xc = inst.control.coords(points)
-        xc_sq = np.einsum("ij,ij->i", xc, xc)
-        ok = (norms_sq <= 2.0 * inst.n) & (xc_sq <= inst.n)
-        labels = np.zeros(points.shape[0], dtype=np.int8)
-        idx = np.nonzero(ok)[0]
-        if idx.size:
-            no_viol = ~inst.body.violated(xc[idx]).any(axis=1)
-            labels[idx[no_viol]] = 1
-        return labels
+    def rule(points: np.ndarray) -> np.ndarray:
+        in_ball = np.einsum("ij,ij->i", points, points) <= 2.0 * inst.n
+        return in_ball & (inst.body.labels(inst.control.coords(points)) == 1)
 
-    return oracle_batch
+    return BatchOracle(inst.ambient_dim, rule)
 
 
 def thin_shell_bounds(n: int) -> tuple[float, float]:
@@ -165,16 +153,17 @@ def thin_shell_bounds(n: int) -> tuple[float, float]:
     return root - 2.0, root - 1.0
 
 
-def _triple_seed_scan(inst, points, a_const, oracle_batch=None):
+def _triple_seed_scan(inst, points, a_const, oracle=None):
     """Find seeds of violating triples within a batch of candidate points.
 
     A seed lies in the thin radial shell, has control norm in
     [sqrt(n) - a, sqrt(n)], violates exactly one halfspace, and together with
-    x +- v/|v| replays oracle labels (0, 1, 1).
+    x +- v/|v| replays the labels (0, 1, 1) of `oracle` (the instance itself
+    by default).
     Returns (seed rows, flap indices, plus points, minus points).
     """
-    if oracle_batch is None:
-        oracle_batch = lambda pts: eval_adaptive_batch(inst, pts)
+    if oracle is None:
+        oracle = inst
     points = np.atleast_2d(points)
     lo, hi = thin_shell_bounds(inst.n)
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
@@ -201,9 +190,9 @@ def _triple_seed_scan(inst, points, a_const, oracle_batch=None):
     steps /= np.linalg.norm(steps, axis=1, keepdims=True)
     plus = pts + steps
     minus = pts - steps
-    lab0 = oracle_batch(pts)
-    lab_p = oracle_batch(plus)
-    lab_m = oracle_batch(minus)
+    lab0 = oracle.labels(pts)
+    lab_p = oracle.labels(plus)
+    lab_m = oracle.labels(minus)
     good = (lab0 == 0) & (lab_p == 1) & (lab_m == 1)
     return pts[good], flaps[good], plus[good], minus[good]
 
@@ -250,7 +239,7 @@ def estimate_distance_lb(
     trials: int,
     rng: RngStream,
     a_const: float = DEFAULT_A_CONST,
-    oracle_batch=None,
+    oracle=None,
 ) -> ExperimentReport:
     """Estimate the probability that a Gaussian point seeds a violating triple.
 
@@ -272,7 +261,7 @@ def estimate_distance_lb(
     while done < trials:
         m = min(batch, trials - done)
         pts = gen.standard_normal((m, inst.ambient_dim))
-        seeds, _, _, _ = _triple_seed_scan(inst, pts, a_const, oracle_batch)
+        seeds, _, _, _ = _triple_seed_scan(inst, pts, a_const, oracle)
         hits += seeds.shape[0]
         done += m
     p_hat = hits / trials
@@ -293,17 +282,18 @@ def estimate_distance_lb(
 # -- events over transcripts ---------------------------------------------------
 
 
-def detect_events(inst: AdaptiveInstance, transcript, q: int) -> dict:
-    """Exact evaluation of the clustering events E1 and E2 over a transcript.
+def detect_events(inst: AdaptiveInstance, points: np.ndarray, q: int) -> dict:
+    """Exact evaluation of the clustering events E1 and E2 over the query
+    points of a transcript, one row each.
 
     Only E1 and E2 are computed, over the restricted query set
-    {x : |x_C| <= sqrt(n)}.  An empty transcript satisfies both vacuously.
+    {x : |x_C| <= sqrt(n)}.  An empty query set satisfies both vacuously.
     """
-    points = transcript.all_points() if hasattr(transcript, "all_points") else np.atleast_2d(transcript)
+    points = np.atleast_2d(points)
     if points.size == 0:
         return {"E1": True, "E2": True}
     if points.shape[1] != inst.ambient_dim:
-        raise DimensionMismatchError(f"transcript points must have dimension {inst.ambient_dim}")
+        raise DimensionMismatchError(f"query points must have dimension {inst.ambient_dim}")
 
     xc = inst.control.coords(points)
     xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
@@ -345,18 +335,12 @@ def event_rate_experiment(n: int, q: int, instances: int, rng: RngStream) -> Exp
     report = ExperimentReport(
         "event-rate", {"n": n, "q": q, "instances": instances}, rng.seed
     )
-    from .testers import QueryTranscript
-
     e1_hits = 0
     e2_hits = 0
     for t in range(instances):
         inst = sample_adaptive_instance(n, None, rng.child(2 * t))
         pts = rng.child(2 * t + 1).generator().standard_normal((q, 2 * n))
-        labels = eval_adaptive_batch(inst, pts)
-        transcript = QueryTranscript(dim=2 * n)
-        for row, lab in zip(pts, labels):
-            transcript.append(row, int(lab))
-        flags = detect_events(inst, transcript, q)
+        flags = detect_events(inst, pts, q)
         e1_hits += flags["E1"]
         e2_hits += flags["E2"]
     freq1 = e1_hits / instances

@@ -228,11 +228,10 @@ def _cmd_make_instance(args) -> int:
 
 
 def _cmd_check_instance(args) -> int:
-    from .storage import load_instance, oracle_for
+    from .storage import load_instance
 
     inst = load_instance(args.path)
-    oracle, dim = oracle_for(inst)
-    print(f"{args.path}: ok (kind {type(inst).__name__}, ambient dimension {dim})")
+    print(f"{args.path}: ok (kind {type(inst).__name__}, ambient dimension {inst.ambient_dim})")
     return 0
 
 

@@ -271,21 +271,35 @@ def run_moment_matching(config: ExperimentConfig) -> ExperimentReport:
 # -- testers -----------------------------------------------------------------------
 
 
-def _convex_oracles(d: int, rng: RngStream):
-    """Four convex membership oracles in R^d with nontrivial Gaussian mass."""
-    gen = rng.generator()
-    w = gen.standard_normal(d)
+# Convex membership oracles in R^d with nontrivial Gaussian mass, built from
+# (d, rng).  One stream layout serves all four: rng draws the halfspace normal
+# and then the ellipsoid axes, rng.child(1) the ellipsoid frame and rng.child(2)
+# the PTF.
+
+
+def _halfspace(d: int, rng: RngStream) -> testers.BatchOracle:
+    w = rng.generator().standard_normal(d)
     w /= np.linalg.norm(w)
-    halfspace = lambda x: int(float(x @ w) <= 0.3)
-    ball = lambda x: int(float(x @ x) <= d)
+    return testers.BatchOracle(d, lambda pts: pts @ w <= 0.3)
+
+
+def _ball(d: int, rng: RngStream) -> testers.BatchOracle:
+    return testers.BatchOracle(d, lambda pts: np.einsum("ij,ij->i", pts, pts) <= d)
+
+
+def _ellipsoid(d: int, rng: RngStream) -> testers.BatchOracle:
+    gen = rng.generator()
+    gen.standard_normal(d)  # the halfspace normal comes first on this stream
     axes = 0.5 + gen.random(d) * 1.5
     q_mat = gauss.sample_haar_frame(d, d, rng.child(1)).vectors
-    def ellipsoid(x):
-        y = q_mat @ x
-        return int(float(np.sum(axes * y * y)) <= d)
-    inst = ptf.sample_ptf_instance(d, 3, ptf.DEFAULT_CLIP, "yes", rng.child(2))
-    yes_ptf = lambda x: ptf.eval_ptf(inst, x)
-    return {"halfspace": halfspace, "ball": ball, "ellipsoid": ellipsoid, "yes-ptf": yes_ptf}
+    return testers.BatchOracle(d, lambda pts: ((pts @ q_mat.T) ** 2 * axes).sum(axis=1) <= d)
+
+
+def _yes_ptf(d: int, rng: RngStream) -> ptf.PTFInstance:
+    return ptf.sample_ptf_instance(d, 3, ptf.DEFAULT_CLIP, "yes", rng.child(2))
+
+
+CONVEX_CONTROLS = {"halfspace": _halfspace, "ball": _ball, "ellipsoid": _ellipsoid, "yes-ptf": _yes_ptf}
 
 
 def run_soundness(config: ExperimentConfig) -> ExperimentReport:
@@ -301,13 +315,13 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
     for kind in testers.STRATEGY_KINDS:
         total_runs = 0
         rejections = 0
-        for name in ("halfspace", "ball", "ellipsoid", "yes-ptf"):
+        for build in CONVEX_CONTROLS.values():
             for run in range(runs_per_cell):
                 stream = rng.child(cell)
                 cell += 1
-                oracles = _convex_oracles(d, stream.child(0))
-                strategy = testers.baseline_strategy(kind, budget, stream.child(1))
-                verdict, _ = testers.run_one_sided(strategy, oracles[name], budget, d)
+                oracle = build(d, stream.child(0))
+                strategy = testers.baseline_strategy(kind, budget, d, stream.child(1))
+                verdict, _ = testers.run_one_sided(strategy, oracle, budget)
                 rejections += verdict.outcome == "reject"
                 total_runs += 1
         report.add_estimate(f"rejections[{kind}]", rejections, 0.0, total_runs)
@@ -388,7 +402,7 @@ def run_distance_lb(config: ExperimentConfig) -> ExperimentReport:
     report = adaptive.estimate_distance_lb(inst, trials, rng.child(1), a_const=a_const)
     convex = adaptive.convexified_oracle(inst)
     sub = adaptive.estimate_distance_lb(
-        inst, max(trials // 4, 100_000), rng.child(2), a_const=a_const, oracle_batch=convex
+        inst, max(trials // 4, 100_000), rng.child(2), a_const=a_const, oracle=convex
     )
     report.add_estimate("convexified_p_hat", sub.value("p_hat"))
     report.assert_leq(
@@ -457,8 +471,7 @@ def run_view_tv(config: ExperimentConfig) -> ExperimentReport:
     trials = config.samples(10_000)
     q = config.budget(5)
     calibration = _calibration(config)
-    c0 = calibration if isinstance(calibration, float) else calibration.c0_hat
-    tau = c0 * tolerant.C1_DEFAULT / 100.0
+    tau = tolerant._c0_from(calibration) * tolerant.C1_DEFAULT / 100.0
     rng = config.rng()
     queries = _shell_queries(n, q, tau, rng.child(0))
     return tolerant.view_experiment(
@@ -480,8 +493,7 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
     q_trials = config.samples(200_000)
     grid = (64, 100, 144) if config.n is None else (config.n,)
     calibration = _calibration(config)
-    c0 = calibration if isinstance(calibration, float) else calibration.c0_hat
-    c2 = c0 * tolerant.C1_DEFAULT / 100.0
+    c2 = tolerant._c0_from(calibration) * tolerant.C1_DEFAULT / 100.0
     c3 = config.override("c3", 0.1)
     report = ExperimentReport(
         "xy-pair", {"grid": list(grid), "trials": q_trials, "c3": c3}, config.seed

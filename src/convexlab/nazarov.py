@@ -97,6 +97,10 @@ class NazarovBody:
     def radius(self) -> float:
         return math.sqrt(self.n)
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.n
+
     def violated(self, points: np.ndarray) -> np.ndarray:
         """Boolean (m, N) mask of strict violations x . g_i > r for intrinsic points.
 
@@ -107,6 +111,13 @@ class NazarovBody:
         if points.shape[1] != self.n:
             raise DimensionMismatchError(f"points must have dimension {self.n}")
         return points @ self.normals.T > self.r
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        """Membership labels of the body: the halfspaces intersected with the ball."""
+        viol = self.violated(points)
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        inside = np.einsum("ij,ij->i", points, points) <= self.n
+        return (inside & ~viol.any(axis=1)).astype(np.int8)
 
 
 @functools.lru_cache(maxsize=256)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
 from .gauss import Frame, sample_haar_frame
-from .report import ExperimentReport, binom_se, tv_from_counts, wilson_interval
+from .report import ExperimentReport, binom_se, response_counts, tv_from_counts, wilson_interval
 from .rng import RngStream
 
 DEFAULT_CLIP = 10.0
@@ -222,6 +222,13 @@ class PTFInstance:
     def clip_radius(self) -> float:
         return math.sqrt(self.n) + self.clip_c
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.n
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        return eval_ptf_batch(self, points)
+
 
 def sample_ptf_instance(
     n: int,
@@ -280,13 +287,6 @@ def eval_ptf_rescaled(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
     norms_sq = np.einsum("ij,ij->i", points, points)
     scaled_mu = inst.mu / inst.basis.scale**2
     return ((quad <= scaled_mu) & (norms_sq <= inst.clip_radius**2)).astype(np.int8)
-
-
-def eval_ptf(inst: PTFInstance, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.n,):
-        raise DimensionMismatchError(f"expected one point of dimension {inst.n}")
-    return int(eval_ptf_batch(inst, x[None, :])[0])
 
 
 def estimate_no_distance(
@@ -408,31 +408,21 @@ def response_tv_experiment(
          "neg_atom": neg_atom, "neg_prob": neg_prob},
         rng.seed,
     )
-    weights = 1 << np.arange(q)
-    yes_counts: dict[int, int] = {}
-    no_counts: dict[int, int] = {}
-    yes_ok: dict[int, int] = {}
-    no_ok: dict[int, int] = {}
-    bad_hits = 0
+    yes_rows = np.zeros((trials, q), dtype=np.int8)
+    no_rows = np.zeros((trials, q), dtype=np.int8)
+    bad = np.zeros(trials, dtype=bool)
     for t in range(trials):
         basis = sample_haar_frame(n, n, rng.child(3 * t), scale=1.0 / math.sqrt(n))
         proj_sq = ((queries @ basis.vectors.T) * basis.scale) ** 2  # (q, n)
-        bad = bool((proj_sq >= clip_sq).any())
-        bad_hits += bad
+        bad[t] = (proj_sq >= clip_sq).any()
         u = yes_law.sample(n, rng.child(3 * t + 1))
         v = no_law.sample(n, rng.child(3 * t + 2))
-        yes_vec = (proj_sq @ u <= mu).astype(np.int64)
-        no_vec = (proj_sq @ v <= mu).astype(np.int64)
-        key_yes = int((yes_vec * weights).sum())
-        key_no = int((no_vec * weights).sum())
-        yes_counts[key_yes] = yes_counts.get(key_yes, 0) + 1
-        no_counts[key_no] = no_counts.get(key_no, 0) + 1
-        if not bad:
-            yes_ok[key_yes] = yes_ok.get(key_yes, 0) + 1
-            no_ok[key_no] = no_ok.get(key_no, 0) + 1
-    tv = tv_from_counts(yes_counts, no_counts, trials)
+        yes_rows[t] = proj_sq @ u <= mu
+        no_rows[t] = proj_sq @ v <= mu
+    bad_hits = int(bad.sum())
+    tv = tv_from_counts(response_counts(yes_rows), response_counts(no_rows), trials)
     kept = trials - bad_hits
-    tv_ok = tv_from_counts(yes_ok, no_ok, kept)
+    tv_ok = tv_from_counts(response_counts(yes_rows[~bad]), response_counts(no_rows[~bad]), kept)
     bad_freq = bad_hits / trials
     bad_bound = q * n * n ** (-4.5)
     report.add_estimate("tv", tv, 0.0, trials)

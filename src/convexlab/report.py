@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Provenance labels for assertion bounds.  "closed-form" means the bound is an
 # exact formula evaluated in-process; "analytic" means a stated inequality
 # checked empirically; "derived" means a threshold computed from an
@@ -188,6 +190,16 @@ def tv_from_counts(counts_a: dict, counts_b: dict, total: int) -> float:
     return 0.5 * sum(abs(counts_a.get(k, 0) - counts_b.get(k, 0)) for k in keys) / total
 
 
+def response_counts(responses) -> dict:
+    """Counts of the distinct 0/1 response vectors among the rows of
+    `responses` (trials x q), keyed by the row read as a binary number with
+    query j as bit j."""
+    responses = np.asarray(responses, dtype=np.int64)
+    keys = responses @ (1 << np.arange(responses.shape[1], dtype=np.int64))
+    values, counts = np.unique(keys, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
     """Wilson score interval; default z is the two-sided 99% quantile."""
     if trials <= 0:
@@ -200,8 +212,6 @@ def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
 
 
 def mean_se(values) -> tuple[float, float]:
-    import numpy as np
-
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return 0.0, 0.0

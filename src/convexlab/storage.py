@@ -185,24 +185,6 @@ def _check_stored_normals(payload: dict, normals: np.ndarray):
         raise FormatError("regenerated normals differ from the stored arrays")
 
 
-def oracle_for(inst):
-    """Batch oracle and ambient dimension for any persisted instance kind."""
-    if isinstance(inst, adaptive.AdaptiveInstance):
-        return (lambda pts: adaptive.eval_adaptive_batch(inst, pts)), inst.ambient_dim
-    if isinstance(inst, tolerant.TolerantInstance):
-        return (lambda pts: tolerant.eval_yes_batch(inst, pts)), inst.ambient_dim
-    if isinstance(inst, ptf.PTFInstance):
-        return (lambda pts: ptf.eval_ptf_batch(inst, pts)), inst.n
-    if isinstance(inst, nazarov.NazarovBody):
-        def body_oracle(pts):
-            pts = np.atleast_2d(pts)
-            inside = np.einsum("ij,ij->i", pts, pts) <= inst.n
-            return (inside & ~inst.violated(pts).any(axis=1)).astype(np.int8)
-
-        return body_oracle, inst.n
-    raise FormatError(f"no oracle for {type(inst).__name__}")
-
-
 def save_calibration(record: tolerant.CalibrationRecord, path: str):
     payload = {"format_version": FORMAT_VERSION, "kind": "calibration"}
     payload.update(asdict(record))

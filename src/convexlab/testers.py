@@ -5,12 +5,20 @@ hull of the 1-labeled queries; the certificate (hull coefficients) is always
 returned and re-verified independently of the LP solver.  The hull check runs
 after every query; by monotonicity of the reject rule this gives the same
 verdict as checking only at the leaf, with earlier certificates.
+
+A tester sees a membership oracle only through one protocol (`Oracle`): an
+`ambient_dim` attribute and `labels(points)`, which maps an (m, ambient_dim)
+array of rows to an int8 array of m labels in {0, 1} and raises
+DimensionMismatchError on rows of another dimension.  The instance families
+implement it themselves (AdaptiveInstance, PTFInstance, NazarovBody, and the
+`yes` / `no` realizations of a TolerantInstance); any other oracle is a
+BatchOracle built from a rule on checked rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 from scipy.optimize import linprog
@@ -21,7 +29,28 @@ from .rng import RngStream
 
 HULL_TOL = 1e-8
 
-Oracle = Callable[[np.ndarray], int]
+
+class Oracle(Protocol):
+    ambient_dim: int
+
+    def labels(self, points: np.ndarray) -> np.ndarray: ...
+
+
+@dataclass(frozen=True)
+class BatchOracle:
+    """An Oracle from a rule that maps checked (m, ambient_dim) float rows to
+    m truth values or 0/1 labels."""
+
+    ambient_dim: int
+    rule: Callable[[np.ndarray], np.ndarray]
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if points.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(f"points must have dimension {self.ambient_dim}")
+        return np.asarray(self.rule(points)).astype(np.int8)
+
+
 # A strategy maps the query history [(point, label), ...] to the next query
 # point, or None to stop early.
 Strategy = Callable[[list], Optional[np.ndarray]]
@@ -157,16 +186,15 @@ def _certified_outside(y, points, tol) -> bool:
 
 
 def run_one_sided(
-    tester: Strategy, oracle: Oracle, q: int, d: int
+    tester: Strategy, oracle: Oracle, q: int
 ) -> tuple[TesterVerdict, QueryTranscript]:
     """Execute one root-to-leaf path of a one-sided tester.
 
     The reject rule is checked after every answered query and short-circuits
     on the first certificate found.
     """
+    d = oracle.ambient_dim
     transcript = QueryTranscript(dim=d)
-    if hasattr(tester, "bind"):
-        tester.bind(d)
     zeros: list[np.ndarray] = []
     ones: list[np.ndarray] = []
     history: list = []
@@ -179,7 +207,7 @@ def run_one_sided(
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (d,):
             raise DimensionMismatchError(f"tester produced a point of shape {point.shape}")
-        label = int(oracle(point))
+        label = int(oracle.labels(point[None, :])[0])
         transcript.append(point, label)
         history.append((point, label))
         if label == 0:
@@ -206,36 +234,26 @@ def run_one_sided(
 
 
 class _GaussianStrategy:
-    """Base for built-in strategies that draw their own Gaussian queries.
+    """Base for built-in strategies that draw their own Gaussian queries in R^d.
 
-    Strategies are single-run objects.  The ambient dimension is bound by
-    run_one_sided before the first query; externally authored plain callables
-    never need binding because they bring their own points.
+    Strategies are single-run objects.
     """
 
-    def __init__(self, rng: RngStream):
+    def __init__(self, d: int, rng: RngStream):
         self._gen = rng.generator()
-        self._dim: int | None = None
-
-    def bind(self, d: int):
-        if self._dim is None:
-            self._dim = d
-        elif self._dim != d:
-            raise DimensionMismatchError("strategy already bound to a different dimension")
+        self._dim = d
 
     def _draw(self) -> np.ndarray:
-        if self._dim is None:
-            raise DomainError("strategy not bound to a dimension; run it via run_one_sided")
         return self._gen.standard_normal(self._dim)
 
 
 class LineSegmentStrategy(_GaussianStrategy):
     """Queries Gaussian pairs and their midpoints, three queries per pair."""
 
-    def __init__(self, pairs: int, rng: RngStream):
+    def __init__(self, pairs: int, d: int, rng: RngStream):
         if pairs < 1:
             raise DomainError("need pairs >= 1")
-        super().__init__(rng)
+        super().__init__(d, rng)
         self.pairs = pairs
         self._done = 0
         self._phase = 0
@@ -260,10 +278,10 @@ class LineSegmentStrategy(_GaussianStrategy):
 class HullSamplingStrategy(_GaussianStrategy):
     """Queries iid Gaussian points; rejection is left to the runner's rule."""
 
-    def __init__(self, samples: int, rng: RngStream):
+    def __init__(self, samples: int, d: int, rng: RngStream):
         if samples < 1:
             raise DomainError("need samples >= 1")
-        super().__init__(rng)
+        super().__init__(d, rng)
         self.samples = samples
         self._done = 0
 
@@ -274,21 +292,13 @@ class HullSamplingStrategy(_GaussianStrategy):
         return self._draw()
 
 
-def line_segment_tester(pairs: int, rng: RngStream) -> Strategy:
-    return LineSegmentStrategy(pairs, rng)
-
-
-def hull_sampling_tester(samples: int, rng: RngStream) -> Strategy:
-    return HullSamplingStrategy(samples, rng)
-
-
-def baseline_strategy(kind: str, budget: int, rng: RngStream) -> Strategy:
+def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
     if kind == "line-segment":
         if budget < 3:
             raise DomainError("line-segment strategy needs a budget of at least 3")
-        return line_segment_tester(budget // 3, rng)
+        return LineSegmentStrategy(budget // 3, d, rng)
     if kind == "hull-sampling":
-        return hull_sampling_tester(budget, rng)
+        return HullSamplingStrategy(budget, d, rng)
     raise DomainError(f"unknown strategy kind {kind!r}")
 
 
@@ -307,6 +317,15 @@ def rejection_rate(
     """Rejection frequency of a baseline strategy against an instance family."""
     from . import adaptive, ptf, tolerant
 
+    samplers = {
+        "adaptive": lambda rng: adaptive.sample_adaptive_instance(n, None, rng),
+        "tolerant-yes": lambda rng: tolerant.sample_tolerant_instance(n, None, rng, calibration).yes,
+        "tolerant-no": lambda rng: tolerant.sample_tolerant_instance(n, None, rng, calibration).no,
+        "ptf-yes": lambda rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "yes", rng),
+        "ptf-no": lambda rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "no", rng),
+    }
+    if instance_family not in samplers:
+        raise DomainError(f"unknown instance family {instance_family!r}")
     report = ExperimentReport(
         "rejection-rate",
         {
@@ -320,23 +339,9 @@ def rejection_rate(
     )
     rejects = 0
     for t in range(trials):
-        inst_rng = rng.child(2 * t)
-        strat_rng = rng.child(2 * t + 1)
-        if instance_family == "adaptive":
-            inst = adaptive.sample_adaptive_instance(n, None, inst_rng)
-            oracle, d = (lambda x, i=inst: adaptive.eval_adaptive(i, x)), 2 * n
-        elif instance_family in ("tolerant-yes", "tolerant-no"):
-            inst = tolerant.sample_tolerant_instance(n, None, inst_rng, calibration)
-            fn = tolerant.eval_yes if instance_family.endswith("yes") else tolerant.eval_no
-            oracle, d = (lambda x, i=inst, f=fn: f(i, x)), n + 1
-        elif instance_family in ("ptf-yes", "ptf-no"):
-            flavor = instance_family.split("-")[1]
-            inst = ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, flavor, inst_rng)
-            oracle, d = (lambda x, i=inst: ptf.eval_ptf(i, x)), n
-        else:
-            raise DomainError(f"unknown instance family {instance_family!r}")
-        strategy = baseline_strategy(strategy_kind, budget, strat_rng)
-        verdict, _ = run_one_sided(strategy, oracle, budget, d)
+        oracle = samplers[instance_family](rng.child(2 * t))
+        strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
+        verdict, _ = run_one_sided(strategy, oracle, budget)
         rejects += verdict.outcome == "reject"
     freq = rejects / trials
     lo, hi = wilson_interval(rejects, trials)

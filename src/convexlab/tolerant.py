@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ from .nazarov import (
     solve_r,
     unique_multi_hits,
 )
-from .report import ExperimentReport, binom_se, tv_from_counts
+from .report import ExperimentReport, binom_se, response_counts, tv_from_counts
 from .rng import RngStream
+from .testers import BatchOracle
 
 C1_DEFAULT = 1.0 / 100.0
 Z99 = 2.5758293035489004
@@ -172,6 +174,16 @@ class TolerantInstance:
     def shell(self) -> tuple[float, float]:
         return shell_interval(self.n, self.tau)
 
+    @property
+    def yes(self) -> BatchOracle:
+        """The yes-realization as a membership oracle."""
+        return BatchOracle(self.ambient_dim, lambda points: eval_yes_batch(self, points))
+
+    @property
+    def no(self) -> BatchOracle:
+        """The no-realization as a membership oracle."""
+        return BatchOracle(self.ambient_dim, lambda points: eval_no_batch(self, points))
+
 
 def sample_tolerant_instance(
     n: int,
@@ -186,13 +198,9 @@ def sample_tolerant_instance(
     """
     if n < 4:
         raise DomainError("need n >= 4")
-    if calibration is None:
-        raise CalibrationMissingError(
-            "no calibration record: run the calibrate-c0 experiment (or pass c0_hat) first"
-        )
+    c0_hat = _c0_from(calibration)
     N = N_override if N_override is not None else default_halfspace_count(n)
     c1 = C1_DEFAULT
-    c0_hat = calibration if isinstance(calibration, float) else calibration.c0_hat
     c2 = tau = c0_hat * c1 / 100.0
     r = solve_r(n, N, c1)
     full = sample_haar_frame(n + 1, n + 1, rng.child(0))
@@ -287,14 +295,6 @@ def eval_no_batch(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
     return labels
 
 
-def eval_yes(inst: TolerantInstance, x: np.ndarray) -> int:
-    return int(eval_yes_batch(inst, np.asarray(x)[None, :])[0])
-
-
-def eval_no(inst: TolerantInstance, x: np.ndarray) -> int:
-    return int(eval_no_batch(inst, np.asarray(x)[None, :])[0])
-
-
 # -- the distinguishing event ---------------------------------------------------
 
 
@@ -350,13 +350,9 @@ def view_experiment(
     report = ExperimentReport(
         "view-tv", {"n": n, "q": q, "trials": trials}, rng.seed
     )
-    yes_counts: dict[int, int] = {}
-    no_counts: dict[int, int] = {}
-    yes_counts_all: dict[int, int] = {}
-    no_counts_all: dict[int, int] = {}
-    bad_hits = 0
-    kept = 0
-    weights = 1 << np.arange(q)
+    yes_rows = np.zeros((trials, q), dtype=np.int8)
+    no_rows = np.zeros((trials, q), dtype=np.int8)
+    bad = np.zeros(trials, dtype=bool)
     important_events = np.zeros(q, dtype=np.int64)
     important_ones_yes = np.zeros(q, dtype=np.int64)
     important_ones_no = np.zeros(q, dtype=np.int64)
@@ -370,21 +366,17 @@ def view_experiment(
         important_events += starred
         important_ones_yes += starred & (yes_vec == 1)
         important_ones_no += starred & (no_vec == 1)
-        key_yes = int((yes_vec * weights).sum())
-        key_no = int((no_vec * weights).sum())
-        yes_counts_all[key_yes] = yes_counts_all.get(key_yes, 0) + 1
-        no_counts_all[key_no] = no_counts_all.get(key_no, 0) + 1
-        flag, _ = detect_bad(inst, queries)
-        if flag:
-            bad_hits += 1
-            continue
-        kept += 1
-        yes_counts[key_yes] = yes_counts.get(key_yes, 0) + 1
-        no_counts[key_no] = no_counts.get(key_no, 0) + 1
+        yes_rows[t] = yes_vec
+        no_rows[t] = no_vec
+        bad[t], _ = detect_bad(inst, queries)
 
+    bad_hits = int(bad.sum())
+    kept = trials - bad_hits
     report.add_estimate("bad_rate", bad_hits / trials, binom_se(bad_hits, trials), trials)
-    tv_all = tv_from_counts(yes_counts_all, no_counts_all, trials)
+    tv_all = tv_from_counts(response_counts(yes_rows), response_counts(no_rows), trials)
     report.add_estimate("tv_unconditioned", tv_all, 0.0, trials)
+    yes_counts = response_counts(yes_rows[~bad])
+    no_counts = response_counts(no_rows[~bad])
     tv_cond = tv_from_counts(yes_counts, no_counts, kept)
     cells = len(set(yes_counts) | set(no_counts)) or 1
     noise = math.sqrt(cells / (2.0 * max(kept, 1)))
@@ -424,11 +416,18 @@ def eps_from_volumes(v_unique: float, v_multi: float, c2: float, tau: float):
 
 
 def _c0_from(calibration: "CalibrationRecord | float | None") -> float:
+    """The measured constant c0_hat of a calibration record, or the number itself."""
     if calibration is None:
         raise CalibrationMissingError(
-            "no calibration record: run the calibrate-c0 experiment first"
+            "no calibration record: run the calibrate-c0 experiment (or pass c0_hat) first"
         )
-    return calibration if isinstance(calibration, float) else calibration.c0_hat
+    if isinstance(calibration, CalibrationRecord):
+        return calibration.c0_hat
+    if isinstance(calibration, numbers.Real) and not isinstance(calibration, bool):
+        return float(calibration)
+    raise DomainError(
+        f"calibration must be a CalibrationRecord or a number, got {type(calibration).__name__}"
+    )
 
 
 def estimate_eps_bounds(

@@ -155,12 +155,8 @@ def test_criterion_07_violating_triples():
     for k in range(25):
         trip = adaptive.sample_violating_triple(inst, 50_000, rng=root.child(k))
         assert trip is not None
-        labels = (
-            adaptive.eval_adaptive(inst, trip.x),
-            adaptive.eval_adaptive(inst, trip.x_plus),
-            adaptive.eval_adaptive(inst, trip.x_minus),
-        )
-        assert labels == (0, 1, 1)
+        labels = inst.labels(np.vstack([trip.x, trip.x_plus, trip.x_minus]))
+        assert labels.tolist() == [0, 1, 1]
         lam = in_convex_hull(trip.x, np.vstack([trip.x_minus, trip.x_plus]))
         assert lam is not None
         replayed += 1

@@ -8,7 +8,6 @@ from convexlab.adaptive import (
     convexified_oracle,
     detect_events,
     estimate_distance_lb,
-    eval_adaptive,
     eval_adaptive_batch,
     event_rate_experiment,
     sample_adaptive_instance,
@@ -54,10 +53,10 @@ class TestOracle:
     def test_far_point_labeled_zero(self, inst16):
         x = np.zeros(32)
         x[0] = 1.1 * math.sqrt(32)
-        assert eval_adaptive(inst16, x) == 0
+        assert inst16.labels(x[None, :])[0] == 0
 
     def test_origin_labeled_one(self, inst16):
-        assert eval_adaptive(inst16, np.zeros(32)) == 1
+        assert inst16.labels(np.zeros((1, 32)))[0] == 1
 
     def test_strip_zero_point(self, inst100):
         # A point in exactly one flap whose action inner product is zero lies
@@ -70,11 +69,11 @@ class TestOracle:
         shifted = trip.x - proj * v_ambient / float(v @ v)
         assert abs(float(inst100.action.coords(shifted) @ v)) <= 1e-6
         assert np.linalg.norm(shifted) <= math.sqrt(200)
-        assert eval_adaptive(inst100, shifted) == 0
+        assert inst100.labels(shifted[None, :])[0] == 0
 
     def test_dimension_mismatch(self, inst16):
         with pytest.raises(DimensionMismatchError):
-            eval_adaptive(inst16, np.zeros(31))
+            inst16.labels(np.zeros((1, 31)))
 
     def test_rotation_invariance(self, inst16):
         d = 32
@@ -99,12 +98,8 @@ class TestViolatingTriples:
     def test_replay_and_geometry(self, inst100):
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(306))
         assert trip is not None
-        labels = (
-            eval_adaptive(inst100, trip.x),
-            eval_adaptive(inst100, trip.x_plus),
-            eval_adaptive(inst100, trip.x_minus),
-        )
-        assert labels == (0, 1, 1)
+        labels = inst100.labels(np.vstack([trip.x, trip.x_plus, trip.x_minus]))
+        assert labels.tolist() == [0, 1, 1]
         lo, hi = thin_shell_bounds(inst100.n)
         assert lo <= np.linalg.norm(trip.x) <= hi
         np.testing.assert_allclose(trip.x, 0.5 * (trip.x_plus + trip.x_minus), atol=1e-12)
@@ -134,7 +129,7 @@ class TestViolatingTriples:
 
     def test_convexified_instance_has_no_triples(self, inst100):
         oracle = convexified_oracle(inst100)
-        report = estimate_distance_lb(inst100, 100_000, RngStream(310), oracle_batch=oracle)
+        report = estimate_distance_lb(inst100, 100_000, RngStream(310), oracle=oracle)
         assert report.value("p_hat") == 0.0
 
     def test_a_const_validation(self, inst16):
@@ -178,7 +173,7 @@ class TestZeroLabelAnatomy:
 
 class TestEvents:
     def test_empty_transcript_vacuous(self, inst16):
-        flags = detect_events(inst16, QueryTranscript(dim=32), 3)
+        flags = detect_events(inst16, QueryTranscript(dim=32).all_points(), 3)
         assert set(flags) == {"E1", "E2"}
         assert all(flags.values())
 
@@ -188,7 +183,7 @@ class TestEvents:
         transcript = QueryTranscript(dim=200)
         transcript.append(trip.x, 0)
         transcript.append(trip.x, 0)
-        flags = detect_events(inst100, transcript, 3)
+        flags = detect_events(inst100, transcript.all_points(), 3)
         assert flags["E2"]
 
     def test_event_rate_on_random_transcripts(self):
@@ -206,10 +201,9 @@ class TestEvents:
         def cheater(history):
             return queries[len(history)] if len(history) < 3 else None
 
-        oracle = lambda x: eval_adaptive(inst100, x)
-        verdict, transcript = run_one_sided(cheater, oracle, 3, 200)
+        verdict, transcript = run_one_sided(cheater, inst100, 3)
         assert verdict.outcome == "reject"
-        flags = detect_events(inst100, transcript, 3)
+        flags = detect_events(inst100, transcript.all_points(), 3)
         assert not flags["E2"]
 
 

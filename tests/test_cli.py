@@ -179,18 +179,29 @@ class TestDeterminism:
 
 
 class TestInstanceCommands:
-    def test_make_and_check(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, extra, dim",
+        [
+            ("nazarov", [], 16),
+            ("adaptive", [], 32),
+            ("tolerant", ["--c0-hat", "0.35"], 17),
+            ("ptf", [], 16),
+        ],
+        ids=["nazarov", "adaptive", "tolerant", "ptf"],
+    )
+    def test_make_and_check(self, tmp_path, kind, extra, dim):
         path = tmp_path / "inst.json"
         result = run_cli(
             [
-                "make-instance", "--kind", "adaptive", "--n", "16",
-                "--seed", "11", "--out", str(path),
+                "make-instance", "--kind", kind, "--n", "16",
+                "--seed", "11", "--out", str(path), *extra,
             ]
         )
         assert result.returncode == 0
         check = run_cli(["check-instance", str(path)])
         assert check.returncode == 0
         assert "ok" in check.stdout
+        assert f"ambient dimension {dim})" in check.stdout
 
     def test_tolerant_requires_constant(self, tmp_path):
         result = run_cli(

@@ -117,13 +117,10 @@ class TestClassify:
 
     @staticmethod
     def _assert_kernel_matches_spec(body, points):
-        """Batch kernel and storage oracle against the scalar classify spec."""
-        from convexlab.storage import oracle_for
-
+        """Batch kernel and body labels against the scalar classify spec."""
         mask = body.violated(points)
-        oracle, dim = oracle_for(body)
-        assert mask.shape == (points.shape[0], body.N) and dim == body.n
-        labels = oracle(points)
+        assert mask.shape == (points.shape[0], body.N) and body.ambient_dim == body.n
+        labels = body.labels(points)
         for x, row, label in zip(points, mask, labels):
             spec = classify(body, x)
             if spec.kind is PointKind.OUTSIDE:

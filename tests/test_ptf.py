@@ -11,7 +11,6 @@ from convexlab.ptf import (
     DiscreteDistribution,
     PTFInstance,
     estimate_no_distance,
-    eval_ptf,
     eval_ptf_batch,
     eval_ptf_rescaled,
     gaussian_raw_moment,
@@ -21,7 +20,7 @@ from convexlab.ptf import (
     sample_ptf_instance,
 )
 from convexlab.rng import RngStream
-from convexlab.testers import hull_sampling_tester, run_one_sided
+from convexlab.testers import HullSamplingStrategy, run_one_sided
 
 
 class TestRawMoments:
@@ -136,13 +135,13 @@ class TestInstance:
 class TestEval:
     def test_origin_inside(self):
         inst = sample_ptf_instance(16, 3, DEFAULT_CLIP, "yes", RngStream(605))
-        assert eval_ptf(inst, np.zeros(16)) == 1
+        assert inst.labels(np.zeros((1, 16)))[0] == 1
 
     def test_clip_boundary(self):
         inst = sample_ptf_instance(16, 3, DEFAULT_CLIP, "no", RngStream(606))
         x = np.zeros(16)
         x[0] = inst.clip_radius + 1.0
-        assert eval_ptf(inst, x) == 0
+        assert inst.labels(x[None, :])[0] == 0
 
     def test_scaled_and_rescaled_paths_agree(self):
         inst = sample_ptf_instance(32, 3, DEFAULT_CLIP, "no", RngStream(607))
@@ -177,7 +176,7 @@ class TestEval:
     def test_dimension_check(self):
         inst = sample_ptf_instance(16, 3, DEFAULT_CLIP, "yes", RngStream(614))
         with pytest.raises(DimensionMismatchError):
-            eval_ptf(inst, np.zeros(17))
+            inst.labels(np.zeros((1, 17)))
 
 
 def _toy_all_negative_instance():
@@ -248,10 +247,9 @@ class TestResponseTV:
 class TestOneSidedSoundnessOnYes:
     def test_never_certifies_nonconvexity(self):
         inst = sample_ptf_instance(24, 3, DEFAULT_CLIP, "yes", RngStream(622))
-        oracle = lambda x: eval_ptf(inst, x)
         for seed in range(50):
-            strategy = hull_sampling_tester(20, RngStream(623, seed))
-            verdict, _ = run_one_sided(strategy, oracle, 20, 24)
+            strategy = HullSamplingStrategy(20, 24, RngStream(623, seed))
+            verdict, _ = run_one_sided(strategy, inst, 20)
             assert verdict.outcome == "accept"
 
 

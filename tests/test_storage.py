@@ -9,17 +9,15 @@ from convexlab.rng import RngStream
 from convexlab.storage import (
     load_calibration,
     load_instance,
-    oracle_for,
     save_calibration,
     save_instance,
 )
 from convexlab.tolerant import CalibrationRecord
 
 
-def _probe_labels(inst, count=1000):
-    oracle, dim = oracle_for(inst)
-    pts = RngStream(999).generator().standard_normal((count, dim))
-    return oracle(pts)
+def _probe_labels(oracle, count=1000):
+    pts = RngStream(999).generator().standard_normal((count, oracle.ambient_dim))
+    return oracle.labels(pts)
 
 
 class TestRoundTrips:
@@ -37,7 +35,8 @@ class TestRoundTrips:
         save_instance(inst, str(path))
         loaded = load_instance(str(path))
         assert loaded.c2 == inst.c2 and loaded.tau == inst.tau
-        np.testing.assert_array_equal(_probe_labels(inst), _probe_labels(loaded))
+        np.testing.assert_array_equal(_probe_labels(inst.yes), _probe_labels(loaded.yes))
+        np.testing.assert_array_equal(_probe_labels(inst.no), _probe_labels(loaded.no))
 
     def test_ptf_seed_only(self, tmp_path):
         inst = ptf.sample_ptf_instance(32, 3, ptf.DEFAULT_CLIP, "no", RngStream(703))

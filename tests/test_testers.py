@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 from conftest import separated_by_direction_scan
-from convexlab.errors import BudgetExceededError, DomainError
+from convexlab import adaptive, experiments, nazarov, ptf, tolerant
+from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError
 from convexlab.rng import RngStream
 from convexlab.testers import (
+    BatchOracle,
+    HullSamplingStrategy,
+    LineSegmentStrategy,
     QueryTranscript,
     baseline_strategy,
     certificate_valid,
-    hull_sampling_tester,
     in_convex_hull,
-    line_segment_tester,
     run_one_sided,
 )
+
+
+def _constant(d: int, label: int) -> BatchOracle:
+    return BatchOracle(d, lambda pts: np.full(len(pts), label))
+
+
+def _outside_disk(d: int, radius_sq: float) -> BatchOracle:
+    return BatchOracle(d, lambda pts: np.einsum("ij,ij->i", pts, pts) >= radius_sq)
 
 
 class TestConvexHull:
@@ -49,37 +59,36 @@ class TestConvexHull:
 
 class TestRunOneSided:
     def test_constant_one_oracle_accepts(self):
-        strategy = hull_sampling_tester(10, RngStream(1))
-        verdict, transcript = run_one_sided(strategy, lambda x: 1, 10, 4)
+        strategy = HullSamplingStrategy(10, 4, RngStream(1))
+        verdict, transcript = run_one_sided(strategy, _constant(4, 1), 10)
         assert verdict.outcome == "accept"
         assert len(transcript) == 10
 
     def test_planted_triple_rejects_with_certificate(self):
         segment = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0])]
-        oracle = lambda x: 0 if np.allclose(x, 0.0) else 1
+        oracle = BatchOracle(2, lambda pts: ~np.isclose(pts, 0.0).all(axis=1))
 
         def strategy(history):
             return segment[len(history)] if len(history) < 3 else None
 
-        verdict, transcript = run_one_sided(strategy, oracle, 3, 2)
+        verdict, transcript = run_one_sided(strategy, oracle, 3)
         assert verdict.outcome == "reject"
         cert = verdict.certificate
         assert cert is not None
         assert certificate_valid(cert.point, cert.support, cert.coefficients)
-        assert oracle(cert.point) == 0
+        assert oracle.labels(cert.point[None, :])[0] == 0
 
     def test_budget_enforced(self):
         def greedy(history):
             return np.zeros(2)
 
         with pytest.raises(BudgetExceededError):
-            run_one_sided(greedy, lambda x: 1, 3, 2)
+            run_one_sided(greedy, _constant(2, 1), 3)
 
     def test_reject_is_monotone_under_prefix_replay(self):
         # Rebuilding the verdict on growing prefixes never flips reject->accept.
-        oracle = lambda x: 0 if float(x @ x) < 0.5 else 1
-        strategy = hull_sampling_tester(40, RngStream(9))
-        verdict, transcript = run_one_sided(strategy, oracle, 40, 2)
+        strategy = HullSamplingStrategy(40, 2, RngStream(9))
+        verdict, transcript = run_one_sided(strategy, _outside_disk(2, 0.5), 40)
         assert verdict.outcome == "reject"
         rejected = False
         for k in range(1, len(transcript) + 1):
@@ -97,39 +106,62 @@ class TestRunOneSided:
 
 class TestStrategies:
     def test_line_segment_counts(self):
-        strategy = line_segment_tester(1, RngStream(2))
-        verdict, transcript = run_one_sided(strategy, lambda x: 1, 3, 5)
+        strategy = LineSegmentStrategy(1, 5, RngStream(2))
+        verdict, transcript = run_one_sided(strategy, _constant(5, 1), 3)
         assert len(transcript) == 3
         x, y, mid = (transcript.entries[i][0] for i in range(3))
         np.testing.assert_allclose(mid, 0.5 * (x + y))
 
     def test_line_segment_accepts_halfspace(self):
-        oracle = lambda x: int(x[0] <= 0.5)
+        oracle = BatchOracle(6, lambda pts: pts[:, 0] <= 0.5)
         for seed in range(5):
-            strategy = line_segment_tester(4, RngStream(seed))
-            verdict, _ = run_one_sided(strategy, oracle, 12, 6)
+            strategy = LineSegmentStrategy(4, 6, RngStream(seed))
+            verdict, _ = run_one_sided(strategy, oracle, 12)
             assert verdict.outcome == "accept"
 
     def test_hull_sampling_single_query_accepts(self):
-        strategy = hull_sampling_tester(1, RngStream(3))
-        verdict, transcript = run_one_sided(strategy, lambda x: 0, 1, 3)
+        strategy = HullSamplingStrategy(1, 3, RngStream(3))
+        verdict, transcript = run_one_sided(strategy, _constant(3, 0), 1)
         assert verdict.outcome == "accept" and len(transcript) == 1
 
     def test_hull_sampling_rejects_disk_complement(self):
         # Complement of the unit disk: 0-labels inside, 1-labels around.
-        oracle = lambda x: int(float(x @ x) >= 1.0)
+        oracle = _outside_disk(2, 1.0)
         rejections = 0
         for seed in range(10):
-            strategy = hull_sampling_tester(50, RngStream(seed, 17))
-            verdict, _ = run_one_sided(strategy, oracle, 50, 2)
+            strategy = HullSamplingStrategy(50, 2, RngStream(seed, 17))
+            verdict, _ = run_one_sided(strategy, oracle, 50)
             rejections += verdict.outcome == "reject"
         assert rejections >= 5
 
     def test_baseline_strategy_validation(self):
         with pytest.raises(DomainError):
-            baseline_strategy("unknown", 10, RngStream(0))
+            baseline_strategy("unknown", 10, 2, RngStream(0))
         with pytest.raises(DomainError):
-            baseline_strategy("line-segment", 2, RngStream(0))
+            baseline_strategy("line-segment", 2, 2, RngStream(0))
+
+    def test_queries_follow_the_stream(self):
+        # Each query is the next standard_normal(d) draw of the strategy's
+        # stream; midpoints take no draw.
+        d = 5
+        verdict, transcript = run_one_sided(
+            baseline_strategy("line-segment", 6, d, RngStream(8)), _constant(d, 1), 6
+        )
+        gen = RngStream(8).generator()
+        x1, y1, x2, y2 = (gen.standard_normal(d) for _ in range(4))
+        expected = [x1, y1, 0.5 * (x1 + y1), x2, y2, 0.5 * (x2 + y2)]
+        np.testing.assert_array_equal(transcript.all_points(), np.vstack(expected))
+        verdict, transcript = run_one_sided(
+            baseline_strategy("hull-sampling", 3, d, RngStream(8)), _constant(d, 1), 3
+        )
+        gen = RngStream(8).generator()
+        np.testing.assert_array_equal(
+            transcript.all_points(), np.vstack([gen.standard_normal(d) for _ in range(3)])
+        )
+
+    def test_strategy_dimension_must_match_oracle(self):
+        with pytest.raises(DimensionMismatchError):
+            run_one_sided(HullSamplingStrategy(2, 3, RngStream(0)), _constant(4, 1), 2)
 
 
 class TestRejectionRate:
@@ -170,9 +202,8 @@ class TestTranscriptExport:
     def test_json_lines_carry_running_verdicts(self):
         import json
 
-        oracle = lambda x: 0 if float(x @ x) < 0.5 else 1
-        strategy = hull_sampling_tester(30, RngStream(9))
-        verdict, transcript = run_one_sided(strategy, oracle, 30, 2)
+        strategy = HullSamplingStrategy(30, 2, RngStream(9))
+        verdict, transcript = run_one_sided(strategy, _outside_disk(2, 0.5), 30)
         assert verdict.outcome == "reject"
         lines = transcript.to_json_lines().strip().splitlines()
         assert len(lines) == len(transcript)
@@ -181,3 +212,43 @@ class TestTranscriptExport:
         assert parsed[-1]["verdict"] == "reject"
         point = [float(v) for v in parsed[0]["point"]]
         np.testing.assert_array_equal(point, transcript.entries[0][0])
+
+
+def _adaptive8():
+    return adaptive.sample_adaptive_instance(8, None, RngStream(41))
+
+
+def _tolerant16():
+    return tolerant.sample_tolerant_instance(16, None, RngStream(42), 0.35)
+
+
+PROTOCOL_IMPLEMENTERS = {
+    "adaptive": _adaptive8,
+    "tolerant-yes": lambda: _tolerant16().yes,
+    "tolerant-no": lambda: _tolerant16().no,
+    "ptf-yes": lambda: ptf.sample_ptf_instance(8, 3, ptf.DEFAULT_CLIP, "yes", RngStream(43)),
+    "ptf-no": lambda: ptf.sample_ptf_instance(8, 3, ptf.DEFAULT_CLIP, "no", RngStream(43)),
+    "body": lambda: nazarov.sample_body(8, 16, nazarov.solve_r_half(8, 16), RngStream(44)),
+    "convexified-adaptive": lambda: adaptive.convexified_oracle(_adaptive8()),
+    **{
+        f"control-{name}": (lambda build=build: build(6, RngStream(45)))
+        for name, build in experiments.CONVEX_CONTROLS.items()
+    },
+}
+
+
+class TestOracleProtocol:
+    @pytest.mark.parametrize("name", list(PROTOCOL_IMPLEMENTERS))
+    def test_labels_contract(self, name):
+        oracle = PROTOCOL_IMPLEMENTERS[name]()
+        d = oracle.ambient_dim
+        pts = RngStream(46).generator().standard_normal((60, d))
+        batch = oracle.labels(pts)
+        assert batch.dtype == np.int8 and batch.shape == (60,)
+        assert set(np.unique(batch).tolist()) <= {0, 1}
+        for i in range(pts.shape[0]):
+            single = oracle.labels(pts[i : i + 1])
+            assert single.dtype == np.int8 and single.shape == (1,)
+            assert single[0] == batch[i]
+        with pytest.raises(DimensionMismatchError):
+            oracle.labels(np.zeros((3, d + 1)))

@@ -16,9 +16,7 @@ from convexlab.tolerant import (
     eps_from_volumes,
     estimate_eps_bounds,
     eval_extended,
-    eval_no,
     eval_no_batch,
-    eval_yes,
     eval_yes_batch,
     region_boundaries,
     region_of,
@@ -68,6 +66,20 @@ class TestInstance:
         with pytest.raises(CalibrationMissingError):
             sample_tolerant_instance(64, None, RngStream(0), None)
 
+    @pytest.mark.parametrize("bad", ["0.35", [0.35], True, {"c0_hat": 0.35}])
+    def test_calibration_of_wrong_type_rejected(self, bad):
+        with pytest.raises(DomainError):
+            sample_tolerant_instance(16, None, RngStream(0), bad)
+        with pytest.raises(DomainError):
+            estimate_eps_bounds(16, 16, 10, 100, RngStream(0), bad)
+
+    def test_calibration_record_and_number_agree(self, calibration_small):
+        from_record = sample_tolerant_instance(16, None, RngStream(5), calibration_small)
+        from_number = sample_tolerant_instance(16, None, RngStream(5), calibration_small.c0_hat)
+        assert from_record.c0_hat == from_number.c0_hat == calibration_small.c0_hat
+        from_int = sample_tolerant_instance(16, None, RngStream(5), 1)
+        assert from_int.c0_hat == 1.0 and isinstance(from_int.c0_hat, float)
+
     def test_constants_tied_together(self, inst):
         assert inst.c1 == C1_DEFAULT
         assert inst.c2 == inst.tau == inst.c0_hat * inst.c1 / 100.0
@@ -107,7 +119,7 @@ class TestLabels:
         lo, _ = inst.shell
         x = inst.action_dir * (lo + 0.5)  # control part zero, inside the body
         assert eval_extended(inst, x) == "1"
-        assert eval_yes(inst, x) == eval_no(inst, x) == 1
+        assert inst.yes.labels(x[None, :])[0] == inst.no.labels(x[None, :])[0] == 1
 
     def test_yes_no_agree_on_plain_labels(self, inst):
         pts = RngStream(403).generator().standard_normal((10_000, inst.n + 1))
