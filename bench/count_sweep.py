@@ -1,12 +1,15 @@
-"""False-failure rates of the count-estimator assertions over many seeds.
+"""False-failure rates of a benchmark workload's assertions over many seeds.
 
-    PYTHONPATH=src python3 bench/count_sweep.py --seeds 1000 --out sweep.json
+    python3 bench/count_sweep.py --seeds 1000 --out sweep.json
+    python3 bench/count_sweep.py --workload instance-views --src ../other/src --seeds 200 --out v.json
 
-Runs the experiment calls of the benchmark's count-samplers workload
-(high-degree-bound, flap-dogear-ratio, eps-gap, xy-pair at the sizes in
-perfbench/workloads.py) for benchmark seeds 0..K-1, single-threaded.  One
-c0_hat, calibrated as the benchmark's set-up does at --calibration-seed, is
-shared by every seed.  Writes, for each assertion, how often it failed and
+Runs the experiment calls of one benchmark workload (default count-samplers:
+high-degree-bound, flap-dogear-ratio, eps-gap, xy-pair at the sizes in
+perfbench/workloads.py) for benchmark seeds 0..K-1, single-threaded.  The
+package is imported from --src (default: this checkout's src), so one script
+can sweep two versions of the program with the same workload definitions.
+One c0_hat, calibrated as the benchmark's set-up does at --calibration-seed,
+is shared by every seed.  Writes, for each assertion, how often it failed and
 its smallest and median slack (distance from the bound, negative on a
 failure; none for a vacuous one), plus the pass times and the machine.
 Assertions that appear only on some seeds (flap-dogear-ratio's vacuous
@@ -26,12 +29,11 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from run import _cpu_model  # noqa: E402
-
-WORKLOAD = "count-samplers"
 
 
 def _config(spec: dict):
@@ -43,7 +45,7 @@ def _config(spec: dict):
     )
 
 
-def sweep(seeds: int, calibration_seed: int) -> dict:
+def sweep(workload: str, seeds: int, calibration_seed: int) -> dict:
     import numpy
     import scipy
 
@@ -57,7 +59,7 @@ def sweep(seeds: int, calibration_seed: int) -> dict:
     pass_s = []
     for seed in range(seeds):
         started = time.perf_counter()
-        for spec in workloads.measured_specs(WORKLOAD, seed, c0_hat):
+        for spec in workloads.measured_specs(workload, seed, c0_hat):
             report = run_experiment(_config(spec))
             for a in report.assertions:
                 key = f"{spec['experiment']}: {a.description}"
@@ -69,8 +71,11 @@ def sweep(seeds: int, calibration_seed: int) -> dict:
         pass_s.append(time.perf_counter() - started)
     quartiles = statistics.quantiles(pass_s, n=4)
     return {
-        "command": f"bench/count_sweep.py --seeds {seeds} --calibration-seed {calibration_seed}",
-        "workload": WORKLOAD,
+        "command": (
+            f"bench/count_sweep.py --workload {workload} --seeds {seeds}"
+            f" --calibration-seed {calibration_seed}"
+        ),
+        "workload": workload,
         "seeds": f"benchmark seeds 0..{seeds - 1}",
         "c0_hat": c0_hat,
         "machine": {
@@ -98,13 +103,20 @@ def sweep(seeds: int, calibration_seed: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default="count-samplers")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the convexlab package to import")
     parser.add_argument("--seeds", type=int, default=300)
     parser.add_argument("--calibration-seed", type=int, default=20240808)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
-    args.out.write_text(json.dumps(sweep(args.seeds, args.calibration_seed), indent=2) + "\n")
+    if not (args.src / "convexlab" / "__init__.py").is_file():
+        parser.error(f"--src {args.src} holds no convexlab package")
+    sys.path.insert(0, str(args.src.resolve()))
+    report = sweep(args.workload, args.seeds, args.calibration_seed)
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

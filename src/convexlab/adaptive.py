@@ -9,6 +9,14 @@ outside the strip [-sqrt(n)/2, sqrt(n)/2].  Walking from such a point along
 the action direction of a uniquely violated halfspace crosses the strip
 boundary and produces collinear labels (1, 0, 1): a certificate of
 non-convexity that is hard to find but covers constant measure.
+
+The event rate (detect-events) draws whole instances, as the testers, the
+triple samplers and persistence do.  The fixed queries of an event-rate
+trial see an instance only through their coordinates in the Haar frame
+[control; action] (gauss.haar_coords) and, per block, their products with
+the N body normals and the N action directions (nazarov.normal_products), so
+the same events could be drawn in law without the 2n x 2n frame and the two
+N x n matrices.
 """
 
 from __future__ import annotations

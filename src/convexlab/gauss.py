@@ -1,5 +1,16 @@
 """Gaussian scalar functions, Haar frames, and tail-bound verifiers.
 
+A fixed query matrix X (q x d) sees a Haar frame F only through the
+coordinates X F^T, and their law needs no d x d frame.  Write X = R^T Q^T
+with the QR factorization of X^T (Q is d x k with orthonormal columns,
+k = min(q, d)).  Then X F^T = R^T (F Q)^T, and F Q is a uniformly random
+k-frame of R^d: in law, the sign-fixed Q factor W of a d x k Gaussian.  So
+X F^T has the law of R^T W^T, which haar_coords draws with O(d k^2) work.
+The identity is exact, also for rank-deficient X; it holds for one draw of F
+against one fixed X, not for queries chosen after seeing answers.
+Instances that must exist as objects (testers, persistence, the adaptive
+event-rate experiment) still draw the full frame with sample_haar_frame.
+
 The cdf goes through erfc in double precision (max error well under the
 1e-13 budget).  The quantile and inverse survival function use bisection on
 the monotone cdf/sf followed by one Newton refinement step: slower than a
@@ -160,11 +171,12 @@ class Frame:
         return np.asarray(coords, dtype=np.float64) @ self.vectors
 
 
-def sample_haar_frame(d: int, k: int, rng: RngStream, scale: float = 1.0) -> Frame:
-    """Rotation-invariant frame: orthonormalized iid Gaussian vectors.
+def _stiefel(d: int, k: int, rng: RngStream) -> np.ndarray:
+    """d x k matrix with uniformly random orthonormal columns.
 
-    Householder QR with a sign fix on diag(R); equivalent in distribution to
-    Gram-Schmidt on the same Gaussian draws and stable at desk dimensions.
+    Householder QR of a d x k Gaussian with a sign fix on diag(R); equivalent
+    in distribution to Gram-Schmidt on the same draws and stable at desk
+    dimensions.
     """
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -172,7 +184,24 @@ def sample_haar_frame(d: int, k: int, rng: RngStream, scale: float = 1.0) -> Fra
     q, r = np.linalg.qr(gauss, mode="reduced")
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return Frame(ambient_dim=d, vectors=(q * signs).T, scale=scale)
+    return q * signs
+
+
+def sample_haar_frame(d: int, k: int, rng: RngStream, scale: float = 1.0) -> Frame:
+    """Rotation-invariant frame: orthonormalized iid Gaussian vectors."""
+    return Frame(ambient_dim=d, vectors=_stiefel(d, k, rng).T, scale=scale)
+
+
+def haar_coords(points: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Coordinates X F^T of the q rows of X in a Haar frame F of R^d, in law.
+
+    Draws R^T W^T (module docstring) from the stream instead of F.  Column
+    j holds the coordinates along the frame's j-th vector, and the rows keep
+    the Gram matrix X X^T up to rounding.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    r = np.linalg.qr(points.T, mode="r")
+    return r.T @ _stiefel(points.shape[1], r.shape[0], rng).T
 
 
 # -- empirical verification of the tail bounds -------------------------------

@@ -14,6 +14,14 @@ count is exactly Binomial(N, sf(r/|x|)); and a standard Gaussian point's
 norm is exactly chi-distributed with n degrees of freedom.  Neither the
 point nor the N x n normals are materialized.  Estimators of per-body
 quantities (volume spread, concentration) materialize real normal matrices.
+
+A third regime serves a fixed batch of q points A (q x k) against one fresh
+body: the products A G^T with the N x k normal matrix G.  Write A = R^T Q^T
+with the QR factorization of A^T.  Then A G^T = R^T (G Q)^T, and G Q is
+N x min(q, k) iid normal because Q has orthonormal columns; normal_products
+draws R^T Z^T with that Z, so at most N x q normals stand in for N x k.
+Instances kept as objects (testers, persistence, per-body estimators) still
+draw G with sample_body.
 """
 
 from __future__ import annotations
@@ -186,6 +194,16 @@ def sample_body(
         )
     normals = rng.generator().standard_normal((N, n))
     return NazarovBody(n=n, N=N, r=r, normals=normals, frame=frame, stream=rng, c1=c1)
+
+
+def normal_products(block: np.ndarray, N: int, gen: np.random.Generator) -> np.ndarray:
+    """(q, N) products of the rows of `block` with N fresh N(0, I_k) vectors, in law.
+
+    Draws R^T Z^T (module docstring); Z has min(q, k) columns.
+    """
+    block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+    r = np.linalg.qr(block.T, mode="r")
+    return r.T @ gen.standard_normal((N, r.shape[0])).T
 
 
 def classify(body: NazarovBody, x: np.ndarray) -> PointClass:

@@ -8,6 +8,13 @@ threshold the sum at mu, intersected with a ball of radius sqrt(n) + C.
 Yes-instances are convex (ellipsoid cap); no-instances with a negative
 coordinate are non-convex along lines in the span of the negative-coefficient
 basis vectors.
+
+The response-vector experiment labels a fixed batch of q queries, which see
+the basis only through their projections X U^T.  It draws those with
+gauss.haar_coords (R^T W^T for X = R^T Q^T and a uniform q-frame W), exactly
+in law, instead of the n x n basis; its coefficient streams are unchanged.
+Instances used as oracles, by the testers, no-distance and persistence, still
+draw the full basis with sample_haar_frame.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
-from .gauss import Frame, sample_haar_frame
+from .gauss import Frame, haar_coords, sample_haar_frame
 from .report import ExperimentReport, binom_se, response_counts, tv_from_counts, wilson_interval
 from .rng import RngStream
 
@@ -392,6 +399,7 @@ def response_tv_experiment(
     from the nonnegative and the negative-atom law.  Reports the empirical
     total variation between the response distributions, the frequency of the
     large-projection basis event, and the TV restricted to trials avoiding it.
+    A trial draws only the queries' projections on the basis (haar_coords).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     q = queries.shape[0]
@@ -412,8 +420,7 @@ def response_tv_experiment(
     no_rows = np.zeros((trials, q), dtype=np.int8)
     bad = np.zeros(trials, dtype=bool)
     for t in range(trials):
-        basis = sample_haar_frame(n, n, rng.child(3 * t), scale=1.0 / math.sqrt(n))
-        proj_sq = ((queries @ basis.vectors.T) * basis.scale) ** 2  # (q, n)
+        proj_sq = haar_coords(queries, rng.child(3 * t)) ** 2 / n  # (q, n), basis scale 1/sqrt(n)
         bad[t] = (proj_sq >= clip_sq).any()
         u = yes_law.sample(n, rng.child(3 * t + 1))
         v = no_law.sample(n, rng.child(3 * t + 2))

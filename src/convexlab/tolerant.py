@@ -11,6 +11,18 @@ regions, which is the rare event the experiments measure.
 
 The constant c0_hat (the measured ratio of expected uniquely-violated volume
 to c1) comes from a calibration run and fixes c2 = tau = c0_hat * c1 / 100.
+
+Labels depend on an instance only through a TolerantView of the rows: their
+norms, |x_C|^2, the action coordinates, the violation matrix of the rows in
+the shell and the ball, and the subset P.  One rule (TolerantView.codes /
+yes / no / bad) maps a view to labels and to the distinguishing event.  A
+materialized instance builds the view from its frame and normals
+(inst.view); testers, persistence and the per-instance checks use that path.  For a fixed query batch, sample_tolerant_view draws
+the same view in law without the instance, by two exact identities.  The
+full frame [action_dir; control] is Haar, so the coordinates of the queries
+are gauss.haar_coords (column 0 is the action line, columns 1..n the control
+subspace).  The control block meets the N x n normals only through
+nazarov.normal_products.  P stays N Bernoulli(1/2) draws.
 """
 
 from __future__ import annotations
@@ -18,13 +30,15 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CalibrationMissingError, DimensionMismatchError, DomainError
 from .gauss import (
     Frame,
+    haar_coords,
     sample_haar_frame,
     std_normal_cdf,
     std_normal_quantile,
@@ -34,6 +48,7 @@ from .gauss import (
 from .nazarov import (
     NazarovBody,
     default_halfspace_count,
+    normal_products,
     sample_body,
     solve_r,
     unique_multi_hits,
@@ -184,6 +199,25 @@ class TolerantInstance:
         """The no-realization as a membership oracle."""
         return BatchOracle(self.ambient_dim, lambda points: eval_no_batch(self, points))
 
+    def view(self, points: np.ndarray) -> TolerantView:
+        """The statistics of this instance that label `points`."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if points.shape[1] != self.ambient_dim:
+            raise DimensionMismatchError(f"points must have dimension {self.ambient_dim}")
+        return TolerantView.of(
+            self.n, self.c2, points, self.control.coords(points), points @ self.action_dir,
+            self.body.violated, self.p_set,
+        )
+
+
+def _constants(n: int, N_override: int | None, calibration) -> tuple[float, int, float, float]:
+    """(c0_hat, N, c2, r) of an instance; the construction sets tau = c2."""
+    if n < 4:
+        raise DomainError("need n >= 4")
+    c0_hat = _c0_from(calibration)
+    N = N_override if N_override is not None else default_halfspace_count(n)
+    return c0_hat, N, c0_hat * C1_DEFAULT / 100.0, solve_r(n, N, C1_DEFAULT)
+
 
 def sample_tolerant_instance(
     n: int,
@@ -196,13 +230,7 @@ def sample_tolerant_instance(
     `calibration` is the record produced by the calibrate-c0 experiment, or
     the measured constant itself.
     """
-    if n < 4:
-        raise DomainError("need n >= 4")
-    c0_hat = _c0_from(calibration)
-    N = N_override if N_override is not None else default_halfspace_count(n)
-    c1 = C1_DEFAULT
-    c2 = tau = c0_hat * c1 / 100.0
-    r = solve_r(n, N, c1)
+    c0_hat, N, c2, r = _constants(n, N_override, calibration)
     full = sample_haar_frame(n + 1, n + 1, rng.child(0))
     action_dir = full.vectors[0]
     control = Frame(ambient_dim=n + 1, vectors=full.vectors[1:])
@@ -217,10 +245,37 @@ def sample_tolerant_instance(
         body=body,
         p_set=p_set,
         c0_hat=c0_hat,
-        c1=c1,
+        c1=C1_DEFAULT,
         c2=c2,
-        tau=tau,
+        tau=c2,
         stream=rng,
+    )
+
+
+def sample_tolerant_view(
+    queries: np.ndarray,
+    n: int,
+    N_override: int | None,
+    rng: RngStream,
+    calibration: CalibrationRecord | float | None,
+) -> TolerantView:
+    """The view of `queries` in a fresh instance, drawn without the instance.
+
+    Equal in law to sample_tolerant_instance(n, N_override, rng,
+    calibration).view(queries) (module docstring).  Draws q x (n + 1) and at
+    most N x q normals instead of the (n + 1) x (n + 1) frame and the N x n
+    body.
+    """
+    _, N, c2, r = _constants(n, N_override, calibration)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if queries.shape[1] != n + 1:
+        raise DimensionMismatchError(f"queries must have dimension {n + 1}")
+    coords = haar_coords(queries, rng.child(0))
+    gen = rng.child(1).generator()
+    return TolerantView.of(
+        n, c2, queries, coords[:, 1:], coords[:, 0],
+        lambda xc: normal_products(xc, N, gen) > r,
+        rng.child(2).generator().random(N) < 0.5,
     )
 
 
@@ -230,39 +285,97 @@ _EXT_ZERO, _EXT_ONE, _EXT_ZERO_STAR, _EXT_ONE_STAR = 0, 1, 2, 3
 _EXT_NAMES = {0: LABEL_ZERO, 1: LABEL_ONE, 2: LABEL_ZERO_STAR, 3: LABEL_ONE_STAR}
 
 
-def _extended_codes(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != inst.ambient_dim:
-        raise DimensionMismatchError(f"points must have dimension {inst.ambient_dim}")
-    m = points.shape[0]
-    codes = np.full(m, _EXT_ZERO, dtype=np.int8)
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-    lo, hi = inst.shell
-    in_shell = (norms >= lo) & (norms <= hi)
-    xc = inst.control.coords(points)
-    xc_norm_sq = np.einsum("ij,ij->i", xc, xc)
-    inside = xc_norm_sq < inst.n          # the zero case uses |x_C| >= sqrt(n)
-    live = in_shell & inside
-    if not live.any():
+@dataclass(frozen=True)
+class TolerantView:
+    """What one instance shows a batch of m rows: everything its labels read.
+
+    No rule reads the halfspaces of a row outside the shell or the ball, so
+    `viol` holds x_C . g_i > r only for the probed rows, those in both.
+    """
+
+    n: int
+    c2: float             # also tau
+    norms: np.ndarray     # |x|
+    xc_sq: np.ndarray     # |x_C|^2
+    action: np.ndarray    # x . action_dir
+    probed: np.ndarray    # indices of the rows in the shell with |x_C|^2 <= n
+    viol: np.ndarray      # (probed.size, N) bool
+    p_set: np.ndarray     # (N,) bool
+    codes: np.ndarray = field(init=False)  # extended codes 0, 1, 0*, 1* (_EXT_*)
+
+    @classmethod
+    def of(
+        cls,
+        n: int,
+        c2: float,
+        points: np.ndarray,
+        xc: np.ndarray,
+        action: np.ndarray,
+        violated: Callable[[np.ndarray], np.ndarray],
+        p_set: np.ndarray,
+    ) -> TolerantView:
+        """The view of `points` from their control coordinates `xc`, action
+        coordinates and `violated`, which maps k control rows to their (k, N)
+        violation matrix."""
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        xc_sq = np.einsum("ij,ij->i", xc, xc)
+        lo, hi = shell_interval(n, c2)
+        probed = np.nonzero((norms >= lo) & (norms <= hi) & (xc_sq <= n))[0]
+        viol = violated(xc[probed]) if probed.size else np.zeros((0, p_set.size), dtype=bool)
+        return cls(n, c2, norms, xc_sq, action, probed, viol, p_set)
+
+    def __post_init__(self):
+        object.__setattr__(self, "codes", self._codes())
+
+    def _codes(self) -> np.ndarray:
+        codes = np.full(self.norms.shape, _EXT_ZERO, dtype=np.int8)
+        if not self.probed.size:
+            return codes
+        live = self.xc_sq[self.probed] < self.n  # the zero case uses |x_C| >= sqrt(n)
+        counts = self.viol.sum(axis=1)
+        codes[self.probed[live & (counts == 0)]] = _EXT_ONE
+        unique = live & (counts == 1)  # counts >= 2 rows stay 0 (multiply violated)
+        if unique.any():
+            rows = self.probed[unique]
+            flap = np.argmax(self.viol[unique], axis=1)
+            starred = region_codes(self.action[rows], self.c2) != 3
+            star = np.where(self.p_set[flap], _EXT_ZERO_STAR, _EXT_ONE_STAR)
+            codes[rows] = np.where(starred, star, _EXT_ZERO)
         return codes
-    idx = np.nonzero(live)[0]
-    viol = inst.body.violated(xc[idx])
-    counts = viol.sum(axis=1)
-    body_rows = idx[counts == 0]
-    codes[body_rows] = _EXT_ONE
-    unique_rows = idx[counts == 1]
-    if unique_rows.size:
-        flap = np.argmax(viol[counts == 1], axis=1)
-        a_coord = points[unique_rows] @ inst.action_dir
-        regions = region_codes(a_coord, inst.c2)
-        in_curb = regions == 3
-        codes[unique_rows[in_curb]] = _EXT_ZERO
-        starred = ~in_curb
-        in_p = inst.p_set[flap]
-        codes[unique_rows[starred & in_p]] = _EXT_ZERO_STAR
-        codes[unique_rows[starred & ~in_p]] = _EXT_ONE_STAR
-    # counts >= 2 rows stay 0 (multiply-violated region)
-    return codes
+
+    def yes(self) -> np.ndarray:
+        """Labels of the yes-realization."""
+        return ((self.codes == _EXT_ONE) | (self.codes == _EXT_ONE_STAR)).astype(np.int8)
+
+    def no(self) -> np.ndarray:
+        """Labels of the no-realization: starred rows flip on the middle region."""
+        labels = (self.codes == _EXT_ONE).astype(np.int8)
+        starred = self.codes >= _EXT_ZERO_STAR
+        if starred.any():
+            in_middle = region_codes(self.action[starred], self.c2) == 1
+            zero_star = self.codes[starred] == _EXT_ZERO_STAR
+            labels[starred] = np.where(zero_star, ~in_middle, in_middle)
+        return labels
+
+    def bad(self):
+        """Two shell rows in the same uniquely-violated region whose action
+        coordinates fall in distinct coarse regions.  Returns (flag, witness
+        pair indices or None).
+        """
+        unique = self.viol.sum(axis=1) == 1
+        idx = self.probed[unique]
+        if idx.size < 2:
+            return False, None
+        flaps = np.argmax(self.viol[unique], axis=1)
+        regions = region_codes(self.action[idx], self.c2)
+        for a in range(idx.size):
+            for b in range(a + 1, idx.size):
+                if flaps[a] != flaps[b]:
+                    continue
+                ra, rb = regions[a], regions[b]
+                if ra != rb and ra != 3 and rb != 3:
+                    return True, (int(idx[a]), int(idx[b]))
+        return False, None
 
 
 def eval_extended(inst: TolerantInstance, x: np.ndarray) -> str:
@@ -274,59 +387,23 @@ def eval_extended(inst: TolerantInstance, x: np.ndarray) -> str:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.ambient_dim,):
         raise DimensionMismatchError(f"expected one point of dimension {inst.ambient_dim}")
-    return _EXT_NAMES[int(_extended_codes(inst, x[None, :])[0])]
+    return _EXT_NAMES[int(inst.view(x[None, :]).codes[0])]
 
 
 def eval_yes_batch(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
-    codes = _extended_codes(inst, points)
-    return ((codes == _EXT_ONE) | (codes == _EXT_ONE_STAR)).astype(np.int8)
+    return inst.view(points).yes()
 
 
 def eval_no_batch(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    codes = _extended_codes(inst, points)
-    labels = (codes == _EXT_ONE).astype(np.int8)
-    starred = (codes == _EXT_ZERO_STAR) | (codes == _EXT_ONE_STAR)
-    if starred.any():
-        a_coord = points[starred] @ inst.action_dir
-        in_middle = region_codes(a_coord, inst.c2) == 1
-        zero_star = codes[starred] == _EXT_ZERO_STAR
-        labels[starred] = np.where(zero_star, ~in_middle, in_middle)
-    return labels
+    return inst.view(points).no()
 
 
 # -- the distinguishing event ---------------------------------------------------
 
 
 def detect_bad(inst: TolerantInstance, queries: np.ndarray):
-    """Two shell queries in the same uniquely-violated region whose action
-    coordinates fall in distinct coarse regions.  Returns (flag, witness pair
-    indices or None).
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[0] < 2:
-        return False, None
-    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    lo, hi = inst.shell
-    in_shell = (norms >= lo) & (norms <= hi)
-    xc = inst.control.coords(queries)
-    in_ball = np.einsum("ij,ij->i", xc, xc) <= inst.n
-    viol = inst.body.violated(xc) & in_ball[:, None]
-    counts = viol.sum(axis=1)
-    eligible = in_shell & (counts == 1)
-    idx = np.nonzero(eligible)[0]
-    if idx.size < 2:
-        return False, None
-    flaps = np.argmax(viol[idx], axis=1)
-    regions = region_codes(queries[idx] @ inst.action_dir, inst.c2)
-    for a in range(idx.size):
-        for b in range(a + 1, idx.size):
-            if flaps[a] != flaps[b]:
-                continue
-            ra, rb = regions[a], regions[b]
-            if ra != rb and ra != 3 and rb != 3:
-                return True, (int(idx[a]), int(idx[b]))
-    return False, None
+    """The distinguishing event of TolerantView.bad on a materialized instance."""
+    return inst.view(queries).bad()
 
 
 def view_experiment(
@@ -341,7 +418,8 @@ def view_experiment(
 
     Response vectors are collected per instance under both realizations and
     partitioned by the distinguishing event; conditioned on its absence the
-    two empirical distributions must agree within multinomial noise.
+    two empirical distributions must agree within multinomial noise.  Each
+    trial draws only the instance's view of the queries (sample_tolerant_view).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     q = queries.shape[0]
@@ -358,17 +436,16 @@ def view_experiment(
     important_ones_no = np.zeros(q, dtype=np.int64)
 
     for t in range(trials):
-        inst = sample_tolerant_instance(n, N_override, rng.child(t), calibration)
-        yes_vec = eval_yes_batch(inst, queries)
-        no_vec = eval_no_batch(inst, queries)
-        codes = _extended_codes(inst, queries)
-        starred = (codes == _EXT_ZERO_STAR) | (codes == _EXT_ONE_STAR)
+        view = sample_tolerant_view(queries, n, N_override, rng.child(t), calibration)
+        yes_vec = view.yes()
+        no_vec = view.no()
+        starred = view.codes >= _EXT_ZERO_STAR
         important_events += starred
         important_ones_yes += starred & (yes_vec == 1)
         important_ones_no += starred & (no_vec == 1)
         yes_rows[t] = yes_vec
         no_rows[t] = no_vec
-        bad[t], _ = detect_bad(inst, queries)
+        bad[t], _ = view.bad()
 
     bad_hits = int(bad.sum())
     kept = trials - bad_hits

@@ -49,6 +49,32 @@ def two_proportion_z(hits_a: int, total_a: int, hits_b: int, total_b: int) -> fl
     return (hits_a / total_a - hits_b / total_b) / se
 
 
+def homogeneity_pvalue(keys_a, keys_b, min_expected: float = 5.0) -> float:
+    """Chi-square homogeneity p-value of two samples of hashable outcomes.
+
+    Outcomes whose expected count falls below `min_expected` in either sample
+    are pooled into one cell.
+    """
+    from collections import Counter
+
+    from scipy.stats import chi2_contingency
+
+    count_a, count_b = Counter(keys_a), Counter(keys_b)
+    share = min(len(keys_a), len(keys_b)) / (len(keys_a) + len(keys_b))
+    table, pooled = [], [0, 0]
+    for key in set(count_a) | set(count_b):
+        cell = [count_a[key], count_b[key]]
+        if sum(cell) * share < min_expected:
+            pooled = [pooled[0] + cell[0], pooled[1] + cell[1]]
+        else:
+            table.append(cell)
+    if sum(pooled):
+        table.append(pooled)
+    if len(table) < 2:
+        return 1.0
+    return float(chi2_contingency(np.array(table).T, correction=False).pvalue)
+
+
 def bisect_quantile(p: float, cdf=series_normal_cdf) -> float:
     lo, hi = -12.0, 12.0
     for _ in range(200):

@@ -8,6 +8,7 @@ from conftest import bisect_quantile, series_normal_cdf
 from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import (
     Frame,
+    haar_coords,
     sample_haar_frame,
     sf_array,
     std_normal_cdf,
@@ -151,6 +152,39 @@ class TestFrame:
         frame = sample_haar_frame(4, 2, RngStream(9))
         with pytest.raises(DimensionMismatchError):
             frame.coords(np.zeros(3))
+
+
+class TestHaarCoords:
+    """Coordinates of fixed rows in a Haar frame, drawn without the frame.
+
+    The law is pinned against full frames in test_ptf (TestLazyProjections).
+    """
+
+    QUERIES = RngStream(180).generator().standard_normal((5, 12))
+
+    def test_gram_identity(self):
+        coords = haar_coords(self.QUERIES, RngStream(181))
+        assert coords.shape == (5, 12)
+        gram = self.QUERIES @ self.QUERIES.T
+        assert np.abs(coords @ coords.T - gram).max() <= 1e-10
+
+    def test_repeated_and_zero_rows(self):
+        x = np.vstack([self.QUERIES[:2], self.QUERIES[:1], np.zeros((1, 12))])
+        coords = haar_coords(x, RngStream(182))
+        assert np.abs(coords @ coords.T - x @ x.T).max() <= 1e-10
+        assert np.abs(coords[2] - coords[0]).max() <= 1e-10
+        assert np.abs(coords[3]).max() <= 1e-12
+
+    def test_more_rows_than_dimension(self):
+        x = self.QUERIES[:, :4]
+        coords = haar_coords(x, RngStream(183))
+        assert coords.shape == (5, 4)
+        assert np.abs(coords @ coords.T - x @ x.T).max() <= 1e-10
+
+    def test_same_stream_same_bits(self):
+        first = haar_coords(self.QUERIES, RngStream(184))
+        assert first.tobytes() == haar_coords(self.QUERIES, RngStream(184)).tobytes()
+        assert not np.array_equal(first, haar_coords(self.QUERIES, RngStream(185)))
 
 
 class TestTailBounds:

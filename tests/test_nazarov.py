@@ -16,6 +16,7 @@ from convexlab.nazarov import (
     estimate_unique_volume,
     flap_dogear_threshold,
     membership_prob,
+    normal_products,
     pointwise_flap_dogear_check,
     check_r_estimate,
     sample_body,
@@ -246,6 +247,39 @@ class TestCountSamplers:
     def test_zero_norm_violates_nothing(self):
         counts = _count_batches(np.zeros(5), 16, 1.0, RngStream(75).generator())
         assert np.array_equal(counts, np.zeros(5))
+
+
+class TestNormalProducts:
+    """Products of fixed rows with fresh normal vectors, drawn as R^T Z^T.
+
+    Pinned against materialized bodies through the tolerant and adaptive
+    views (TestLazyView in test_tolerant and test_adaptive).
+    """
+
+    BLOCK = RngStream(76).generator().standard_normal((3, 9))
+
+    def test_covariance_is_the_gram_matrix(self):
+        # Each column is one vector's products, N(0, A A^T); the mean of
+        # x_i x_j over N columns has variance (S_ii S_jj + S_ij^2) / N.
+        num = 50_000
+        out = normal_products(self.BLOCK, num, RngStream(77).generator())
+        assert out.shape == (3, num)
+        gram = self.BLOCK @ self.BLOCK.T
+        se = np.sqrt((np.outer(np.diag(gram), np.diag(gram)) + gram**2) / num)
+        assert np.all(np.abs(out @ out.T / num - gram) <= 4.0 * se)
+
+    def test_dependent_rows(self):
+        block = np.vstack([self.BLOCK, 2.0 * self.BLOCK[:1], np.zeros((1, 9))])
+        out = normal_products(block, 64, RngStream(78).generator())
+        assert np.abs(out[3] - 2.0 * out[0]).max() <= 1e-10
+        assert np.abs(out[4]).max() <= 1e-12
+        wide = normal_products(self.BLOCK.T[:, :2], 64, RngStream(78).generator())
+        assert wide.shape == (9, 64) and np.linalg.matrix_rank(wide) == 2
+
+    def test_same_generator_same_bits(self):
+        first = normal_products(self.BLOCK, 16, RngStream(79).generator())
+        again = normal_products(self.BLOCK, 16, RngStream(79).generator())
+        assert first.tobytes() == again.tobytes()
 
 
 class TestUniqueVolume:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import homogeneity_pvalue
 from convexlab.errors import DimensionMismatchError, DomainError, SolverError
-from convexlab.gauss import Frame, sample_haar_frame
+from convexlab.gauss import Frame, haar_coords, sample_haar_frame
 from convexlab.ptf import (
     DEFAULT_CLIP,
     DiscreteDistribution,
@@ -242,6 +243,39 @@ class TestResponseTV:
     def test_query_cap(self):
         with pytest.raises(DomainError):
             response_tv_experiment(np.zeros((21, 16)), 16, 3, 10, RngStream(0))
+
+
+class TestLazyProjections:
+    """response-tv draws the queries' basis projections with haar_coords;
+    pinned here against full sample_haar_frame bases."""
+
+    def test_responses_match_full_bases(self):
+        n, q, trials = 8, 3, 20_000
+        mu, yes_law = match_moments_nonneg(3)
+        no_law = match_moments_with_negative(mu, 3)
+        u, v, w = np.linalg.qr(RngStream(624).generator().standard_normal((n, q)))[0].T
+        root = math.sqrt(n)
+        queries = np.vstack([0.9 * root * u, root * (0.8 * u + 0.6 * v), 1.1 * root * w])
+        clip_sq = 10.0 * math.log(n) / n
+
+        def keys(proj_sq, seed):
+            # Coefficient draws as response_tv_experiment makes them, one law each.
+            yes_c = yes_law.sample((trials, n), RngStream(seed, 1))
+            no_c = no_law.sample((trials, n), RngStream(seed, 2))
+            yes = np.einsum("tqn,tn->tq", proj_sq, yes_c) <= mu
+            no = np.einsum("tqn,tn->tq", proj_sq, no_c) <= mu
+            bad = (proj_sq >= clip_sq).any(axis=(1, 2))
+            peak = np.minimum(np.floor(n * proj_sq.max(axis=2)), 6).astype(int)
+            responses = [(tuple(y), tuple(m), b) for y, m, b in zip(yes, no, bad)]
+            return responses, [tuple(row) for row in peak]
+
+        full = np.array([
+            queries @ sample_haar_frame(n, n, RngStream(625, t)).vectors.T for t in range(trials)
+        ])
+        lazy = np.array([haar_coords(queries, RngStream(626, t)) for t in range(trials)])
+        dense_keys, lazy_keys = keys(full**2 / n, 627), keys(lazy**2 / n, 628)
+        assert homogeneity_pvalue(dense_keys[0], lazy_keys[0]) > 1e-3
+        assert homogeneity_pvalue(dense_keys[1], lazy_keys[1]) > 1e-3
 
 
 class TestOneSidedSoundnessOnYes:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import two_proportion_z
+from conftest import homogeneity_pvalue, two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
 from convexlab.gauss import std_normal_cdf
 from convexlab.rng import RngStream
@@ -19,12 +19,13 @@ from convexlab.tolerant import (
     eval_no_batch,
     eval_yes_batch,
     region_boundaries,
+    region_codes,
     region_of,
     same_unique_counts,
     sample_tolerant_instance,
+    sample_tolerant_view,
     view_experiment,
     xy_pair_experiment,
-    _extended_codes,
 )
 
 C2_TEST = 0.02
@@ -123,7 +124,7 @@ class TestLabels:
 
     def test_yes_no_agree_on_plain_labels(self, inst):
         pts = RngStream(403).generator().standard_normal((10_000, inst.n + 1))
-        codes = _extended_codes(inst, pts)
+        codes = inst.view(pts).codes
         plain = (codes == 0) | (codes == 1)
         yes = eval_yes_batch(inst, pts)
         no = eval_no_batch(inst, pts)
@@ -131,7 +132,7 @@ class TestLabels:
 
     def test_responses_differ_only_on_starred(self, inst):
         pts = RngStream(404).generator().standard_normal((20_000, inst.n + 1))
-        codes = _extended_codes(inst, pts)
+        codes = inst.view(pts).codes
         yes = eval_yes_batch(inst, pts)
         no = eval_no_batch(inst, pts)
         disagree = yes != no
@@ -140,7 +141,7 @@ class TestLabels:
     def test_mapping_table_on_starred_points(self, inst):
         # Build synthetic points in a known unique flap with chosen action coords.
         pts = RngStream(405).generator().standard_normal((80_000, inst.n + 1))
-        codes = _extended_codes(inst, pts)
+        codes = inst.view(pts).codes
         starred = np.nonzero(codes >= 2)[0]
         if starred.size == 0:
             pytest.skip("no starred samples at this seed")
@@ -174,7 +175,7 @@ class TestBadEvent:
         # Construct two points sharing a unique flap with action coordinates
         # forced into left and right regions.
         pts = RngStream(407).generator().standard_normal((120_000, inst.n + 1))
-        codes = _extended_codes(inst, pts)
+        codes = inst.view(pts).codes
         lo, hi = inst.shell
         found = False
         for idx in np.nonzero(codes >= 2)[0]:
@@ -214,6 +215,85 @@ class TestViewExperiment:
     def test_query_cap(self, calibration_small):
         with pytest.raises(DomainError):
             view_experiment(np.zeros((21, 65)), 64, 10, RngStream(0), calibration_small)
+
+
+def _pin_queries(n: int) -> np.ndarray:
+    """Three shell rows of R^{n+1}: x0 with |x0|^2 = n + 1, so x0 is in the
+    ball exactly when its action coordinate has |a| >= 1; x1 and x2 at 1.3
+    times the ball radius (correlation 0.9), in the ball only when much of
+    their norm is action, which a view that confuses |x| with |x_C| misses.
+    """
+    u, v, w = np.linalg.qr(RngStream(420).generator().standard_normal((n + 1, 3)))[0].T
+    big = 1.3 * math.sqrt(n)
+    return np.vstack([math.sqrt(n + 1.0) * w, big * u, big * (0.9 * u + math.sqrt(0.19) * v)])
+
+
+def _view_keys(view) -> tuple:
+    """Two outcomes of one view: its statistics and its labels.
+
+    The statistics are the region of a0, each row's violation count (capped
+    at 3; -1 when the row is not probed) and whether x1 and x2 share a
+    violated halfspace (-1 unless both are probed).
+    """
+    counts = np.full(view.norms.size, -1)
+    counts[view.probed] = np.minimum(view.viol.sum(axis=1), 3)
+    rows = dict(zip(view.probed.tolist(), view.viol))
+    shared = int((rows[1] & rows[2]).any()) if 1 in rows and 2 in rows else -1
+    stats = (int(region_codes(view.action[:1], view.c2)[0]), tuple(counts.tolist()), shared)
+    labels = (tuple(view.codes), tuple(view.yes()), tuple(view.no()), view.bad()[0])
+    return stats, labels
+
+
+@pytest.fixture(scope="module")
+def pinned_views():
+    """Outcomes of 20000 materialized and 20000 lazy views of the pin queries."""
+    n, trials, c0_hat = 7, 20_000, 0.35
+    queries = _pin_queries(n)
+    dense = [
+        _view_keys(sample_tolerant_instance(n, None, RngStream(421, t), c0_hat).view(queries))
+        for t in range(trials)
+    ]
+    lazy = [
+        _view_keys(sample_tolerant_view(queries, n, None, RngStream(422, t), c0_hat))
+        for t in range(trials)
+    ]
+    return dense, lazy
+
+
+class TestLazyView:
+    def test_statistics_match_materialized(self, pinned_views):
+        dense, lazy = pinned_views
+        assert homogeneity_pvalue([k[0] for k in dense], [k[0] for k in lazy]) > 1e-3
+
+    def test_labels_match_materialized(self, pinned_views):
+        dense, lazy = pinned_views
+        assert homogeneity_pvalue([k[1] for k in dense], [k[1] for k in lazy]) > 1e-3
+
+    @pytest.mark.parametrize("q", [6, 67])  # 67 rows exceed the dimension n + 1 = 65
+    def test_control_and_action_split_the_norm(self, inst, calibration_small, q):
+        queries = RngStream(423, q).generator().standard_normal((q, inst.n + 1))
+        for view in (
+            inst.view(queries),
+            sample_tolerant_view(queries, inst.n, None, RngStream(424), calibration_small),
+        ):
+            assert np.abs(view.xc_sq + view.action**2 - view.norms**2).max() <= 1e-10
+
+    def test_only_shell_rows_in_the_ball_are_probed(self, inst, calibration_small):
+        lo, hi = inst.shell
+        queries = RngStream(425).generator().standard_normal((200, inst.n + 1))
+        queries[:50] *= (hi + 1.0) / np.linalg.norm(queries[:50], axis=1)[:, None]
+        for view in (
+            inst.view(queries),
+            sample_tolerant_view(queries, inst.n, None, RngStream(426), calibration_small),
+        ):
+            expected = (view.norms >= lo) & (view.norms <= hi) & (view.xc_sq <= inst.n)
+            np.testing.assert_array_equal(view.probed, np.nonzero(expected)[0])
+            assert view.viol.shape == (view.probed.size, inst.N)
+            assert 0 < view.probed.size < 150
+
+    def test_query_shape_checked(self, calibration_small):
+        with pytest.raises(DimensionMismatchError):
+            sample_tolerant_view(np.zeros((2, 64)), 64, None, RngStream(0), calibration_small)
 
 
 class TestEpsBounds:
