@@ -11,7 +11,8 @@ can sweep two versions of the program with the same workload definitions.
 One c0_hat, calibrated as the benchmark's set-up does at --calibration-seed,
 is shared by every seed.  Writes, for each assertion, how often it failed and
 its smallest and median slack (distance from the bound, negative on a
-failure; none for a vacuous one), plus the pass times and the machine.
+failure; none for a vacuous one), plus the pass times, the machine and the
+sha256 digest of every report body, keyed by seed and experiment.
 Assertions that appear only on some seeds (flap-dogear-ratio's vacuous
 branch) count their own runs.
 """
@@ -19,6 +20,7 @@ branch) count their own runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -57,10 +59,13 @@ def sweep(workload: str, seeds: int, calibration_seed: int) -> dict:
     failures = defaultdict(int)
     slacks = defaultdict(list)
     pass_s = []
+    digests = defaultdict(dict)
     for seed in range(seeds):
         started = time.perf_counter()
         for spec in workloads.measured_specs(workload, seed, c0_hat):
             report = run_experiment(_config(spec))
+            body = hashlib.sha256(report.body_bytes()).hexdigest()
+            digests[str(seed)][spec["experiment"]] = body
             for a in report.assertions:
                 key = f"{spec['experiment']}: {a.description}"
                 runs[key] += 1
@@ -98,6 +103,7 @@ def sweep(workload: str, seeds: int, calibration_seed: int) -> dict:
             }
             for key in sorted(runs)
         },
+        "digests": digests,
     }
 
 

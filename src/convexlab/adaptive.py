@@ -43,6 +43,11 @@ R_CONVENTION_TOL = 1e-9
 DEFAULT_A_CONST = 1.0
 
 
+def strip_halfwidth(n: int) -> float:
+    """Half-width sqrt(n)/2 of the strips; fixed by the construction, not configurable."""
+    return math.sqrt(n) / 2.0
+
+
 @dataclass(frozen=True)
 class AdaptiveInstance:
     n: int
@@ -78,8 +83,7 @@ class AdaptiveInstance:
 
     @property
     def strip_halfwidth(self) -> float:
-        # Fixed by the construction, not configurable.
-        return math.sqrt(self.n) / 2.0
+        return strip_halfwidth(self.n)
 
     def labels(self, points: np.ndarray) -> np.ndarray:
         return eval_adaptive_batch(self, points)
@@ -402,7 +406,7 @@ def strip_crossing_experiment(
         rng.seed,
     )
     gen = rng.generator()
-    half = math.sqrt(n) / 2.0
+    half = strip_halfwidth(n)
     log2n = math.log2(n)
     gamma = 50000.0 * math.sqrt(q) * n**0.25 * log2n
     shift_bound = 1000.0 * math.sqrt(q) * n**0.25 * log2n

@@ -153,11 +153,6 @@ def solve_r_half(n: int, N: int) -> float:
     return math.sqrt(n) * std_normal_isf(-math.expm1(-math.log(2.0) / N))
 
 
-def effective_c1_half(N: int) -> float:
-    """The c1 with solve_r(n, N, c1) = solve_r_half(n, N); ln 2 up to O(1/N)."""
-    return N * (-math.expm1(-math.log(2.0) / N))
-
-
 def check_r_estimate(n: int, N: int, c1: float, seed: int = 0) -> ExperimentReport:
     """Compare solve_r with its closed-form estimate sqrt(2n ln((N/c1) sqrt(n/2pi)))."""
     report = ExperimentReport("r-estimate", {"n": n, "N": N, "c1": c1}, seed)

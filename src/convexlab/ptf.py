@@ -77,20 +77,6 @@ class DiscreteDistribution:
         idx = gen.choice(len(self.atoms), size=size, p=self.probs)
         return self.atoms[idx]
 
-    def to_payload(self) -> dict:
-        """Parallel arrays of shortest round-trip decimal strings."""
-        return {
-            "atoms": [repr(float(a)) for a in self.atoms],
-            "probs": [repr(float(p)) for p in self.probs],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DiscreteDistribution":
-        return cls(
-            np.array([float(a) for a in payload["atoms"]]),
-            np.array([float(p) for p in payload["probs"]]),
-        )
-
 
 def _hermite_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes/weights of N(0,1) via the Jacobi eigenproblem."""

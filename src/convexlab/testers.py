@@ -2,9 +2,10 @@
 
 A one-sided run rejects exactly when some 0-labeled query lies in the convex
 hull of the 1-labeled queries; the certificate (hull coefficients) is always
-returned and re-verified independently of the LP solver.  The hull check runs
-after every query; by monotonicity of the reject rule this gives the same
-verdict as checking only at the leaf, with earlier certificates.
+returned and re-verified independently of the LP solver.  The rule is checked
+once, at the leaf: more 1-queries never shrink the hull, so a 0-query inside
+the hull of some prefix's 1-queries is inside the hull of all of them, and the
+leaf verdict equals the verdict of checking after every query.
 
 A tester sees a membership oracle only through one protocol (`Oracle`): an
 `ambient_dim` attribute and `labels(points)`, which maps an (m, ambient_dim)
@@ -51,8 +52,8 @@ class BatchOracle:
         return np.asarray(self.rule(points)).astype(np.int8)
 
 
-# A strategy maps the query history [(point, label), ...] to the next query
-# point, or None to stop early.
+# A strategy maps the query history [(point, label), ...], labels as the oracle
+# answered them, to the next query point, or None to stop early.
 Strategy = Callable[[list], Optional[np.ndarray]]
 
 
@@ -60,14 +61,12 @@ Strategy = Callable[[list], Optional[np.ndarray]]
 class QueryTranscript:
     dim: int
     entries: list = field(default_factory=list)
-    running_verdicts: list = field(default_factory=list)
 
-    def append(self, point: np.ndarray, label: int, verdict: str = "accept"):
+    def append(self, point: np.ndarray, label: int):
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (self.dim,):
             raise DimensionMismatchError(f"query must have dimension {self.dim}")
         self.entries.append((point, int(label)))
-        self.running_verdicts.append(verdict)
 
     def points(self, label: int) -> np.ndarray:
         hits = [p for p, b in self.entries if b == label]
@@ -79,23 +78,6 @@ class QueryTranscript:
         if not self.entries:
             return np.empty((0, self.dim))
         return np.vstack([p for p, _ in self.entries])
-
-    def to_json_lines(self) -> str:
-        """One query per line: point array, label, verdict after that query."""
-        import json
-
-        lines = []
-        for (point, label), verdict in zip(self.entries, self.running_verdicts):
-            lines.append(
-                json.dumps(
-                    {"point": [repr(float(v)) for v in point], "label": label, "verdict": verdict},
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass
@@ -190,16 +172,15 @@ def run_one_sided(
 ) -> tuple[TesterVerdict, QueryTranscript]:
     """Execute one root-to-leaf path of a one-sided tester.
 
-    The reject rule is checked after every answered query and short-circuits
-    on the first certificate found.
+    The strategy is asked for one query at a time, given the history so far.
+    At the leaf each 0-query is tested once against the hull of all the
+    1-queries; the first certificate rejects.  By monotonicity this is the
+    verdict of checking after every query.
     """
     d = oracle.ambient_dim
     transcript = QueryTranscript(dim=d)
-    zeros: list[np.ndarray] = []
-    ones: list[np.ndarray] = []
-    history: list = []
     for step in range(q + 1):
-        point = tester(history)
+        point = tester(transcript.entries)
         if point is None:
             break
         if step >= q:
@@ -207,25 +188,15 @@ def run_one_sided(
         point = np.asarray(point, dtype=np.float64)
         if point.shape != (d,):
             raise DimensionMismatchError(f"tester produced a point of shape {point.shape}")
-        label = int(oracle.labels(point[None, :])[0])
-        transcript.append(point, label)
-        history.append((point, label))
-        if label == 0:
-            zeros.append(point)
-            fresh = [point]
-        else:
-            ones.append(point)
-            fresh = zeros
-        if not ones or not zeros:
-            continue
-        support = np.vstack(ones)
-        for y in fresh:
+        transcript.append(point, oracle.labels(point[None, :])[0])
+    support = transcript.points(1)
+    if len(support):
+        for y in transcript.points(0):
             if _certified_outside(y, support, HULL_TOL):
                 continue
             lam = in_convex_hull(y, support, HULL_TOL)
             if lam is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)
-                transcript.running_verdicts[-1] = "reject"
                 return TesterVerdict("reject", cert), transcript
     return TesterVerdict("accept"), transcript
 
@@ -233,73 +204,26 @@ def run_one_sided(
 # -- baseline strategies ------------------------------------------------------
 
 
-class _GaussianStrategy:
-    """Base for built-in strategies that draw their own Gaussian queries in R^d.
-
-    Strategies are single-run objects.
-    """
-
-    def __init__(self, d: int, rng: RngStream):
-        self._gen = rng.generator()
-        self._dim = d
-
-    def _draw(self) -> np.ndarray:
-        return self._gen.standard_normal(self._dim)
-
-
-class LineSegmentStrategy(_GaussianStrategy):
-    """Queries Gaussian pairs and their midpoints, three queries per pair."""
-
-    def __init__(self, pairs: int, d: int, rng: RngStream):
-        if pairs < 1:
-            raise DomainError("need pairs >= 1")
-        super().__init__(d, rng)
-        self.pairs = pairs
-        self._done = 0
-        self._phase = 0
-        self._x = self._y = None
-
-    def __call__(self, history):
-        if self._done >= self.pairs:
-            return None
-        if self._phase == 0:
-            self._x = self._draw()
-            self._phase = 1
-            return self._x
-        if self._phase == 1:
-            self._y = self._draw()
-            self._phase = 2
-            return self._y
-        self._phase = 0
-        self._done += 1
-        return 0.5 * (self._x + self._y)
-
-
-class HullSamplingStrategy(_GaussianStrategy):
-    """Queries iid Gaussian points; rejection is left to the runner's rule."""
-
-    def __init__(self, samples: int, d: int, rng: RngStream):
-        if samples < 1:
-            raise DomainError("need samples >= 1")
-        super().__init__(d, rng)
-        self.samples = samples
-        self._done = 0
-
-    def __call__(self, history):
-        if self._done >= self.samples:
-            return None
-        self._done += 1
-        return self._draw()
-
-
 def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
+    """A built-in strategy: Gaussian queries in R^d drawn in advance from rng,
+    replayed in order whatever the answers.
+
+    line-segment: budget // 3 pairs (x, y), each followed by its midpoint.
+    hull-sampling: budget iid points; rejection is left to the runner's rule.
+    """
     if kind == "line-segment":
         if budget < 3:
             raise DomainError("line-segment strategy needs a budget of at least 3")
-        return LineSegmentStrategy(budget // 3, d, rng)
-    if kind == "hull-sampling":
-        return HullSamplingStrategy(budget, d, rng)
-    raise DomainError(f"unknown strategy kind {kind!r}")
+        ends = rng.generator().standard_normal((budget // 3, 2, d))
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        queries = np.concatenate([ends, mids[:, None]], axis=1).reshape(-1, d)
+    elif kind == "hull-sampling":
+        if budget < 1:
+            raise DomainError("hull-sampling strategy needs a budget of at least 1")
+        queries = rng.generator().standard_normal((budget, d))
+    else:
+        raise DomainError(f"unknown strategy kind {kind!r}")
+    return lambda history: queries[len(history)] if len(history) < len(queries) else None
 
 
 STRATEGY_KINDS = ("line-segment", "hull-sampling")

@@ -13,6 +13,7 @@ from convexlab.adaptive import (
     sample_adaptive_instance,
     sample_violating_triple,
     strip_crossing_experiment,
+    strip_halfwidth,
     thin_shell_bounds,
 )
 from convexlab.errors import DimensionMismatchError, DomainError
@@ -154,7 +155,7 @@ class TestZeroLabelAnatomy:
             assert viol.size >= 1
             xa = inst100.action.coords(pts[i])
             in_strip = [
-                abs(float(inst100.action_dirs[j] @ xa)) <= inst100.strip_halfwidth
+                abs(float(inst100.action_dirs[j] @ xa)) <= strip_halfwidth(inst100.n)
                 for j in viol
             ]
             assert any(in_strip)

@@ -12,7 +12,6 @@ from convexlab.nazarov import (
     _count_batches,
     classify,
     default_halfspace_count,
-    effective_c1_half,
     estimate_unique_volume,
     flap_dogear_threshold,
     membership_prob,
@@ -46,7 +45,6 @@ class TestSolveR:
         oracle = -bisect_quantile(1.0 - 0.5 ** (1.0 / 1024))
         assert abs(r - 10.0 * oracle) <= 1e-8
         assert abs(r - 32.05) <= 0.02
-        assert abs(effective_c1_half(1024) - math.log(2)) <= 1.0 / 1024
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -21,7 +21,7 @@ from convexlab.ptf import (
     sample_ptf_instance,
 )
 from convexlab.rng import RngStream
-from convexlab.testers import HullSamplingStrategy, run_one_sided
+from convexlab.testers import baseline_strategy, run_one_sided
 
 
 class TestRawMoments:
@@ -282,14 +282,6 @@ class TestOneSidedSoundnessOnYes:
     def test_never_certifies_nonconvexity(self):
         inst = sample_ptf_instance(24, 3, DEFAULT_CLIP, "yes", RngStream(622))
         for seed in range(50):
-            strategy = HullSamplingStrategy(20, 24, RngStream(623, seed))
+            strategy = baseline_strategy("hull-sampling", 20, 24, RngStream(623, seed))
             verdict, _ = run_one_sided(strategy, inst, 20)
             assert verdict.outcome == "accept"
-
-
-class TestSerializationPayload:
-    def test_decimal_strings_round_trip_exactly(self):
-        _, law = match_moments_nonneg(5)
-        clone = DiscreteDistribution.from_payload(law.to_payload())
-        np.testing.assert_array_equal(law.atoms, clone.atoms)
-        np.testing.assert_array_equal(law.probs, clone.probs)

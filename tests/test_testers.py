@@ -6,10 +6,10 @@ from convexlab import adaptive, experiments, nazarov, ptf, tolerant
 from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError
 from convexlab.rng import RngStream
 from convexlab.testers import (
+    HULL_TOL,
     BatchOracle,
-    HullSamplingStrategy,
-    LineSegmentStrategy,
     QueryTranscript,
+    _certified_outside,
     baseline_strategy,
     certificate_valid,
     in_convex_hull,
@@ -59,10 +59,10 @@ class TestConvexHull:
 
 class TestRunOneSided:
     def test_constant_one_oracle_accepts(self):
-        strategy = HullSamplingStrategy(10, 4, RngStream(1))
+        strategy = baseline_strategy("hull-sampling", 10, 4, RngStream(1))
         verdict, transcript = run_one_sided(strategy, _constant(4, 1), 10)
         assert verdict.outcome == "accept"
-        assert len(transcript) == 10
+        assert len(transcript.entries) == 10
 
     def test_planted_triple_rejects_with_certificate(self):
         segment = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0])]
@@ -87,11 +87,11 @@ class TestRunOneSided:
 
     def test_reject_is_monotone_under_prefix_replay(self):
         # Rebuilding the verdict on growing prefixes never flips reject->accept.
-        strategy = HullSamplingStrategy(40, 2, RngStream(9))
+        strategy = baseline_strategy("hull-sampling", 40, 2, RngStream(9))
         verdict, transcript = run_one_sided(strategy, _outside_disk(2, 0.5), 40)
         assert verdict.outcome == "reject"
         rejected = False
-        for k in range(1, len(transcript) + 1):
+        for k in range(1, len(transcript.entries) + 1):
             prefix = transcript.entries[:k]
             ones = np.array([p for p, b in prefix if b == 1])
             zeros = [p for p, b in prefix if b == 0]
@@ -106,30 +106,30 @@ class TestRunOneSided:
 
 class TestStrategies:
     def test_line_segment_counts(self):
-        strategy = LineSegmentStrategy(1, 5, RngStream(2))
+        strategy = baseline_strategy("line-segment", 3, 5, RngStream(2))
         verdict, transcript = run_one_sided(strategy, _constant(5, 1), 3)
-        assert len(transcript) == 3
+        assert len(transcript.entries) == 3
         x, y, mid = (transcript.entries[i][0] for i in range(3))
         np.testing.assert_allclose(mid, 0.5 * (x + y))
 
     def test_line_segment_accepts_halfspace(self):
         oracle = BatchOracle(6, lambda pts: pts[:, 0] <= 0.5)
         for seed in range(5):
-            strategy = LineSegmentStrategy(4, 6, RngStream(seed))
+            strategy = baseline_strategy("line-segment", 12, 6, RngStream(seed))
             verdict, _ = run_one_sided(strategy, oracle, 12)
             assert verdict.outcome == "accept"
 
     def test_hull_sampling_single_query_accepts(self):
-        strategy = HullSamplingStrategy(1, 3, RngStream(3))
+        strategy = baseline_strategy("hull-sampling", 1, 3, RngStream(3))
         verdict, transcript = run_one_sided(strategy, _constant(3, 0), 1)
-        assert verdict.outcome == "accept" and len(transcript) == 1
+        assert verdict.outcome == "accept" and len(transcript.entries) == 1
 
     def test_hull_sampling_rejects_disk_complement(self):
         # Complement of the unit disk: 0-labels inside, 1-labels around.
         oracle = _outside_disk(2, 1.0)
         rejections = 0
         for seed in range(10):
-            strategy = HullSamplingStrategy(50, 2, RngStream(seed, 17))
+            strategy = baseline_strategy("hull-sampling", 50, 2, RngStream(seed, 17))
             verdict, _ = run_one_sided(strategy, oracle, 50)
             rejections += verdict.outcome == "reject"
         assert rejections >= 5
@@ -161,7 +161,101 @@ class TestStrategies:
 
     def test_strategy_dimension_must_match_oracle(self):
         with pytest.raises(DimensionMismatchError):
-            run_one_sided(HullSamplingStrategy(2, 3, RngStream(0)), _constant(4, 1), 2)
+            run_one_sided(baseline_strategy("hull-sampling", 2, 3, RngStream(0)), _constant(4, 1), 2)
+
+
+def _per_prefix_verdict(entries) -> str:
+    """The rule checked after every query: reject at the first prefix in which
+    a 0-query lies in the hull of that prefix's 1-queries.  A new 0-query is
+    tested against the 1-queries so far, a new 1-query re-tests every 0-query.
+    """
+    zeros, ones = [], []
+    for point, label in entries:
+        (ones if label else zeros).append(point)
+        fresh = zeros if label else [point]
+        if not ones:
+            continue
+        support = np.vstack(ones)
+        for y in fresh:
+            if not _certified_outside(y, support, HULL_TOL) and in_convex_hull(y, support) is not None:
+                return "reject"
+    return "accept"
+
+
+# Oracle builders (rng -> oracle): the rejection_rate families at n = 4, the
+# convex controls in R^4, and two nonconvex sets in R^2 and R^3 that both
+# strategies reject on almost every run.
+PIN_ORACLES = {
+    "adaptive": lambda rng: adaptive.sample_adaptive_instance(4, None, rng),
+    "tolerant-yes": lambda rng: tolerant.sample_tolerant_instance(4, None, rng, 0.35).yes,
+    "tolerant-no": lambda rng: tolerant.sample_tolerant_instance(4, None, rng, 0.35).no,
+    "ptf-yes": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "yes", rng),
+    "ptf-no": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "no", rng),
+    **{
+        f"control-{name}": (lambda rng, build=build: build(4, rng))
+        for name, build in experiments.CONVEX_CONTROLS.items()
+    },
+    "disk-complement": lambda rng: _outside_disk(2, 1.0),
+    "spherical-shell": lambda rng: BatchOracle(
+        3, lambda pts: np.abs(np.einsum("ij,ij->i", pts, pts) - 3.0) <= 1.5
+    ),
+}
+
+
+class TestLeafVerdict:
+    @pytest.mark.parametrize("name", list(PIN_ORACLES))
+    def test_leaf_verdict_equals_per_prefix_rule(self, name):
+        rejects = 0
+        for kind in ("line-segment", "hull-sampling"):
+            for seed in range(50):
+                oracle = PIN_ORACLES[name](RngStream(900, seed))
+                strategy = baseline_strategy(kind, 24, oracle.ambient_dim, RngStream(901, seed))
+                verdict, transcript = run_one_sided(strategy, oracle, 24)
+                assert verdict.outcome == _per_prefix_verdict(transcript.entries), (kind, seed)
+                if verdict.outcome == "accept":
+                    continue
+                rejects += 1
+                cert = verdict.certificate
+                zeros = transcript.points(0)
+                assert any(np.array_equal(cert.point, z) for z in zeros)
+                np.testing.assert_array_equal(cert.support, transcript.points(1))
+                assert certificate_valid(cert.point, cert.support, cert.coefficients)
+        if name.startswith("control-"):
+            assert rejects == 0
+        if name in ("disk-complement", "spherical-shell"):
+            assert rejects >= 90
+
+    def test_history_carries_the_labels_as_answered(self):
+        # An adaptive strategy: after each pair (x, y) it queries the midpoint
+        # only if both ends came back labeled 1.
+        oracle = _outside_disk(2, 1.0)
+        ends = 1.5 * RngStream(902).generator().standard_normal((20, 2, 2))
+        state = {"pair": 0, "next": "x"}
+
+        def strategy(history):
+            if state["next"] == "mid":
+                state["next"] = "x"
+                (x, x_label), (y, y_label) = history[-2:]
+                if x_label == y_label == 1:
+                    return 0.5 * (x + y)
+            if state["pair"] == len(ends):
+                return None
+            x, y = ends[state["pair"]]
+            if state["next"] == "x":
+                state["next"] = "y"
+                return x
+            state["next"] = "mid"
+            state["pair"] += 1
+            return y
+
+        verdict, transcript = run_one_sided(strategy, oracle, 60)
+        truth = oracle.labels(ends.reshape(-1, 2)).reshape(20, 2)
+        expected = []
+        for (x, y), (x_label, y_label) in zip(ends, truth):
+            expected += [x, y] + ([0.5 * (x + y)] if x_label == y_label == 1 else [])
+        assert 0 < len(expected) - 40 < 20
+        np.testing.assert_array_equal(transcript.all_points(), np.vstack(expected))
+        assert verdict.outcome == _per_prefix_verdict(transcript.entries) == "reject"
 
 
 class TestRejectionRate:
@@ -196,22 +290,6 @@ class TestTranscript:
         assert t.points(0).shape == (1, 2)
         assert t.points(1).shape == (1, 2)
         assert t.all_points().shape == (2, 2)
-
-
-class TestTranscriptExport:
-    def test_json_lines_carry_running_verdicts(self):
-        import json
-
-        strategy = HullSamplingStrategy(30, 2, RngStream(9))
-        verdict, transcript = run_one_sided(strategy, _outside_disk(2, 0.5), 30)
-        assert verdict.outcome == "reject"
-        lines = transcript.to_json_lines().strip().splitlines()
-        assert len(lines) == len(transcript)
-        parsed = [json.loads(line) for line in lines]
-        assert all(p["verdict"] == "accept" for p in parsed[:-1])
-        assert parsed[-1]["verdict"] == "reject"
-        point = [float(v) for v in parsed[0]["point"]]
-        np.testing.assert_array_equal(point, transcript.entries[0][0])
 
 
 def _adaptive8():
