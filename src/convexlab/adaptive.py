@@ -108,7 +108,7 @@ def sample_adaptive_instance(
     control = Frame(ambient_dim=2 * n, vectors=full.vectors[:n])
     action = Frame(ambient_dim=2 * n, vectors=full.vectors[n:])
     r = solve_r_half(n, N)
-    body = sample_body(n, N, r, rng.child(1), frame=control)
+    body = sample_body(n, N, r, rng.child(1))
     action_dirs = rng.child(2).generator().standard_normal((N, n))
     return AdaptiveInstance(
         n=n,

@@ -207,7 +207,7 @@ def _cmd_make_instance(args) -> int:
     stream = RngStream(args.seed)
     if args.kind == "nazarov":
         n = args.n
-        count = args.N or nazarov.default_halfspace_count(n)
+        count = nazarov.default_halfspace_count(n) if args.N is None else args.N
         r = nazarov.solve_r(n, count, 0.01)
         inst = nazarov.sample_body(n, count, r, stream, c1=0.01)
     elif args.kind == "adaptive":

@@ -34,6 +34,12 @@ class ExperimentConfig:
     fmt: str = "json"
     calibration_path: str | None = None
 
+    def __post_init__(self):
+        for key in ("n", "N", "q", "trials"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise DomainError(f"{key} must be at least 1, got {value}")
+
     def dim(self, default: int = 100) -> int:
         return self.n if self.n is not None else default
 
@@ -321,7 +327,7 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
                 cell += 1
                 oracle = build(d, stream.child(0))
                 strategy = testers.baseline_strategy(kind, budget, d, stream.child(1))
-                verdict, _ = testers.run_one_sided(strategy, oracle, budget)
+                verdict = testers.run_one_sided(strategy, oracle, budget)[0]
                 rejections += verdict.outcome == "reject"
                 total_runs += 1
         report.add_estimate(f"rejections[{kind}]", rejections, 0.0, total_runs)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-from .gauss import Frame, sf_array, std_normal_isf, std_normal_sf
+from .gauss import sf_array, std_normal_isf, std_normal_sf
 from .report import ExperimentReport, binom_se, mean_se, wilson_interval
 from .rng import RngStream
 
@@ -82,7 +82,6 @@ class NazarovBody:
     N: int
     r: float
     normals: np.ndarray
-    frame: Frame | None = None
     stream: RngStream | None = None
     c1: float | None = None
 
@@ -96,8 +95,6 @@ class NazarovBody:
             raise DimensionMismatchError(
                 f"normals must have shape ({self.N}, {self.n}), got {normals.shape}"
             )
-        if self.frame is not None and self.frame.k != self.n:
-            raise DomainError("embedding frame must have k = n")
         normals.flags.writeable = False
         object.__setattr__(self, "normals", normals)
 
@@ -150,6 +147,8 @@ def solve_r_half(n: int, N: int) -> float:
 
     cdf(r/sqrt(n))^N = 1/2, i.e. upper tail -expm1(-ln2/N) at the shell.
     """
+    if n < 1 or N < 1:
+        raise DomainError("need n >= 1 and N >= 1")
     return math.sqrt(n) * std_normal_isf(-math.expm1(-math.log(2.0) / N))
 
 
@@ -179,7 +178,6 @@ def sample_body(
     N: int,
     r: float,
     rng: RngStream,
-    frame: Frame | None = None,
     memory_cap: int = DEFAULT_MEMORY_CAP,
     c1: float | None = None,
 ) -> NazarovBody:
@@ -188,7 +186,7 @@ def sample_body(
             f"normals require {N * n} floats, above the cap of {memory_cap}"
         )
     normals = rng.generator().standard_normal((N, n))
-    return NazarovBody(n=n, N=N, r=r, normals=normals, frame=frame, stream=rng, c1=c1)
+    return NazarovBody(n=n, N=N, r=r, normals=normals, stream=rng, c1=c1)
 
 
 def normal_products(block: np.ndarray, N: int, gen: np.random.Generator) -> np.ndarray:

@@ -232,6 +232,8 @@ def sample_ptf_instance(
     neg_atom: float = DEFAULT_NEG_ATOM,
     neg_prob: float = DEFAULT_NEG_PROB,
 ) -> PTFInstance:
+    if n < 1:
+        raise DomainError("need n >= 1")
     mu, yes_law = match_moments_nonneg(l)
     basis = sample_haar_frame(n, n, rng.child(0), scale=1.0 / math.sqrt(n))
     if flavor == "yes":

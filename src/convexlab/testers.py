@@ -1,4 +1,4 @@
-"""One-sided testers: transcripts, hull certificates, and baseline strategies.
+"""One-sided testers: a batch runner, hull certificates, and baseline strategies.
 
 A one-sided run rejects exactly when some 0-labeled query lies in the convex
 hull of the 1-labeled queries; the certificate (hull coefficients) is always
@@ -6,6 +6,11 @@ returned and re-verified independently of the LP solver.  The rule is checked
 once, at the leaf: more 1-queries never shrink the hull, so a 0-query inside
 the hull of some prefix's 1-queries is inside the hull of all of them, and the
 leaf verdict equals the verdict of checking after every query.
+
+A strategy asks for its queries in batches: given the rows asked so far and
+their labels, it returns the next rows, and the runner labels each batch with
+one oracle call.  A non-adaptive strategy asks once; an adaptive one asks a
+few rows at a time through the same runner.
 
 A tester sees a membership oracle only through one protocol (`Oracle`): an
 `ambient_dim` attribute and `labels(points)`, which maps an (m, ambient_dim)
@@ -18,7 +23,7 @@ BatchOracle built from a rule on checked rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -52,32 +57,9 @@ class BatchOracle:
         return np.asarray(self.rule(points)).astype(np.int8)
 
 
-# A strategy maps the query history [(point, label), ...], labels as the oracle
-# answered them, to the next query point, or None to stop early.
-Strategy = Callable[[list], Optional[np.ndarray]]
-
-
-@dataclass
-class QueryTranscript:
-    dim: int
-    entries: list = field(default_factory=list)
-
-    def append(self, point: np.ndarray, label: int):
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (self.dim,):
-            raise DimensionMismatchError(f"query must have dimension {self.dim}")
-        self.entries.append((point, int(label)))
-
-    def points(self, label: int) -> np.ndarray:
-        hits = [p for p, b in self.entries if b == label]
-        if not hits:
-            return np.empty((0, self.dim))
-        return np.vstack(hits)
-
-    def all_points(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, self.dim))
-        return np.vstack([p for p, _ in self.entries])
+# A strategy maps the (m, d) rows asked so far and their int8 labels, as the
+# oracle answered them, to the next (k, d) rows; None or zero rows ends the run.
+Strategy = Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]
 
 
 @dataclass
@@ -168,45 +150,48 @@ def _certified_outside(y, points, tol) -> bool:
 
 
 def run_one_sided(
-    tester: Strategy, oracle: Oracle, q: int
-) -> tuple[TesterVerdict, QueryTranscript]:
+    strategy: Strategy, oracle: Oracle, q: int
+) -> tuple[TesterVerdict, np.ndarray, np.ndarray]:
     """Execute one root-to-leaf path of a one-sided tester.
 
-    The strategy is asked for one query at a time, given the history so far.
-    At the leaf each 0-query is tested once against the hull of all the
-    1-queries; the first certificate rejects.  By monotonicity this is the
-    verdict of checking after every query.
+    The strategy is asked for one batch at a time, given the rows and labels
+    so far; each batch is checked against the budget q and the oracle's
+    dimension, then labelled in one oracle call.  At the leaf each 0-query is
+    tested once against the hull of all the 1-queries; the first certificate
+    rejects.  By monotonicity this is the verdict of checking after every
+    query.  Returns the verdict, the (m, d) queries and their labels.
     """
     d = oracle.ambient_dim
-    transcript = QueryTranscript(dim=d)
-    for step in range(q + 1):
-        point = tester(transcript.entries)
-        if point is None:
+    points = np.empty((0, d))
+    labels = np.empty(0, dtype=np.int8)
+    while (batch := strategy(points, labels)) is not None:
+        batch = np.asarray(batch, dtype=np.float64)
+        if batch.ndim != 2 or batch.shape[1] != d:
+            raise DimensionMismatchError(f"tester produced a batch of shape {batch.shape}")
+        if not len(batch):
             break
-        if step >= q:
+        if len(points) + len(batch) > q:
             raise BudgetExceededError(f"tester requested more than {q} queries")
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (d,):
-            raise DimensionMismatchError(f"tester produced a point of shape {point.shape}")
-        transcript.append(point, oracle.labels(point[None, :])[0])
-    support = transcript.points(1)
+        points = np.concatenate([points, batch])
+        labels = np.concatenate([labels, oracle.labels(batch)])
+    support = points[labels == 1]
     if len(support):
-        for y in transcript.points(0):
+        for y in points[labels == 0]:
             if _certified_outside(y, support, HULL_TOL):
                 continue
             lam = in_convex_hull(y, support, HULL_TOL)
             if lam is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)
-                return TesterVerdict("reject", cert), transcript
-    return TesterVerdict("accept"), transcript
+                return TesterVerdict("reject", cert), points, labels
+    return TesterVerdict("accept"), points, labels
 
 
 # -- baseline strategies ------------------------------------------------------
 
 
 def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
-    """A built-in strategy: Gaussian queries in R^d drawn in advance from rng,
-    replayed in order whatever the answers.
+    """A built-in strategy: Gaussian queries in R^d drawn in advance from rng
+    and asked as one batch, whatever the answers.
 
     line-segment: budget // 3 pairs (x, y), each followed by its midpoint.
     hull-sampling: budget iid points; rejection is left to the runner's rule.
@@ -223,7 +208,7 @@ def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strateg
         queries = rng.generator().standard_normal((budget, d))
     else:
         raise DomainError(f"unknown strategy kind {kind!r}")
-    return lambda history: queries[len(history)] if len(history) < len(queries) else None
+    return lambda points, labels: None if len(points) else queries
 
 
 STRATEGY_KINDS = ("line-segment", "hull-sampling")
@@ -265,7 +250,7 @@ def rejection_rate(
     for t in range(trials):
         oracle = samplers[instance_family](rng.child(2 * t))
         strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
-        verdict, _ = run_one_sided(strategy, oracle, budget)
+        verdict = run_one_sided(strategy, oracle, budget)[0]
         rejects += verdict.outcome == "reject"
     freq = rejects / trials
     lo, hi = wilson_interval(rejects, trials)

@@ -234,7 +234,7 @@ def sample_tolerant_instance(
     full = sample_haar_frame(n + 1, n + 1, rng.child(0))
     action_dir = full.vectors[0]
     control = Frame(ambient_dim=n + 1, vectors=full.vectors[1:])
-    body = sample_body(n, N, r, rng.child(1), frame=control)
+    body = sample_body(n, N, r, rng.child(1))
     p_set = rng.child(2).generator().random(N) < 0.5
     return TolerantInstance(
         n=n,

@@ -20,7 +20,7 @@ from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import Frame, sample_haar_frame, std_normal_cdf
 from convexlab.nazarov import classify
 from convexlab.rng import RngStream
-from convexlab.testers import QueryTranscript, in_convex_hull, run_one_sided
+from convexlab.testers import in_convex_hull, run_one_sided
 
 
 @pytest.fixture(scope="module")
@@ -174,17 +174,14 @@ class TestZeroLabelAnatomy:
 
 class TestEvents:
     def test_empty_transcript_vacuous(self, inst16):
-        flags = detect_events(inst16, QueryTranscript(dim=32).all_points(), 3)
+        flags = detect_events(inst16, np.empty((0, 32)), 3)
         assert set(flags) == {"E1", "E2"}
         assert all(flags.values())
 
     def test_duplicate_flap_point_keeps_strip_event(self, inst100):
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(311))
         assert trip is not None
-        transcript = QueryTranscript(dim=200)
-        transcript.append(trip.x, 0)
-        transcript.append(trip.x, 0)
-        flags = detect_events(inst100, transcript.all_points(), 3)
+        flags = detect_events(inst100, np.vstack([trip.x, trip.x]), 3)
         assert flags["E2"]
 
     def test_event_rate_on_random_transcripts(self):
@@ -197,14 +194,14 @@ class TestEvents:
         # different strip indicators: the E2 event fails on its transcript.
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(313))
         assert trip is not None
-        queries = [trip.x_minus, trip.x_plus, trip.x]
+        queries = np.vstack([trip.x_minus, trip.x_plus, trip.x])
 
-        def cheater(history):
-            return queries[len(history)] if len(history) < 3 else None
+        def cheater(points, labels):
+            return None if len(points) else queries
 
-        verdict, transcript = run_one_sided(cheater, inst100, 3)
+        verdict, points, labels = run_one_sided(cheater, inst100, 3)
         assert verdict.outcome == "reject"
-        flags = detect_events(inst100, transcript.all_points(), 3)
+        flags = detect_events(inst100, points, 3)
         assert not flags["E2"]
 
 

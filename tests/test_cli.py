@@ -72,6 +72,29 @@ class TestRun:
         assert any(",estimate," in line for line in lines[1:])
         assert any(",assertion," in line for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "shell-membership", "--seed", "1", "--trials", "0"],
+            ["run", "rejection-rates", "--seed", "1", "--trials", "0"],
+            ["run", "strip-crossing", "--seed", "1", "--trials", "0"],
+            ["run", "view-tv", "--seed", "1", "--q", "0", "--set", "c0_hat=0.35"],
+            ["make-instance", "--kind", "adaptive", "--n", "16", "--N", "0", "--seed", "1"],
+            ["make-instance", "--kind", "nazarov", "--n", "16", "--N", "0", "--seed", "1"],
+            ["make-instance", "--kind", "ptf", "--n", "0", "--seed", "1"],
+        ],
+        ids=[
+            "shell-membership", "rejection-rates", "strip-crossing", "view-tv",
+            "adaptive", "nazarov", "ptf",
+        ],
+    )
+    def test_bad_size_rejected(self, tmp_path, args):
+        out = tmp_path / "out.json"
+        result = run_cli([*args, "--out", str(out)])
+        assert result.returncode == 2
+        assert "error: " in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_missing_calibration_fails_cleanly(self):
         result = run_cli(
             ["run", "eps-gap", "--seed", "5", "--n", "64", "--N", "256", "--trials", "10"]
@@ -137,12 +160,22 @@ class TestDeterminism:
             assert set(sub_seeds(other)).isdisjoint(first)
 
 
-    def test_blas_thread_count_invariance(self):
-        # Every oracle thresholds a BLAS matmul; the body must not depend on
-        # how many threads the BLAS splits it over.
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "experiment='detect-events', seed=5, n=100, q=3, trials=40",
+            "experiment='rejection-rates', seed=5, n=16, trials=10, overrides={'c0_hat': 0.35}",
+            "experiment='soundness', seed=5, n=20, q=30, trials=10",
+        ],
+        ids=["detect-events", "rejection-rates", "soundness"],
+    )
+    def test_blas_thread_count_invariance(self, config):
+        # Every oracle thresholds a BLAS matmul, and the testers label each
+        # batch of queries in one multi-row matmul; the body must not depend
+        # on how many threads the BLAS splits it over.
         script = (
             "import hashlib; from convexlab.experiments import ExperimentConfig, run_experiment; "
-            "c = ExperimentConfig(experiment='detect-events', seed=5, n=100, q=3, trials=40); "
+            f"c = ExperimentConfig({config}); "
             "print(hashlib.sha256(run_experiment(c).body_bytes()).hexdigest())"
         )
         digests = []

@@ -283,5 +283,5 @@ class TestOneSidedSoundnessOnYes:
         inst = sample_ptf_instance(24, 3, DEFAULT_CLIP, "yes", RngStream(622))
         for seed in range(50):
             strategy = baseline_strategy("hull-sampling", 20, 24, RngStream(623, seed))
-            verdict, _ = run_one_sided(strategy, inst, 20)
+            verdict, _, _ = run_one_sided(strategy, inst, 20)
             assert verdict.outcome == "accept"

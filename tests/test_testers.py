@@ -8,7 +8,6 @@ from convexlab.rng import RngStream
 from convexlab.testers import (
     HULL_TOL,
     BatchOracle,
-    QueryTranscript,
     _certified_outside,
     baseline_strategy,
     certificate_valid,
@@ -57,21 +56,40 @@ class TestConvexHull:
             in_convex_hull(np.zeros(2), np.zeros((3, 2)), tol=0.0)
 
 
+class _CountingOracle:
+    """Wraps an oracle and records the size of every labels call."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.ambient_dim = oracle.ambient_dim
+        self.batches = []
+
+    def labels(self, points):
+        self.batches.append(len(points))
+        return self.oracle.labels(points)
+
+
+def _batches(*batches):
+    """A strategy asking the given batches in order, then stopping."""
+    pending = iter(batches)
+    return lambda points, labels: next(pending, None)
+
+
 class TestRunOneSided:
     def test_constant_one_oracle_accepts(self):
         strategy = baseline_strategy("hull-sampling", 10, 4, RngStream(1))
-        verdict, transcript = run_one_sided(strategy, _constant(4, 1), 10)
+        verdict, points, labels = run_one_sided(strategy, _constant(4, 1), 10)
         assert verdict.outcome == "accept"
-        assert len(transcript.entries) == 10
+        assert points.shape == (10, 4) and labels.dtype == np.int8 and labels.tolist() == [1] * 10
 
     def test_planted_triple_rejects_with_certificate(self):
-        segment = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0])]
+        segment = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         oracle = BatchOracle(2, lambda pts: ~np.isclose(pts, 0.0).all(axis=1))
 
-        def strategy(history):
-            return segment[len(history)] if len(history) < 3 else None
+        def strategy(points, labels):
+            return None if len(points) else segment
 
-        verdict, transcript = run_one_sided(strategy, oracle, 3)
+        verdict, points, labels = run_one_sided(strategy, oracle, 3)
         assert verdict.outcome == "reject"
         cert = verdict.certificate
         assert cert is not None
@@ -79,22 +97,54 @@ class TestRunOneSided:
         assert oracle.labels(cert.point[None, :])[0] == 0
 
     def test_budget_enforced(self):
-        def greedy(history):
-            return np.zeros(2)
+        def greedy(points, labels):
+            return np.zeros((1, 2))
 
         with pytest.raises(BudgetExceededError):
             run_one_sided(greedy, _constant(2, 1), 3)
 
+    def test_one_labels_call_per_batch(self):
+        rows = RngStream(10).generator().standard_normal((6, 3))
+        oracle = _CountingOracle(_outside_disk(3, 3.0))
+        verdict, points, labels = run_one_sided(_batches(rows[:2], rows[2:5], rows[5:]), oracle, 6)
+        assert oracle.batches == [2, 3, 1]
+        np.testing.assert_array_equal(points, rows)
+        np.testing.assert_array_equal(labels, oracle.oracle.labels(rows))
+
+    def test_batch_past_budget_is_not_labelled(self):
+        rows = np.zeros((4, 2))
+        oracle = _CountingOracle(_constant(2, 1))
+        with pytest.raises(BudgetExceededError):
+            run_one_sided(_batches(rows), oracle, 3)
+        assert oracle.batches == []
+        with pytest.raises(BudgetExceededError):
+            run_one_sided(_batches(rows[:2], rows[2:]), oracle, 3)
+        assert oracle.batches == [2]
+
+    def test_batch_of_wrong_width_rejected(self):
+        oracle = _CountingOracle(_constant(3, 1))
+        with pytest.raises(DimensionMismatchError):
+            run_one_sided(_batches(np.zeros((2, 3)), np.zeros((1, 4))), oracle, 5)
+        assert oracle.batches == [2]
+        with pytest.raises(DimensionMismatchError):
+            run_one_sided(_batches(np.zeros(3)), oracle, 5)
+
+    def test_zero_rows_end_the_run(self):
+        oracle = _CountingOracle(_constant(2, 1))
+        strategy = _batches(np.ones((2, 2)), np.empty((0, 2)), np.ones((1, 2)))
+        verdict, points, labels = run_one_sided(strategy, oracle, 10)
+        assert oracle.batches == [2]
+        assert verdict.outcome == "accept" and points.shape == (2, 2)
+
     def test_reject_is_monotone_under_prefix_replay(self):
         # Rebuilding the verdict on growing prefixes never flips reject->accept.
         strategy = baseline_strategy("hull-sampling", 40, 2, RngStream(9))
-        verdict, transcript = run_one_sided(strategy, _outside_disk(2, 0.5), 40)
+        verdict, points, labels = run_one_sided(strategy, _outside_disk(2, 0.5), 40)
         assert verdict.outcome == "reject"
         rejected = False
-        for k in range(1, len(transcript.entries) + 1):
-            prefix = transcript.entries[:k]
-            ones = np.array([p for p, b in prefix if b == 1])
-            zeros = [p for p, b in prefix if b == 0]
+        for k in range(1, len(points) + 1):
+            ones = points[:k][labels[:k] == 1]
+            zeros = points[:k][labels[:k] == 0]
             hit = bool(
                 len(ones)
                 and any(in_convex_hull(z, ones) is not None for z in zeros)
@@ -107,22 +157,22 @@ class TestRunOneSided:
 class TestStrategies:
     def test_line_segment_counts(self):
         strategy = baseline_strategy("line-segment", 3, 5, RngStream(2))
-        verdict, transcript = run_one_sided(strategy, _constant(5, 1), 3)
-        assert len(transcript.entries) == 3
-        x, y, mid = (transcript.entries[i][0] for i in range(3))
+        verdict, points, labels = run_one_sided(strategy, _constant(5, 1), 3)
+        assert len(points) == 3
+        x, y, mid = points
         np.testing.assert_allclose(mid, 0.5 * (x + y))
 
     def test_line_segment_accepts_halfspace(self):
         oracle = BatchOracle(6, lambda pts: pts[:, 0] <= 0.5)
         for seed in range(5):
             strategy = baseline_strategy("line-segment", 12, 6, RngStream(seed))
-            verdict, _ = run_one_sided(strategy, oracle, 12)
+            verdict, _, _ = run_one_sided(strategy, oracle, 12)
             assert verdict.outcome == "accept"
 
     def test_hull_sampling_single_query_accepts(self):
         strategy = baseline_strategy("hull-sampling", 1, 3, RngStream(3))
-        verdict, transcript = run_one_sided(strategy, _constant(3, 0), 1)
-        assert verdict.outcome == "accept" and len(transcript.entries) == 1
+        verdict, points, labels = run_one_sided(strategy, _constant(3, 0), 1)
+        assert verdict.outcome == "accept" and len(points) == 1
 
     def test_hull_sampling_rejects_disk_complement(self):
         # Complement of the unit disk: 0-labels inside, 1-labels around.
@@ -130,7 +180,7 @@ class TestStrategies:
         rejections = 0
         for seed in range(10):
             strategy = baseline_strategy("hull-sampling", 50, 2, RngStream(seed, 17))
-            verdict, _ = run_one_sided(strategy, oracle, 50)
+            verdict, _, _ = run_one_sided(strategy, oracle, 50)
             rejections += verdict.outcome == "reject"
         assert rejections >= 5
 
@@ -144,19 +194,19 @@ class TestStrategies:
         # Each query is the next standard_normal(d) draw of the strategy's
         # stream; midpoints take no draw.
         d = 5
-        verdict, transcript = run_one_sided(
+        verdict, points, labels = run_one_sided(
             baseline_strategy("line-segment", 6, d, RngStream(8)), _constant(d, 1), 6
         )
         gen = RngStream(8).generator()
         x1, y1, x2, y2 = (gen.standard_normal(d) for _ in range(4))
         expected = [x1, y1, 0.5 * (x1 + y1), x2, y2, 0.5 * (x2 + y2)]
-        np.testing.assert_array_equal(transcript.all_points(), np.vstack(expected))
-        verdict, transcript = run_one_sided(
+        np.testing.assert_array_equal(points, np.vstack(expected))
+        verdict, points, labels = run_one_sided(
             baseline_strategy("hull-sampling", 3, d, RngStream(8)), _constant(d, 1), 3
         )
         gen = RngStream(8).generator()
         np.testing.assert_array_equal(
-            transcript.all_points(), np.vstack([gen.standard_normal(d) for _ in range(3)])
+            points, np.vstack([gen.standard_normal(d) for _ in range(3)])
         )
 
     def test_strategy_dimension_must_match_oracle(self):
@@ -164,13 +214,13 @@ class TestStrategies:
             run_one_sided(baseline_strategy("hull-sampling", 2, 3, RngStream(0)), _constant(4, 1), 2)
 
 
-def _per_prefix_verdict(entries) -> str:
+def _per_prefix_verdict(points, labels) -> str:
     """The rule checked after every query: reject at the first prefix in which
     a 0-query lies in the hull of that prefix's 1-queries.  A new 0-query is
     tested against the 1-queries so far, a new 1-query re-tests every 0-query.
     """
     zeros, ones = [], []
-    for point, label in entries:
+    for point, label in zip(points, labels):
         (ones if label else zeros).append(point)
         fresh = zeros if label else [point]
         if not ones:
@@ -210,15 +260,14 @@ class TestLeafVerdict:
             for seed in range(50):
                 oracle = PIN_ORACLES[name](RngStream(900, seed))
                 strategy = baseline_strategy(kind, 24, oracle.ambient_dim, RngStream(901, seed))
-                verdict, transcript = run_one_sided(strategy, oracle, 24)
-                assert verdict.outcome == _per_prefix_verdict(transcript.entries), (kind, seed)
+                verdict, points, labels = run_one_sided(strategy, oracle, 24)
+                assert verdict.outcome == _per_prefix_verdict(points, labels), (kind, seed)
                 if verdict.outcome == "accept":
                     continue
                 rejects += 1
                 cert = verdict.certificate
-                zeros = transcript.points(0)
-                assert any(np.array_equal(cert.point, z) for z in zeros)
-                np.testing.assert_array_equal(cert.support, transcript.points(1))
+                assert any(np.array_equal(cert.point, z) for z in points[labels == 0])
+                np.testing.assert_array_equal(cert.support, points[labels == 1])
                 assert certificate_valid(cert.point, cert.support, cert.coefficients)
         if name.startswith("control-"):
             assert rejects == 0
@@ -226,36 +275,34 @@ class TestLeafVerdict:
             assert rejects >= 90
 
     def test_history_carries_the_labels_as_answered(self):
-        # An adaptive strategy: after each pair (x, y) it queries the midpoint
-        # only if both ends came back labeled 1.
-        oracle = _outside_disk(2, 1.0)
+        # An adaptive strategy: it asks each pair (x, y) as one batch, then
+        # the midpoint only if both ends came back labeled 1.
+        oracle = _CountingOracle(_outside_disk(2, 1.0))
         ends = 1.5 * RngStream(902).generator().standard_normal((20, 2, 2))
-        state = {"pair": 0, "next": "x"}
+        state = {"pair": 0, "pending": False}
 
-        def strategy(history):
-            if state["next"] == "mid":
-                state["next"] = "x"
-                (x, x_label), (y, y_label) = history[-2:]
-                if x_label == y_label == 1:
-                    return 0.5 * (x + y)
+        def strategy(points, labels):
+            if state["pending"]:
+                state["pending"] = False
+                if (labels[-2:] == 1).all():
+                    return 0.5 * (points[-2] + points[-1])[None, :]
             if state["pair"] == len(ends):
                 return None
-            x, y = ends[state["pair"]]
-            if state["next"] == "x":
-                state["next"] = "y"
-                return x
-            state["next"] = "mid"
             state["pair"] += 1
-            return y
+            state["pending"] = True
+            return ends[state["pair"] - 1]
 
-        verdict, transcript = run_one_sided(strategy, oracle, 60)
-        truth = oracle.labels(ends.reshape(-1, 2)).reshape(20, 2)
-        expected = []
+        verdict, points, labels = run_one_sided(strategy, oracle, 60)
+        truth = oracle.oracle.labels(ends.reshape(-1, 2)).reshape(20, 2)
+        expected, batches = [], []
         for (x, y), (x_label, y_label) in zip(ends, truth):
-            expected += [x, y] + ([0.5 * (x + y)] if x_label == y_label == 1 else [])
+            both = x_label == y_label == 1
+            expected += [x, y] + ([0.5 * (x + y)] if both else [])
+            batches += [2] + ([1] if both else [])
         assert 0 < len(expected) - 40 < 20
-        np.testing.assert_array_equal(transcript.all_points(), np.vstack(expected))
-        assert verdict.outcome == _per_prefix_verdict(transcript.entries) == "reject"
+        np.testing.assert_array_equal(points, np.vstack(expected))
+        assert oracle.batches == batches
+        assert verdict.outcome == _per_prefix_verdict(points, labels) == "reject"
 
 
 class TestRejectionRate:
@@ -280,16 +327,6 @@ class TestRejectionRate:
 
         with pytest.raises(DomainError):
             rejection_rate("hull-sampling", "mystery", 8, 6, 5, RngStream(0))
-
-
-class TestTranscript:
-    def test_phase_partition(self):
-        t = QueryTranscript(dim=2)
-        t.append(np.zeros(2), 0)
-        t.append(np.ones(2), 1)
-        assert t.points(0).shape == (1, 2)
-        assert t.points(1).shape == (1, 2)
-        assert t.all_points().shape == (2, 2)
 
 
 def _adaptive8():
