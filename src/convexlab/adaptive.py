@@ -212,14 +212,12 @@ def _triple_seed_scan(inst, points, a_const, oracle=None):
 def sample_violating_triple(
     inst: AdaptiveInstance,
     max_attempts: int,
+    rng: RngStream,
     a_const: float = DEFAULT_A_CONST,
-    rng: RngStream | None = None,
 ) -> ViolatingTriple | None:
     """Rejection-sample one violating triple; None if no hit within budget."""
     if not a_const > 0:
         raise DomainError("need a_const > 0")
-    if rng is None:
-        raise DomainError("an RngStream is required")
     gen = rng.generator()
     batch = 4096
     attempts = 0

@@ -9,6 +9,7 @@ CONVEXLAB_WORKERS environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import LabError
@@ -103,13 +104,7 @@ def _cmd_manifest(args) -> int:
     return 0
 
 
-def _validate_experiment(name: str):
-    if name != "all-lemmas" and name not in REGISTRY:
-        raise LabError(f"unknown experiment {name!r}; run the manifest command for the list")
-
-
 def _execute(config: ExperimentConfig) -> int:
-    _validate_experiment(config.experiment)
     report = run_experiment(config)
     body = report.to_csv() if config.fmt == "csv" else report.to_json() + "\n"
     # calibrate-c0 writes the calibration record to the output path instead.
@@ -156,11 +151,7 @@ def _cmd_run_config(args) -> int:
         raise LabError(f"cannot read config {args.path}: {exc}") from exc
     if not isinstance(raw, dict) or "experiment" not in raw or "seed" not in raw:
         raise LabError("config must be a JSON object with at least experiment and seed")
-    known = {
-        "experiment", "seed", "n", "N", "q", "trials", "overrides",
-        "output_path", "fmt", "calibration_path",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise LabError(f"unknown config fields: {sorted(unknown)}")
     for key in ("experiment", "output_path", "calibration_path"):

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import adaptive, gauss, nazarov, ptf, testers, tolerant
 from .errors import CalibrationMissingError, DomainError
+from .parallel import map_units
 from .report import ExperimentReport, binom_se
 from .rng import RngStream
 
@@ -126,10 +127,7 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
     )
     x = np.zeros(n)
     x[0] = math.sqrt(n)
-    hits = 0
-    for b in range(bodies):
-        body = nazarov.sample_body(n, N, r, rng.child(b))
-        hits += nazarov.classify(body, x).kind is nazarov.PointKind.IN_BODY
+    hits = sum(map_units(_shell_hit, bodies, rng, n, N, r, x))
     freq = hits / bodies
     report.add_estimate("mc_membership", freq, binom_se(hits, bodies), bodies)
     report.assert_leq(
@@ -139,6 +137,11 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
         source="derived",
     )
     return report
+
+
+def _shell_hit(rng: RngStream, b: int, n: int, N: int, r: float, x: np.ndarray) -> bool:
+    body = nazarov.sample_body(n, N, r, rng.child(b))
+    return nazarov.classify(body, x).kind is nazarov.PointKind.IN_BODY
 
 
 def run_high_degree_bound(config: ExperimentConfig) -> ExperimentReport:
@@ -316,20 +319,12 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         "soundness", {"d": d, "budget": budget, "runs_per_cell": runs_per_cell}, config.seed
     )
-    rng = config.rng()
-    cell = 0
-    for kind in testers.STRATEGY_KINDS:
-        total_runs = 0
-        rejections = 0
-        for build in CONVEX_CONTROLS.values():
-            for run in range(runs_per_cell):
-                stream = rng.child(cell)
-                cell += 1
-                oracle = build(d, stream.child(0))
-                strategy = testers.baseline_strategy(kind, budget, d, stream.child(1))
-                verdict = testers.run_one_sided(strategy, oracle, budget)[0]
-                rejections += verdict.outcome == "reject"
-                total_runs += 1
+    # Cells run kind-major, then control, then run: cell = (kind, control, run).
+    total_runs = len(CONVEX_CONTROLS) * runs_per_cell
+    cells = len(testers.STRATEGY_KINDS) * total_runs
+    rejected = map_units(_soundness_cell, cells, config.rng(), d, budget, runs_per_cell)
+    for k, kind in enumerate(testers.STRATEGY_KINDS):
+        rejections = sum(rejected[k * total_runs:(k + 1) * total_runs])
         report.add_estimate(f"rejections[{kind}]", rejections, 0.0, total_runs)
         report.assert_leq(
             f"{kind} never rejects a convex oracle ({total_runs} runs)",
@@ -338,6 +333,16 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
             source="closed-form",
         )
     return report
+
+
+def _soundness_cell(rng: RngStream, cell: int, d: int, budget: int, runs_per_cell: int) -> bool:
+    """Whether one run of a baseline strategy rejects one convex control."""
+    controls = len(CONVEX_CONTROLS)
+    kind = testers.STRATEGY_KINDS[cell // (controls * runs_per_cell)]
+    build = list(CONVEX_CONTROLS.values())[cell // runs_per_cell % controls]
+    stream = rng.child(cell)
+    strategy = testers.baseline_strategy(kind, budget, d, stream.child(1))
+    return testers.run_one_sided(strategy, build(d, stream.child(0)), budget)[0].outcome == "reject"
 
 
 def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
@@ -477,7 +482,7 @@ def run_view_tv(config: ExperimentConfig) -> ExperimentReport:
     trials = config.samples(10_000)
     q = config.budget(5)
     calibration = _calibration(config)
-    tau = tolerant._c0_from(calibration) * tolerant.C1_DEFAULT / 100.0
+    tau = tolerant.c2_from(calibration)
     rng = config.rng()
     queries = _shell_queries(n, q, tau, rng.child(0))
     return tolerant.view_experiment(
@@ -499,7 +504,7 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
     q_trials = config.samples(200_000)
     grid = (64, 100, 144) if config.n is None else (config.n,)
     calibration = _calibration(config)
-    c2 = tolerant._c0_from(calibration) * tolerant.C1_DEFAULT / 100.0
+    c2 = tolerant.c2_from(calibration)
     c3 = config.override("c3", 0.1)
     report = ExperimentReport(
         "xy-pair", {"grid": list(grid), "trials": q_trials, "c3": c3}, config.seed
@@ -631,40 +636,20 @@ REGISTRY = {
     "response-tv": (run_response_tv, "coupled response-vector total variation for the two laws"),
 }
 
-SUITE_SEQUENCE = (
-    "verify-tail-bounds",
-    "r-estimate",
-    "shell-membership",
-    "high-degree-bound",
-    "flap-dogear-ratio",
-    "unique-volume",
-    "calibrate-c0",
-    "moment-matching",
-    "soundness",
-    "rejection-rates",
-    "distance-lb",
-    "detect-events",
-    "strip-crossing",
-    "view-tv",
-    "eps-gap",
-    "xy-pair",
-    "bivariate-tail",
-    "no-distance",
-    "response-tv",
-)
-
-
 def _suite_seed(seed: int, index: int) -> int:
     """Seed of the index-th suite experiment, drawn from the (seed, index) stream."""
     return int(RngStream(seed, index).generator().integers(2**63))
 
 
 def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
-    """The full verification suite at desk parameters, one sub-report each."""
+    """The full verification suite at desk parameters, one sub-report each.
+
+    The suite runs REGISTRY in its order; calibrate-c0 comes before the
+    experiments that read its constant.
+    """
     report = ExperimentReport("all-lemmas", {"n": config.dim(), "N": config.halfspaces(config.dim())}, config.seed)
     c0_hat: float | None = None
-    for index, name in enumerate(SUITE_SEQUENCE):
-        fn, _ = REGISTRY[name]
+    for index, (name, (fn, _)) in enumerate(REGISTRY.items()):
         sub_config = ExperimentConfig(
             experiment=name,
             seed=_suite_seed(config.seed, index),

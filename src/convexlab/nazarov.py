@@ -178,12 +178,11 @@ def sample_body(
     N: int,
     r: float,
     rng: RngStream,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
     c1: float | None = None,
 ) -> NazarovBody:
-    if N * n > memory_cap:
+    if N * n > DEFAULT_MEMORY_CAP:
         raise ResourceLimitError(
-            f"normals require {N * n} floats, above the cap of {memory_cap}"
+            f"normals require {N * n} floats, above the cap of {DEFAULT_MEMORY_CAP}"
         )
     normals = rng.generator().standard_normal((N, n))
     return NazarovBody(n=n, N=N, r=r, normals=normals, stream=rng, c1=c1)
@@ -463,6 +462,7 @@ def estimate_unique_volume(
     return report
 
 
-def _unique_fraction_unit(stream: RngStream, index: int, n, N, r, points_per_body):
+def _unique_fraction_unit(rng: RngStream, index: int, n, N, r, points_per_body):
+    stream = rng.child(index)
     body = sample_body(n, N, r, stream.child(0))
     return body_unique_fraction(body, points_per_body, stream.child(1))

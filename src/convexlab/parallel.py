@@ -1,16 +1,19 @@
 """Worker-count-invariant parallel mapping over independent work units.
 
-Each unit owns a child stream derived from (seed, unit index), results are
-reduced in unit order, and cross-unit aggregation is plain summation, so the
-numbers an experiment reports never depend on how many workers ran it.
-Worker count comes only from the CONVEXLAB_WORKERS environment variable,
-which must be a positive integer when set.
+Every per-trial loop of the lab goes through map_units.  Unit i derives each
+stream it draws from the run stream and its own index alone (rng.child(i),
+rng.child(2 * i + 1), rng.child(i).child(0), ...), results come back in unit
+order, and cross-unit aggregation is plain summation, so the numbers an
+experiment reports never depend on how many workers ran it.  Worker count
+comes only from the CONVEXLAB_WORKERS environment variable, which must be a
+positive integer when set.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from .errors import DomainError
 from .rng import RngStream
@@ -29,15 +32,20 @@ def worker_count() -> int:
     return count
 
 
-def map_units(fn, n_units: int, rng: RngStream, *args):
-    """Apply fn(child_stream, unit_index, *args) for each unit, in unit order.
+def map_units(fn, n_units: int, rng: RngStream, *args) -> list:
+    """[fn(rng, i, *args) for i in range(n_units)], in unit order.
 
-    fn and args must be picklable when more than one worker is configured.
+    The contract that makes the result independent of the worker count: unit
+    i derives every stream it draws from (rng, i) alone, and reads nothing
+    another unit writes.  With more than one worker, fn and args must be
+    picklable; each worker takes about four chunks of consecutive units.
     """
-    streams = [rng.child(i) for i in range(n_units)]
-    workers = worker_count()
-    if workers <= 1 or n_units <= 1:
-        return [fn(stream, i, *args) for i, stream in enumerate(streams)]
-    extra = [[a] * n_units for a in args]
-    with ProcessPoolExecutor(max_workers=min(workers, n_units)) as pool:
-        return list(pool.map(fn, streams, range(n_units), *extra))
+    workers = min(worker_count(), n_units)
+    if workers <= 1:
+        return [fn(rng, i, *args) for i in range(n_units)]
+    # Imported here so that single-worker runs never load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = math.ceil(n_units / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, repeat(rng), range(n_units), *map(repeat, args), chunksize=chunk))

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
 from .gauss import Frame, haar_coords, sample_haar_frame
+from .parallel import map_units
 from .report import ExperimentReport, binom_se, response_counts, tv_from_counts, wilson_interval
 from .rng import RngStream
 
@@ -404,16 +405,8 @@ def response_tv_experiment(
          "neg_atom": neg_atom, "neg_prob": neg_prob},
         rng.seed,
     )
-    yes_rows = np.zeros((trials, q), dtype=np.int8)
-    no_rows = np.zeros((trials, q), dtype=np.int8)
-    bad = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        proj_sq = haar_coords(queries, rng.child(3 * t)) ** 2 / n  # (q, n), basis scale 1/sqrt(n)
-        bad[t] = (proj_sq >= clip_sq).any()
-        u = yes_law.sample(n, rng.child(3 * t + 1))
-        v = no_law.sample(n, rng.child(3 * t + 2))
-        yes_rows[t] = proj_sq @ u <= mu
-        no_rows[t] = proj_sq @ v <= mu
+    trial_rows = map_units(_response_trial, trials, rng, queries, n, mu, clip_sq, yes_law, no_law)
+    bad, yes_rows, no_rows = (np.array(column) for column in zip(*trial_rows))
     bad_hits = int(bad.sum())
     tv = tv_from_counts(response_counts(yes_rows), response_counts(no_rows), trials)
     kept = trials - bad_hits
@@ -431,3 +424,11 @@ def response_tv_experiment(
         source="analytic",
     )
     return report
+
+
+def _response_trial(rng: RngStream, t: int, queries, n, mu, clip_sq, yes_law, no_law):
+    """(bad basis, yes responses, no responses) of one trial of response_tv_experiment."""
+    proj_sq = haar_coords(queries, rng.child(3 * t)) ** 2 / n  # (q, n), basis scale 1/sqrt(n)
+    u = yes_law.sample(n, rng.child(3 * t + 1))
+    v = no_law.sample(n, rng.child(3 * t + 2))
+    return (proj_sq >= clip_sq).any(), proj_sq @ u <= mu, proj_sq @ v <= mu

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
+from .parallel import map_units
 from .report import ExperimentReport, binom_se, wilson_interval
 from .rng import RngStream
 
@@ -212,6 +213,7 @@ def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strateg
 
 
 STRATEGY_KINDS = ("line-segment", "hull-sampling")
+INSTANCE_FAMILIES = ("adaptive", "tolerant-yes", "tolerant-no", "ptf-yes", "ptf-no")
 
 
 def rejection_rate(
@@ -224,16 +226,7 @@ def rejection_rate(
     calibration=None,
 ) -> ExperimentReport:
     """Rejection frequency of a baseline strategy against an instance family."""
-    from . import adaptive, ptf, tolerant
-
-    samplers = {
-        "adaptive": lambda rng: adaptive.sample_adaptive_instance(n, None, rng),
-        "tolerant-yes": lambda rng: tolerant.sample_tolerant_instance(n, None, rng, calibration).yes,
-        "tolerant-no": lambda rng: tolerant.sample_tolerant_instance(n, None, rng, calibration).no,
-        "ptf-yes": lambda rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "yes", rng),
-        "ptf-no": lambda rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "no", rng),
-    }
-    if instance_family not in samplers:
+    if instance_family not in INSTANCE_FAMILIES:
         raise DomainError(f"unknown instance family {instance_family!r}")
     report = ExperimentReport(
         "rejection-rate",
@@ -246,15 +239,30 @@ def rejection_rate(
         },
         rng.seed,
     )
-    rejects = 0
-    for t in range(trials):
-        oracle = samplers[instance_family](rng.child(2 * t))
-        strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
-        verdict = run_one_sided(strategy, oracle, budget)[0]
-        rejects += verdict.outcome == "reject"
+    rejects = sum(
+        map_units(_rejects, trials, rng, strategy_kind, instance_family, n, budget, calibration)
+    )
     freq = rejects / trials
     lo, hi = wilson_interval(rejects, trials)
     report.add_estimate("rejection_rate", freq, binom_se(rejects, trials), trials)
     report.add_estimate("wilson_lower_99", lo)
     report.add_estimate("wilson_upper_99", hi)
     return report
+
+
+def _family_oracle(family: str, n: int, rng: RngStream, calibration) -> Oracle:
+    """One instance of a rejection-rate family, as the oracle the tester queries."""
+    from . import adaptive, ptf, tolerant
+
+    if family == "adaptive":
+        return adaptive.sample_adaptive_instance(n, None, rng)
+    if family in ("tolerant-yes", "tolerant-no"):
+        pair = tolerant.sample_tolerant_instance(n, None, rng, calibration)
+        return pair.yes if family == "tolerant-yes" else pair.no
+    return ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, family.removeprefix("ptf-"), rng)
+
+
+def _rejects(rng: RngStream, t: int, strategy_kind, family, n, budget, calibration) -> bool:
+    oracle = _family_oracle(family, n, rng.child(2 * t), calibration)
+    strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
+    return run_one_sided(strategy, oracle, budget)[0].outcome == "reject"

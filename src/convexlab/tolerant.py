@@ -53,6 +53,7 @@ from .nazarov import (
     solve_r,
     unique_multi_hits,
 )
+from .parallel import map_units
 from .report import ExperimentReport, binom_se, response_counts, tv_from_counts
 from .rng import RngStream
 from .testers import BatchOracle
@@ -214,9 +215,8 @@ def _constants(n: int, N_override: int | None, calibration) -> tuple[float, int,
     """(c0_hat, N, c2, r) of an instance; the construction sets tau = c2."""
     if n < 4:
         raise DomainError("need n >= 4")
-    c0_hat = _c0_from(calibration)
     N = N_override if N_override is not None else default_halfspace_count(n)
-    return c0_hat, N, c0_hat * C1_DEFAULT / 100.0, solve_r(n, N, C1_DEFAULT)
+    return _c0_from(calibration), N, c2_from(calibration), solve_r(n, N, C1_DEFAULT)
 
 
 def sample_tolerant_instance(
@@ -428,25 +428,11 @@ def view_experiment(
     report = ExperimentReport(
         "view-tv", {"n": n, "q": q, "trials": trials}, rng.seed
     )
-    yes_rows = np.zeros((trials, q), dtype=np.int8)
-    no_rows = np.zeros((trials, q), dtype=np.int8)
-    bad = np.zeros(trials, dtype=bool)
-    important_events = np.zeros(q, dtype=np.int64)
-    important_ones_yes = np.zeros(q, dtype=np.int64)
-    important_ones_no = np.zeros(q, dtype=np.int64)
-
-    for t in range(trials):
-        view = sample_tolerant_view(queries, n, N_override, rng.child(t), calibration)
-        yes_vec = view.yes()
-        no_vec = view.no()
-        starred = view.codes >= _EXT_ZERO_STAR
-        important_events += starred
-        important_ones_yes += starred & (yes_vec == 1)
-        important_ones_no += starred & (no_vec == 1)
-        yes_rows[t] = yes_vec
-        no_rows[t] = no_vec
-        bad[t], _ = view.bad()
-
+    trial_rows = map_units(_view_trial, trials, rng, queries, n, N_override, calibration)
+    yes_rows, no_rows, starred, bad = (np.array(column) for column in zip(*trial_rows))
+    important_events = starred.sum(axis=0)
+    important_ones_yes = (starred & (yes_rows == 1)).sum(axis=0)
+    important_ones_no = (starred & (no_rows == 1)).sum(axis=0)
     bad_hits = int(bad.sum())
     kept = trials - bad_hits
     report.add_estimate("bad_rate", bad_hits / trials, binom_se(bad_hits, trials), trials)
@@ -482,6 +468,12 @@ def view_experiment(
     return report
 
 
+def _view_trial(rng: RngStream, t: int, queries, n, N_override, calibration):
+    """(yes labels, no labels, starred rows, bad) of one trial of view_experiment."""
+    view = sample_tolerant_view(queries, n, N_override, rng.child(t), calibration)
+    return view.yes(), view.no(), view.codes >= _EXT_ZERO_STAR, view.bad()[0]
+
+
 # -- the distance constants -----------------------------------------------------
 
 
@@ -507,6 +499,14 @@ def _c0_from(calibration: "CalibrationRecord | float | None") -> float:
     )
 
 
+def c2_from(calibration: "CalibrationRecord | float | None") -> float:
+    """The construction's c2 = tau = c0_hat * c1 / 100, which must lie in (0, 1/2)."""
+    c2 = _c0_from(calibration) * C1_DEFAULT / 100.0
+    if not 0.0 < c2 < 0.5:  # NaN fails too
+        raise DomainError(f"calibrated c2 = c0_hat * c1 / 100 must lie in (0, 1/2), got {c2}")
+    return c2
+
+
 def estimate_eps_bounds(
     n: int,
     N: int,
@@ -519,7 +519,7 @@ def estimate_eps_bounds(
     closeness/farness constants, asserting a positive gap at 99% confidence.
     """
     c1 = C1_DEFAULT
-    c2 = tau = _c0_from(calibration) * c1 / 100.0
+    c2 = tau = c2_from(calibration)
     r = solve_r(n, N, c1)
     report = ExperimentReport(
         "eps-gap",
@@ -652,7 +652,7 @@ def xy_pair_experiment(
     if x.shape != (n + 1,) or y.shape != (n + 1,):
         raise DimensionMismatchError("x and y must live in R^{n+1}")
     c1 = C1_DEFAULT
-    c2 = tau = _c0_from(calibration) * c1 / 100.0
+    c2 = tau = c2_from(calibration)
     N = N_override if N_override is not None else default_halfspace_count(n)
     r = solve_r(n, N, c1)
     lo, hi = shell_interval(n, tau)

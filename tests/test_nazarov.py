@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bisect_quantile, two_proportion_z
+from convexlab import nazarov
 from convexlab.errors import DimensionMismatchError, DomainError, ResourceLimitError
 from convexlab.gauss import std_normal_cdf
 from convexlab.nazarov import (
@@ -70,9 +71,10 @@ class TestSampleBody:
         body = sample_body(2, 1, 10.0, RngStream(0))
         assert classify(body, np.zeros(2)).kind is PointKind.IN_BODY
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(nazarov, "DEFAULT_MEMORY_CAP", 10_000)
         with pytest.raises(ResourceLimitError):
-            sample_body(1000, 1000, 5.0, RngStream(0), memory_cap=10_000)
+            sample_body(1000, 1000, 5.0, RngStream(0))
 
     def test_normal_norm_concentration(self):
         n, num = 100, 1024
