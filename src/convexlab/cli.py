@@ -15,6 +15,7 @@ import sys
 from .errors import LabError
 from .experiments import REGISTRY, ExperimentConfig, run_experiment
 from .report import fmt12
+from .storage import KINDS, load_calibration, load_instance, save_instance
 
 FORMATS = ("json", "csv")
 
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_config.set_defaults(handler=_cmd_run_config)
 
     make = sub.add_parser("make-instance", help="sample an instance and write it to disk")
-    make.add_argument("--kind", required=True, choices=("nazarov", "adaptive", "tolerant", "ptf"))
+    make.add_argument("--kind", required=True, choices=tuple(KINDS))
     make.add_argument("--n", type=int, required=True)
     make.add_argument("--N", type=int, default=None)
     make.add_argument("--seed", type=int, required=True)
@@ -193,7 +194,6 @@ def _is_int(value) -> bool:
 def _cmd_make_instance(args) -> int:
     from . import adaptive, nazarov, ptf, tolerant
     from .rng import RngStream
-    from .storage import load_calibration, save_instance
 
     stream = RngStream(args.seed)
     if args.kind == "nazarov":
@@ -219,8 +219,6 @@ def _cmd_make_instance(args) -> int:
 
 
 def _cmd_check_instance(args) -> int:
-    from .storage import load_instance
-
     inst = load_instance(args.path)
     print(f"{args.path}: ok (kind {type(inst).__name__}, ambient dimension {inst.ambient_dim})")
     return 0

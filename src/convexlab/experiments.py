@@ -18,6 +18,7 @@ from .errors import CalibrationMissingError, DomainError
 from .parallel import map_units
 from .report import ExperimentReport, binom_se
 from .rng import RngStream
+from .storage import load_calibration, save_calibration
 
 LN2 = math.log(2.0)
 
@@ -64,8 +65,6 @@ def _calibration(config: ExperimentConfig) -> tolerant.CalibrationRecord | float
     if "c0_hat" in config.overrides:
         return float(config.overrides["c0_hat"])
     if config.calibration_path:
-        from .storage import load_calibration
-
         return load_calibration(config.calibration_path)
     raise CalibrationMissingError(
         "experiment needs the measured constant: run calibrate-c0 and pass --calibration, "
@@ -212,8 +211,6 @@ def run_calibrate_c0(config: ExperimentConfig) -> ExperimentReport:
         n=n, N=N, c1=c1, v_u_mean=v_mean, v_u_ci=ci, produced_by_seed=config.seed
     )
     if config.output_path:
-        from .storage import save_calibration
-
         save_calibration(record, config.output_path)
     return report
 
@@ -280,37 +277,6 @@ def run_moment_matching(config: ExperimentConfig) -> ExperimentReport:
 # -- testers -----------------------------------------------------------------------
 
 
-# Convex membership oracles in R^d with nontrivial Gaussian mass, built from
-# (d, rng).  One stream layout serves all four: rng draws the halfspace normal
-# and then the ellipsoid axes, rng.child(1) the ellipsoid frame and rng.child(2)
-# the PTF.
-
-
-def _halfspace(d: int, rng: RngStream) -> testers.BatchOracle:
-    w = rng.generator().standard_normal(d)
-    w /= np.linalg.norm(w)
-    return testers.BatchOracle(d, lambda pts: pts @ w <= 0.3)
-
-
-def _ball(d: int, rng: RngStream) -> testers.BatchOracle:
-    return testers.BatchOracle(d, lambda pts: np.einsum("ij,ij->i", pts, pts) <= d)
-
-
-def _ellipsoid(d: int, rng: RngStream) -> testers.BatchOracle:
-    gen = rng.generator()
-    gen.standard_normal(d)  # the halfspace normal comes first on this stream
-    axes = 0.5 + gen.random(d) * 1.5
-    q_mat = gauss.sample_haar_frame(d, d, rng.child(1)).vectors
-    return testers.BatchOracle(d, lambda pts: ((pts @ q_mat.T) ** 2 * axes).sum(axis=1) <= d)
-
-
-def _yes_ptf(d: int, rng: RngStream) -> ptf.PTFInstance:
-    return ptf.sample_ptf_instance(d, 3, ptf.DEFAULT_CLIP, "yes", rng.child(2))
-
-
-CONVEX_CONTROLS = {"halfspace": _halfspace, "ball": _ball, "ellipsoid": _ellipsoid, "yes-ptf": _yes_ptf}
-
-
 def run_soundness(config: ExperimentConfig) -> ExperimentReport:
     """One-sided soundness: no built-in tester may ever reject a convex oracle."""
     d = config.dim(20)
@@ -319,12 +285,13 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         "soundness", {"d": d, "budget": budget, "runs_per_cell": runs_per_cell}, config.seed
     )
-    # Cells run kind-major, then control, then run: cell = (kind, control, run).
-    total_runs = len(CONVEX_CONTROLS) * runs_per_cell
-    cells = len(testers.STRATEGY_KINDS) * total_runs
-    rejected = map_units(_soundness_cell, cells, config.rng(), d, budget, runs_per_cell)
+    rng = config.rng()
+    total_runs = len(testers.CONVEX_FAMILIES) * runs_per_cell
     for k, kind in enumerate(testers.STRATEGY_KINDS):
-        rejections = sum(rejected[k * total_runs:(k + 1) * total_runs])
+        rejections = sum(
+            testers.rejections(kind, family, d, budget, runs_per_cell, rng.child(k).child(f))
+            for f, family in enumerate(testers.CONVEX_FAMILIES)
+        )
         report.add_estimate(f"rejections[{kind}]", rejections, 0.0, total_runs)
         report.assert_leq(
             f"{kind} never rejects a convex oracle ({total_runs} runs)",
@@ -333,16 +300,6 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
             source="closed-form",
         )
     return report
-
-
-def _soundness_cell(rng: RngStream, cell: int, d: int, budget: int, runs_per_cell: int) -> bool:
-    """Whether one run of a baseline strategy rejects one convex control."""
-    controls = len(CONVEX_CONTROLS)
-    kind = testers.STRATEGY_KINDS[cell // (controls * runs_per_cell)]
-    build = list(CONVEX_CONTROLS.values())[cell // runs_per_cell % controls]
-    stream = rng.child(cell)
-    strategy = testers.baseline_strategy(kind, budget, d, stream.child(1))
-    return testers.run_one_sided(strategy, build(d, stream.child(0)), budget)[0].outcome == "reject"
 
 
 def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
@@ -361,12 +318,10 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
         rates.append(sub.value("rejection_rate"))
         report.merge(sub, prefix=f"adaptive budget={budget}")
     slack = 3.0 * max(binom_se(int(r * trials), trials) for r in rates) + 1e-12
-    nondecreasing = all(rates[i + 1] >= rates[i] - slack for i in range(len(rates) - 1))
-    report.add_assertion(
+    report.assert_leq(
         "adaptive-family rejection rate nondecreasing in budget (3se slack)",
-        slack,
         max(0.0, max(rates[i] - rates[i + 1] for i in range(len(rates) - 1))),
-        nondecreasing,
+        slack,
         source="derived",
     )
     sub = testers.rejection_rate(
@@ -451,12 +406,10 @@ def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
         report.merge(sub, prefix=f"n={n}")
     if len(rates) > 1:
         slack = 3.0 * max(binom_se(int(r * trials), trials) for r in rates)
-        decreasing = all(rates[i + 1] <= rates[i] + slack for i in range(len(rates) - 1))
-        report.add_assertion(
+        report.assert_leq(
             "conditional crossing probability decreasing in n at fixed q (3se slack)",
-            slack,
             max(0.0, max(rates[i + 1] - rates[i] for i in range(len(rates) - 1))),
-            decreasing,
+            slack,
             source="derived",
         )
     return report
@@ -545,14 +498,10 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         report.merge(sub_far, prefix=f"far n={n}")
     if len(grid) > 1:
         slack = 3.0 * max(binom_se(int(r * q_trials), q_trials) for r in near_rates)
-        decreasing = all(
-            near_rates[i + 1] <= near_rates[i] + slack for i in range(len(near_rates) - 1)
-        )
-        report.add_assertion(
+        report.assert_leq(
             "near-pair separation rate decaying in n (3se slack)",
-            slack,
             max(0.0, max(near_rates[i + 1] - near_rates[i] for i in range(len(near_rates) - 1))),
-            decreasing,
+            slack,
             source="derived",
         )
         for i, n in enumerate(grid):
@@ -614,26 +563,27 @@ def run_response_tv(config: ExperimentConfig) -> ExperimentReport:
 
 # -- registry -------------------------------------------------------------------------
 
+# name -> (function, description, the override keys it reads)
 REGISTRY = {
-    "verify-tail-bounds": (run_verify_tail_bounds, "spherical-cap and chi-square tail inequalities, empirically"),
-    "r-estimate": (run_r_estimate, "threshold solver against its closed-form estimate"),
-    "shell-membership": (run_shell_membership, "half-membership threshold: closed form and Monte Carlo"),
-    "high-degree-bound": (run_high_degree_bound, "multiply-violated point probability <= c1^q/q!"),
-    "flap-dogear-ratio": (run_flap_dogear_ratio, "uniquely- vs multiply-violated volume ratio >= 2/c1 - 2"),
-    "unique-volume": (run_unique_volume, "uniquely-violated volume: mean, floor, concentration"),
-    "calibrate-c0": (run_calibrate_c0, "measure the unique-volume constant and persist the record"),
-    "moment-matching": (run_moment_matching, "discrete laws matching Gaussian raw moments"),
-    "soundness": (run_soundness, "built-in testers never reject convex oracles"),
-    "rejection-rates": (run_rejection_rates, "baseline tester rejection rates per instance family"),
-    "distance-lb": (run_distance_lb, "violating-triple seed probability on adaptive instances"),
-    "detect-events": (run_detect_events, "transcript event frequencies on random query sets"),
-    "strip-crossing": (run_strip_crossing, "conditional strip-boundary crossing for clustered queries"),
-    "view-tv": (run_view_tv, "yes/no response-view agreement conditioned on no distinguishing pair"),
-    "eps-gap": (run_eps_gap, "closeness/farness constants and their gap"),
-    "xy-pair": (run_xy_pair, "pairwise distinguishing probabilities for fixed shell points"),
-    "bivariate-tail": (run_bivariate_tail, "joint Gaussian tail against the closed-form bound"),
-    "no-distance": (run_no_distance, "collinear (1,0,1) witness frequency on no-instances"),
-    "response-tv": (run_response_tv, "coupled response-vector total variation for the two laws"),
+    "verify-tail-bounds": (run_verify_tail_bounds, "spherical-cap and chi-square tail inequalities, empirically", ()),
+    "r-estimate": (run_r_estimate, "threshold solver against its closed-form estimate", ("c1",)),
+    "shell-membership": (run_shell_membership, "half-membership threshold: closed form and Monte Carlo", ()),
+    "high-degree-bound": (run_high_degree_bound, "multiply-violated point probability <= c1^q/q!", ()),
+    "flap-dogear-ratio": (run_flap_dogear_ratio, "uniquely- vs multiply-violated volume ratio >= 2/c1 - 2", ()),
+    "unique-volume": (run_unique_volume, "uniquely-violated volume: mean, floor, concentration", ("points_per_body", "c1")),
+    "calibrate-c0": (run_calibrate_c0, "measure the unique-volume constant and persist the record", ("points_per_body",)),
+    "moment-matching": (run_moment_matching, "discrete laws matching Gaussian raw moments", ()),
+    "soundness": (run_soundness, "built-in testers never reject convex oracles", ()),
+    "rejection-rates": (run_rejection_rates, "baseline tester rejection rates per instance family", ("c0_hat",)),
+    "distance-lb": (run_distance_lb, "violating-triple seed probability on adaptive instances", ("a_const",)),
+    "detect-events": (run_detect_events, "transcript event frequencies on random query sets", ()),
+    "strip-crossing": (run_strip_crossing, "conditional strip-boundary crossing for clustered queries", ("ratio_limit", "cluster_radius")),
+    "view-tv": (run_view_tv, "yes/no response-view agreement conditioned on no distinguishing pair", ("c0_hat",)),
+    "eps-gap": (run_eps_gap, "closeness/farness constants and their gap", ("points_per_draw", "c0_hat")),
+    "xy-pair": (run_xy_pair, "pairwise distinguishing probabilities for fixed shell points", ("c3", "c0_hat")),
+    "bivariate-tail": (run_bivariate_tail, "joint Gaussian tail against the closed-form bound", ()),
+    "no-distance": (run_no_distance, "collinear (1,0,1) witness frequency on no-instances", ("l", "points_per_line")),
+    "response-tv": (run_response_tv, "coupled response-vector total variation for the two laws", ()),
 }
 
 def _suite_seed(seed: int, index: int) -> int:
@@ -641,26 +591,32 @@ def _suite_seed(seed: int, index: int) -> int:
     return int(RngStream(seed, index).generator().integers(2**63))
 
 
+def _check_overrides(experiment: str, overrides: dict, known):
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise DomainError(f"{experiment} reads no override {unknown}; it reads {sorted(known)}")
+
+
 def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
     """The full verification suite at desk parameters, one sub-report each.
 
     The suite runs REGISTRY in its order; calibrate-c0 comes before the
-    experiments that read its constant.
+    experiments that read its constant.  Each experiment gets only the
+    overrides it reads, and the measured c0_hat unless one is set.
     """
+    read = {key for _, _, keys in REGISTRY.values() for key in keys}
+    _check_overrides("all-lemmas", config.overrides, read)
     report = ExperimentReport("all-lemmas", {"n": config.dim(), "N": config.halfspaces(config.dim())}, config.seed)
     c0_hat: float | None = None
-    for index, (name, (fn, _)) in enumerate(REGISTRY.items()):
+    for index, (name, (fn, _, keys)) in enumerate(REGISTRY.items()):
         sub_config = ExperimentConfig(
             experiment=name,
             seed=_suite_seed(config.seed, index),
             n=config.n,
             N=config.N,
-            overrides=dict(config.overrides),
+            overrides={k: v for k, v in config.overrides.items() if k in keys},
         )
-        if (
-            name in ("view-tv", "eps-gap", "xy-pair", "rejection-rates")
-            and "c0_hat" not in sub_config.overrides
-        ):
+        if "c0_hat" in keys and "c0_hat" not in sub_config.overrides:
             if c0_hat is None:
                 raise CalibrationMissingError("suite ordering bug: calibration not yet run")
             sub_config.overrides["c0_hat"] = c0_hat
@@ -679,11 +635,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report = run_all_lemmas(config)
     else:
         try:
-            fn, _ = REGISTRY[config.experiment]
+            fn, _, keys = REGISTRY[config.experiment]
         except KeyError:
             raise DomainError(
                 f"unknown experiment {config.experiment!r}; run the manifest command for the list"
             ) from None
+        _check_overrides(config.experiment, config.overrides, keys)
         report = fn(config)
         _echo(report, config)
     report.wall_time = time.perf_counter() - started

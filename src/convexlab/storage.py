@@ -1,17 +1,24 @@
 """Versioned JSON persistence for instances and calibration records.
 
-Seed-only records regenerate instances bit-exactly through the original
-samplers; explicit-array records carry the raw numbers (shortest round-trip
-decimal, so loading reproduces the exact doubles).  Every file embeds a
-checksum of its canonical payload and a format version.
+One table, `KINDS`, names each instance kind once: its type, its sampler, the
+parameters the sampler reads, the derived values to re-check after sampling,
+and the array an explicit record embeds.  Every instance record carries its
+generation seed and regenerates bit-exactly through the sampler, so a body
+built by hand, without a stream, cannot be saved.  An explicit record also
+carries the array (shortest round-trip decimal), and loading checks that the
+regenerated array equals it.  Every file embeds a checksum of its canonical
+payload and a format version.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -54,135 +61,84 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
-def _floats(array: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(array)]
+@dataclass(frozen=True)
+class Kind:
+    type: type
+    sample: Callable            # (stream, *stored parameters) -> instance
+    derived: dict[str, float]   # stored values the sampler recomputes -> re-check tolerance
+    array: str                  # attribute path of the array an explicit record embeds
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The stored parameters: the names of the sampler's arguments after the stream."""
+        return tuple(inspect.signature(self.sample).parameters)[1:]
+
+    @property
+    def array_key(self) -> str:
+        return self.array.rpartition(".")[2]
+
+
+KINDS = {
+    "nazarov": Kind(
+        nazarov.NazarovBody, lambda rng, n, N, r, c1: nazarov.sample_body(n, N, r, rng, c1=c1),
+        {}, "normals",
+    ),
+    "adaptive": Kind(
+        adaptive.AdaptiveInstance, lambda rng, n, N: adaptive.sample_adaptive_instance(n, N, rng),
+        {"r": 1e-12}, "body.normals",
+    ),
+    "tolerant": Kind(
+        tolerant.TolerantInstance,
+        lambda rng, n, N, c0_hat: tolerant.sample_tolerant_instance(n, N, rng, float(c0_hat)),
+        {"c1": 1e-15, "c2": 1e-15, "tau": 1e-15}, "body.normals",
+    ),
+    "ptf": Kind(
+        ptf.PTFInstance,
+        lambda rng, n, l, clip_c, flavor, neg_atom, neg_prob: ptf.sample_ptf_instance(
+            n, l, clip_c, flavor, rng, neg_atom, neg_prob
+        ),
+        {"mu": 1e-12}, "coeffs",
+    ),
+}
+_KIND_OF_TYPE = {kind.type: name for name, kind in KINDS.items()}
 
 
 def save_instance(inst, path: str, include_arrays: bool = False):
     """Write an instance file; seed-only unless include_arrays is set."""
-    if isinstance(inst, nazarov.NazarovBody):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "nazarov",
-            "n": inst.n,
-            "N": inst.N,
-            "r": inst.r,
-            "c1": inst.c1,
-        }
-        if inst.stream is not None:
-            payload["seed"] = [inst.stream.seed, inst.stream.stream_id]
-        if include_arrays:
-            payload["normals"] = _floats(inst.normals)
-        if "seed" not in payload and "normals" not in payload:
-            raise FormatError("body has no generation seed; save it with include_arrays=True")
-    elif isinstance(inst, adaptive.AdaptiveInstance):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "adaptive",
-            "n": inst.n,
-            "N": inst.N,
-            "r": inst.r,
-            "seed": [inst.stream.seed, inst.stream.stream_id],
-        }
-        if include_arrays:
-            payload["normals"] = _floats(inst.body.normals)
-    elif isinstance(inst, tolerant.TolerantInstance):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "tolerant",
-            "n": inst.n,
-            "N": inst.N,
-            "seed": [inst.stream.seed, inst.stream.stream_id],
-            "c0_hat": inst.c0_hat,
-            "c1": inst.c1,
-            "c2": inst.c2,
-            "tau": inst.tau,
-        }
-        if include_arrays:
-            payload["normals"] = _floats(inst.body.normals)
-    elif isinstance(inst, ptf.PTFInstance):
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "kind": "ptf",
-            "n": inst.n,
-            "l": inst.l,
-            "mu": inst.mu,
-            "clip_c": inst.clip_c,
-            "flavor": inst.flavor,
-            "seed": [inst.stream.seed, inst.stream.stream_id],
-            "neg_atom": inst.neg_atom,
-            "neg_prob": inst.neg_prob,
-        }
-        if include_arrays:
-            payload["coeffs"] = [float(v) for v in inst.coeffs]
-    else:
+    name = _KIND_OF_TYPE.get(type(inst))
+    if name is None:
         raise FormatError(f"cannot serialize object of type {type(inst).__name__}")
+    if inst.stream is None:
+        raise FormatError(f"{name} instance has no generation seed; only sampled instances can be saved")
+    kind = KINDS[name]
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "kind": name,
+        "seed": [inst.stream.seed, inst.stream.stream_id],
+    }
+    payload.update((key, getattr(inst, key)) for key in (*kind.params, *kind.derived))
+    if include_arrays:
+        payload[kind.array_key] = attrgetter(kind.array)(inst).tolist()
     _finish(payload, path)
 
 
 def load_instance(path: str):
-    """Rebuild an instance from a file; seed records regenerate bit-exactly."""
+    """Rebuild an instance from its seed, then check the stored values."""
     payload = _load_payload(path)
-    kind = payload.get("kind")
-    if kind == "nazarov":
-        if "seed" in payload:
-            stream = RngStream(*payload["seed"])
-            body = nazarov.sample_body(
-                payload["n"], payload["N"], payload["r"], stream, c1=payload.get("c1")
-            )
-            _check_stored_normals(payload, body.normals)
-            return body
-        normals = payload.get("normals")
-        if normals is None:
-            raise FormatError("nazarov record lacks both seed and explicit normals")
-        return nazarov.NazarovBody(
-            n=payload["n"],
-            N=payload["N"],
-            r=payload["r"],
-            normals=np.array(normals),
-            c1=payload.get("c1"),
-        )
-    if kind == "adaptive":
-        stream = RngStream(*payload["seed"])
-        inst = adaptive.sample_adaptive_instance(payload["n"], payload["N"], stream)
-        if abs(inst.r - payload["r"]) > 1e-12:
-            raise FormatError("regenerated threshold differs from the stored one")
-        _check_stored_normals(payload, inst.body.normals)
-        return inst
-    if kind == "tolerant":
-        stream = RngStream(*payload["seed"])
-        inst = tolerant.sample_tolerant_instance(
-            payload["n"], payload["N"], stream, float(payload["c0_hat"])
-        )
-        for field in ("c2", "tau"):
-            if abs(getattr(inst, field) - payload[field]) > 1e-15:
-                raise FormatError(f"regenerated {field} differs from the stored one")
-        _check_stored_normals(payload, inst.body.normals)
-        return inst
-    if kind == "ptf":
-        stream = RngStream(*payload["seed"])
-        inst = ptf.sample_ptf_instance(
-            payload["n"],
-            payload["l"],
-            payload["clip_c"],
-            payload["flavor"],
-            stream,
-            payload["neg_atom"],
-            payload["neg_prob"],
-        )
-        if abs(inst.mu - payload["mu"]) > 1e-12:
-            raise FormatError("regenerated threshold differs from the stored one")
-        stored = payload.get("coeffs")
-        if stored is not None and not np.array_equal(np.array(stored), inst.coeffs):
-            raise FormatError("regenerated coefficients differ from the stored arrays")
-        return inst
-    raise FormatError(f"unknown instance kind {kind!r}")
-
-
-def _check_stored_normals(payload: dict, normals: np.ndarray):
-    stored = payload.get("normals")
-    if stored is not None and not np.array_equal(np.array(stored), normals):
-        raise FormatError("regenerated normals differ from the stored arrays")
+    kind = KINDS.get(payload.get("kind"))
+    if kind is None:
+        raise FormatError(f"unknown instance kind {payload.get('kind')!r}")
+    missing = [key for key in ("seed", *kind.params, *kind.derived) if key not in payload]
+    if missing:
+        raise FormatError(f"{payload['kind']} record lacks {missing}")
+    inst = kind.sample(RngStream(*payload["seed"]), *(payload[key] for key in kind.params))
+    for key, tol in kind.derived.items():
+        if abs(getattr(inst, key) - payload[key]) > tol:
+            raise FormatError(f"regenerated {key} differs from the stored one")
+    stored = payload.get(kind.array_key)
+    if stored is not None and not np.array_equal(np.array(stored), attrgetter(kind.array)(inst)):
+        raise FormatError(f"regenerated {kind.array_key} differ from the stored arrays")
+    return inst
 
 
 def save_calibration(record: tolerant.CalibrationRecord, path: str):
@@ -198,10 +154,5 @@ def load_calibration(path: str) -> tolerant.CalibrationRecord:
     if payload.get("kind") != "calibration":
         raise FormatError(f"{path} is not a calibration record")
     return tolerant.CalibrationRecord(
-        n=payload["n"],
-        N=payload["N"],
-        c1=payload["c1"],
-        v_u_mean=payload["v_u_mean"],
-        v_u_ci=payload["v_u_ci"],
-        produced_by_seed=payload["produced_by_seed"],
+        **{f.name: payload[f.name] for f in fields(tolerant.CalibrationRecord)}
     )

@@ -18,7 +18,9 @@ array of rows to an int8 array of m labels in {0, 1} and raises
 DimensionMismatchError on rows of another dimension.  The instance families
 implement it themselves (AdaptiveInstance, PTFInstance, NazarovBody, and the
 `yes` / `no` realizations of a TolerantInstance); any other oracle is a
-BatchOracle built from a rule on checked rows.
+BatchOracle built from a rule on checked rows.  `family_oracle` names each
+family a tester runs against: the instance families and the convex families
+that soundness checks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 from scipy.optimize import linprog
 
+from . import ptf
 from .errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
+from .gauss import sample_haar_frame
 from .parallel import map_units
 from .report import ExperimentReport, binom_se, wilson_interval
 from .rng import RngStream
@@ -214,6 +218,56 @@ def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strateg
 
 STRATEGY_KINDS = ("line-segment", "hull-sampling")
 INSTANCE_FAMILIES = ("adaptive", "tolerant-yes", "tolerant-no", "ptf-yes", "ptf-no")
+# Convex membership oracles with nontrivial Gaussian mass: no one-sided tester
+# may ever reject them.
+CONVEX_FAMILIES = ("halfspace", "ball", "ellipsoid", "ptf-yes")
+
+
+def family_oracle(family: str, n: int, rng: RngStream, calibration=None) -> Oracle:
+    """One draw of a named family, as the oracle the tester queries.
+
+    The instance families live in R^{2n} (adaptive), R^{n+1} (tolerant) and
+    R^n (ptf); the convex families live in R^n.
+    """
+    from . import adaptive, tolerant
+
+    if family == "adaptive":
+        return adaptive.sample_adaptive_instance(n, None, rng)
+    if family in ("tolerant-yes", "tolerant-no"):
+        pair = tolerant.sample_tolerant_instance(n, None, rng, calibration)
+        return getattr(pair, family.removeprefix("tolerant-"))
+    if family in ("ptf-yes", "ptf-no"):
+        return ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, family.removeprefix("ptf-"), rng)
+    if family == "halfspace":
+        w = rng.generator().standard_normal(n)
+        w /= np.linalg.norm(w)
+        return BatchOracle(n, lambda pts: pts @ w <= 0.3)
+    if family == "ball":
+        return BatchOracle(n, lambda pts: np.einsum("ij,ij->i", pts, pts) <= n)
+    if family == "ellipsoid":
+        axes = 0.5 + rng.generator().random(n) * 1.5
+        frame = sample_haar_frame(n, n, rng.child(1)).vectors
+        return BatchOracle(n, lambda pts: ((pts @ frame.T) ** 2 * axes).sum(axis=1) <= n)
+    raise DomainError(f"unknown instance family {family!r}")
+
+
+def rejections(
+    strategy_kind: str,
+    family: str,
+    n: int,
+    budget: int,
+    trials: int,
+    rng: RngStream,
+    calibration=None,
+) -> int:
+    """How many of `trials` runs of a baseline strategy reject a family.
+
+    Run t draws its oracle from rng.child(2t) and its queries from
+    rng.child(2t + 1).
+    """
+    if family not in INSTANCE_FAMILIES + CONVEX_FAMILIES:
+        raise DomainError(f"unknown instance family {family!r}")
+    return sum(map_units(_rejects, trials, rng, strategy_kind, family, n, budget, calibration))
 
 
 def rejection_rate(
@@ -226,8 +280,7 @@ def rejection_rate(
     calibration=None,
 ) -> ExperimentReport:
     """Rejection frequency of a baseline strategy against an instance family."""
-    if instance_family not in INSTANCE_FAMILIES:
-        raise DomainError(f"unknown instance family {instance_family!r}")
+    rejects = rejections(strategy_kind, instance_family, n, budget, trials, rng, calibration)
     report = ExperimentReport(
         "rejection-rate",
         {
@@ -239,9 +292,6 @@ def rejection_rate(
         },
         rng.seed,
     )
-    rejects = sum(
-        map_units(_rejects, trials, rng, strategy_kind, instance_family, n, budget, calibration)
-    )
     freq = rejects / trials
     lo, hi = wilson_interval(rejects, trials)
     report.add_estimate("rejection_rate", freq, binom_se(rejects, trials), trials)
@@ -250,19 +300,7 @@ def rejection_rate(
     return report
 
 
-def _family_oracle(family: str, n: int, rng: RngStream, calibration) -> Oracle:
-    """One instance of a rejection-rate family, as the oracle the tester queries."""
-    from . import adaptive, ptf, tolerant
-
-    if family == "adaptive":
-        return adaptive.sample_adaptive_instance(n, None, rng)
-    if family in ("tolerant-yes", "tolerant-no"):
-        pair = tolerant.sample_tolerant_instance(n, None, rng, calibration)
-        return pair.yes if family == "tolerant-yes" else pair.no
-    return ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, family.removeprefix("ptf-"), rng)
-
-
 def _rejects(rng: RngStream, t: int, strategy_kind, family, n, budget, calibration) -> bool:
-    oracle = _family_oracle(family, n, rng.child(2 * t), calibration)
+    oracle = family_oracle(family, n, rng.child(2 * t), calibration)
     strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
     return run_one_sided(strategy, oracle, budget)[0].outcome == "reject"

@@ -114,6 +114,25 @@ class TestRun:
         assert "c2" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify-tail-bounds", "--n", "20", "--trials", "10000", "--set", "bogus=1"],
+            ["moment-matching", "--set", "c1=5"],
+            ["r-estimate", "--set", "c1=0.01", "--set", "c3=0.2"],
+            ["all-lemmas", "--set", "bogus=1"],
+        ],
+        ids=["verify-tail-bounds", "moment-matching", "r-estimate", "all-lemmas"],
+    )
+    def test_unknown_override_rejected(self, tmp_path, args):
+        out = tmp_path / "out.json"
+        result = run_cli(["run", args[0], "--seed", "1", *args[1:], "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert "reads no override" in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["make-instance", "run"])
     def test_nonpositive_calibration_record_rejected(self, tmp_path, command):
         from convexlab.storage import save_calibration
@@ -192,7 +211,7 @@ class TestDeterminism:
             return report
 
         monkeypatch.setattr(
-            experiments, "REGISTRY", {name: (stub, "") for name in experiments.REGISTRY}
+            experiments, "REGISTRY", {name: (stub, "", ()) for name in experiments.REGISTRY}
         )
 
         def sub_seeds(seed):
@@ -239,6 +258,31 @@ class TestDeterminism:
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
 
+    def test_suite_passes_each_experiment_its_own_overrides(self, monkeypatch):
+        seen = {}
+
+        def stub(config):
+            seen[config.experiment] = dict(config.overrides)
+            report = ExperimentReport(config.experiment, {}, config.seed)
+            report.add_estimate("c0_hat", 0.5)
+            return report
+
+        monkeypatch.setattr(
+            experiments,
+            "REGISTRY",
+            {name: (stub, "", keys) for name, (_, _, keys) in experiments.REGISTRY.items()},
+        )
+        overrides = {"c1": 0.02, "c3": 0.2}
+        experiments.run_all_lemmas(
+            ExperimentConfig(experiment="all-lemmas", seed=3, overrides=overrides)
+        )
+        for name, (_, _, keys) in experiments.REGISTRY.items():
+            expected = {k: v for k, v in overrides.items() if k in keys}
+            if "c0_hat" in keys:
+                expected["c0_hat"] = 0.5
+            assert seen[name] == expected, name
+        assert seen["r-estimate"] == {"c1": 0.02} and seen["xy-pair"]["c3"] == 0.2
+
     def test_suite_timings_kept_outside_body(self, monkeypatch):
         def stub(config):
             report = ExperimentReport(config.experiment, {}, config.seed)
@@ -246,7 +290,7 @@ class TestDeterminism:
             return report
 
         monkeypatch.setattr(
-            experiments, "REGISTRY", {name: (stub, "") for name in experiments.REGISTRY}
+            experiments, "REGISTRY", {name: (stub, "", ()) for name in experiments.REGISTRY}
         )
         config = ExperimentConfig(experiment="all-lemmas", seed=3)
         report = experiments.run_all_lemmas(config)

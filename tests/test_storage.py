@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from convexlab import adaptive, nazarov, ptf, tolerant
 from convexlab.errors import FormatError
 from convexlab.rng import RngStream
 from convexlab.storage import (
+    KINDS,
+    _checksum,
     load_calibration,
     load_instance,
     save_calibration,
@@ -66,7 +69,93 @@ class TestRoundTrips:
         np.testing.assert_array_equal(inst.body.normals, loaded.body.normals)
 
 
+# Instance files written by an earlier release of this module: every kind at
+# n=8, seed-only and explicit (`lab make-instance --n 8 --seed 11`, tolerant
+# with --c0-hat 0.35), plus a nazarov body with c1=None (seed 12) and a PTF
+# yes-instance at l=5 (seed 13).
+DATA = Path(__file__).parent / "data"
+RECORDED = sorted(path.name for path in DATA.glob("*.json"))
+
+
+class TestRecordedFiles:
+    def test_every_kind_recorded_both_ways(self):
+        seen = set()
+        for name in RECORDED:
+            payload = json.loads((DATA / name).read_text())
+            seen.add((payload["kind"], KINDS[payload["kind"]].array_key in payload))
+        assert seen == {(kind, explicit) for kind in KINDS for explicit in (False, True)}
+
+    @pytest.mark.parametrize("name", RECORDED)
+    def test_load_and_resave(self, tmp_path, name):
+        stored = json.loads((DATA / name).read_text())
+        kind = KINDS[stored["kind"]]
+        inst = load_instance(str(DATA / name))
+        path = tmp_path / name
+        save_instance(inst, str(path), include_arrays=kind.array_key in stored)
+        resaved = json.loads(path.read_text())
+        # The checksum covers the derived floats, which may move within their
+        # load tolerances under another libm or LAPACK.
+        for payload in (stored, resaved):
+            del payload["checksum"]
+        for key, tol in kind.derived.items():
+            assert abs(resaved.pop(key) - stored.pop(key)) <= tol
+        assert resaved == stored
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("adaptive-seed.json", "r"),
+            ("tolerant-seed.json", "c2"),
+            ("tolerant-seed.json", "tau"),
+            ("ptf-seed.json", "mu"),
+        ],
+    )
+    def test_changed_derived_value_rejected(self, tmp_path, name, key):
+        payload = json.loads((DATA / name).read_text())
+        payload[key] += 1e-9
+        self._rewrite(payload, tmp_path / name)
+        with pytest.raises(FormatError, match=f"regenerated {key}"):
+            load_instance(str(tmp_path / name))
+
+    @pytest.mark.parametrize("name", [n for n in RECORDED if n.endswith("-explicit.json")])
+    def test_changed_array_rejected(self, tmp_path, name):
+        payload = json.loads((DATA / name).read_text())
+        key = KINDS[payload["kind"]].array_key
+        array = np.array(payload[key])
+        array.flat[0] += 1e-12
+        payload[key] = array.tolist()
+        self._rewrite(payload, tmp_path / name)
+        with pytest.raises(FormatError, match=f"regenerated {key}"):
+            load_instance(str(tmp_path / name))
+
+    @staticmethod
+    def _rewrite(payload: dict, path):
+        del payload["checksum"]
+        payload["checksum"] = _checksum(payload)
+        path.write_text(json.dumps(payload))
+
+
 class TestErrors:
+    def test_seedless_body_rejected(self, tmp_path):
+        body = nazarov.NazarovBody(n=2, N=1, r=1.0, normals=np.ones((1, 2)))
+        path = tmp_path / "seedless.json"
+        with pytest.raises(FormatError, match="seed"):
+            save_instance(body, str(path), include_arrays=True)
+        assert not path.exists()
+
+    def test_unknown_type_rejected(self, tmp_path):
+        path = tmp_path / "frame.json"
+        with pytest.raises(FormatError, match="cannot serialize"):
+            save_instance(RngStream(1), str(path))
+        assert not path.exists()
+
+    def test_record_without_seed_rejected(self, tmp_path):
+        payload = json.loads((DATA / "nazarov-explicit.json").read_text())
+        del payload["seed"]
+        TestRecordedFiles._rewrite(payload, tmp_path / "no-seed.json")
+        with pytest.raises(FormatError, match="seed"):
+            load_instance(str(tmp_path / "no-seed.json"))
+
     def test_truncated_file(self, tmp_path):
         inst = adaptive.sample_adaptive_instance(16, None, RngStream(706))
         path = tmp_path / "trunc.json"

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import separated_by_direction_scan
-from convexlab import adaptive, experiments, nazarov, ptf, tolerant
+from convexlab import adaptive, nazarov, ptf, tolerant
 from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError
 from convexlab.rng import RngStream
 from convexlab.testers import (
+    CONVEX_FAMILIES,
     HULL_TOL,
+    INSTANCE_FAMILIES,
     BatchOracle,
     _certified_outside,
     baseline_strategy,
     certificate_valid,
+    family_oracle,
     in_convex_hull,
+    rejection_rate,
+    rejections,
     run_one_sided,
 )
 
@@ -232,8 +237,8 @@ def _per_prefix_verdict(points, labels) -> str:
     return "accept"
 
 
-# Oracle builders (rng -> oracle): the rejection_rate families at n = 4, the
-# convex controls in R^4, and two nonconvex sets in R^2 and R^3 that both
+# Oracle builders (rng -> oracle): the instance families at n = 4, the other
+# convex families in R^4, and two nonconvex sets in R^2 and R^3 that both
 # strategies reject on almost every run.
 PIN_ORACLES = {
     "adaptive": lambda rng: adaptive.sample_adaptive_instance(4, None, rng),
@@ -242,8 +247,9 @@ PIN_ORACLES = {
     "ptf-yes": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "yes", rng),
     "ptf-no": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "no", rng),
     **{
-        f"control-{name}": (lambda rng, build=build: build(4, rng))
-        for name, build in experiments.CONVEX_CONTROLS.items()
+        f"control-{name}": (lambda rng, name=name: family_oracle(name, 4, rng))
+        for name in CONVEX_FAMILIES
+        if name not in INSTANCE_FAMILIES
     },
     "disk-complement": lambda rng: _outside_disk(2, 1.0),
     "spherical-shell": lambda rng: BatchOracle(
@@ -269,7 +275,7 @@ class TestLeafVerdict:
                 assert any(np.array_equal(cert.point, z) for z in points[labels == 0])
                 np.testing.assert_array_equal(cert.support, points[labels == 1])
                 assert certificate_valid(cert.point, cert.support, cert.coefficients)
-        if name.startswith("control-"):
+        if name.removeprefix("control-") in CONVEX_FAMILIES:
             assert rejects == 0
         if name in ("disk-complement", "spherical-shell"):
             assert rejects >= 90
@@ -307,14 +313,10 @@ class TestLeafVerdict:
 
 class TestRejectionRate:
     def test_ptf_yes_never_rejects(self):
-        from convexlab.testers import rejection_rate
-
         report = rejection_rate("hull-sampling", "ptf-yes", 16, 12, 40, RngStream(71))
         assert report.value("rejection_rate") == 0.0
 
     def test_tolerant_yes_rate_recorded_not_asserted(self, calibration_small):
-        from convexlab.testers import rejection_rate
-
         report = rejection_rate(
             "hull-sampling", "tolerant-yes", 16, 12, 30, RngStream(72),
             calibration=calibration_small,
@@ -323,10 +325,21 @@ class TestRejectionRate:
         assert not report.assertions  # measured only
 
     def test_unknown_family(self):
-        from convexlab.testers import rejection_rate
-
         with pytest.raises(DomainError):
             rejection_rate("hull-sampling", "mystery", 8, 6, 5, RngStream(0))
+        with pytest.raises(DomainError):
+            rejections("hull-sampling", "mystery", 8, 6, 5, RngStream(0))
+
+    def test_rate_is_the_rejection_count_over_trials(self):
+        count = rejections("line-segment", "adaptive", 4, 60, 40, RngStream(73))
+        report = rejection_rate("line-segment", "adaptive", 4, 60, 40, RngStream(73))
+        assert 0 < count < 40
+        assert report.value("rejection_rate") == count / 40
+
+    @pytest.mark.parametrize("family", CONVEX_FAMILIES)
+    def test_convex_families_never_rejected(self, family):
+        for kind in ("line-segment", "hull-sampling"):
+            assert rejections(kind, family, 6, 24, 20, RngStream(74)) == 0
 
 
 def _adaptive8():
@@ -346,8 +359,9 @@ PROTOCOL_IMPLEMENTERS = {
     "body": lambda: nazarov.sample_body(8, 16, nazarov.solve_r_half(8, 16), RngStream(44)),
     "convexified-adaptive": lambda: adaptive.convexified_oracle(_adaptive8()),
     **{
-        f"control-{name}": (lambda build=build: build(6, RngStream(45)))
-        for name, build in experiments.CONVEX_CONTROLS.items()
+        f"control-{name}": (lambda name=name: family_oracle(name, 6, RngStream(45)))
+        for name in CONVEX_FAMILIES
+        if name not in INSTANCE_FAMILIES
     },
 }
 
