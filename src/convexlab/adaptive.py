@@ -10,13 +10,15 @@ the action direction of a uniquely violated halfspace crosses the strip
 boundary and produces collinear labels (1, 0, 1): a certificate of
 non-convexity that is hard to find but covers constant measure.
 
-The event rate (detect-events) draws whole instances, as the testers, the
-triple samplers and persistence do.  The fixed queries of an event-rate
-trial see an instance only through their coordinates in the Haar frame
-[control; action] (gauss.haar_coords) and, per block, their products with
-the N body normals and the N action directions (nazarov.normal_products), so
-the same events could be drawn in law without the 2n x 2n frame and the two
-N x n matrices.
+The labels of a fixed batch see an instance only through the batch's
+coordinates in the Haar frame [control; action] (gauss.haar_coords) and, per
+block, their products with the N body normals and the N action directions
+(nazarov.normal_products).  One rule (adaptive_labels) maps those to labels;
+an instance feeds it from its frame and matrices (eval_adaptive_batch), and
+sample_adaptive_labels draws them in law, on the instance's three streams,
+without the 2n x 2n frame and the two N x n matrices.  The testers label
+their one batch that way.  The event rate (detect-events), the triple
+samplers and persistence still draw whole instances.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .gauss import Frame, sample_haar_frame, std_normal_cdf
+from .gauss import Frame, haar_coords, sample_haar_frame, std_normal_cdf
 from .nazarov import (
     NazarovBody,
     default_halfspace_count,
+    normal_products,
     sample_body,
     solve_r_half,
 )
@@ -122,28 +125,63 @@ def sample_adaptive_instance(
     )
 
 
+def sample_adaptive_labels(points: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
+    """Labels of a batch of rows in a fresh instance, drawn without the instance.
+
+    Equal in law to sample_adaptive_instance(n, None, rng).labels(points):
+    the frame coordinates come from haar_coords on stream child(0), the body
+    and action products from normal_products on child(1) and child(2).
+    Drawn for one batch; a later batch would need them conditioned on this one.
+    """
+    if n < 4:
+        raise DomainError("need n >= 4")
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[1] != 2 * n:
+        raise DimensionMismatchError(f"points must have dimension {2 * n}")
+    N = default_halfspace_count(n)
+    r = solve_r_half(n, N)
+    coords = haar_coords(points, rng.child(0))
+    normals, dirs = rng.child(1).generator(), rng.child(2).generator()
+    return adaptive_labels(
+        n, points, coords[:, :n],
+        lambda xc: normal_products(xc, N, normals) > r,
+        lambda rows: normal_products(coords[rows, n:], N, dirs),
+    )
+
+
 def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarray:
     """Oracle labels for a batch of rows in R^{2n}."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != inst.ambient_dim:
         raise DimensionMismatchError(f"points must have dimension {inst.ambient_dim}")
-    m = points.shape[0]
-    labels = np.zeros(m, dtype=np.int8)
+    return adaptive_labels(
+        inst.n, points, inst.control.coords(points), inst.body.violated,
+        lambda rows: inst.action.coords(points[rows]) @ inst.action_dirs.T,
+    )
+
+
+def adaptive_labels(n, points, xc, violated, action_products) -> np.ndarray:
+    """The labelling rule of an instance, from what it shows a batch of rows.
+
+    `points` are the (m, 2n) rows and `xc` their control coordinates;
+    `violated` maps k control rows to their (k, N) violation matrix, and
+    `action_products` maps the indices of k rows to their (k, N) products
+    with the action directions.  Only the rows in both balls are probed,
+    and only the probed rows in some flap meet the action directions.
+    """
+    labels = np.zeros(points.shape[0], dtype=np.int8)
     norms_sq = np.einsum("ij,ij->i", points, points)
-    xc = inst.control.coords(points)
     xc_sq = np.einsum("ij,ij->i", xc, xc)
-    live = (norms_sq <= 2.0 * inst.n) & (xc_sq <= inst.n)
+    live = (norms_sq <= 2.0 * n) & (xc_sq <= n)
     if not np.any(live):
         return labels
     idx = np.nonzero(live)[0]
-    viol = inst.body.violated(xc[idx])                      # (m_live, N)
+    viol = violated(xc[idx])                                # (m_live, N)
     any_viol = viol.any(axis=1)
     labels[idx[~any_viol]] = 1                              # inside the body
     flap_rows = idx[any_viol]
     if flap_rows.size:
-        xa = inst.action.coords(points[flap_rows])          # (m_f, n)
-        proj = xa @ inst.action_dirs.T                      # <v^j, x> for all j
-        outside_strip = np.abs(proj) > inst.strip_halfwidth
+        outside_strip = np.abs(action_products(flap_rows)) > strip_halfwidth(n)
         ok = np.logical_or(outside_strip, ~viol[any_viol]).all(axis=1)
         labels[flap_rows[ok]] = 1
     return labels

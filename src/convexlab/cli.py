@@ -192,27 +192,26 @@ def _is_int(value) -> bool:
 
 
 def _cmd_make_instance(args) -> int:
-    from . import adaptive, nazarov, ptf, tolerant
+    from . import nazarov, ptf
     from .rng import RngStream
 
-    stream = RngStream(args.seed)
-    if args.kind == "nazarov":
-        n = args.n
-        count = nazarov.default_halfspace_count(n) if args.N is None else args.N
-        r = nazarov.solve_r(n, count, 0.01)
-        inst = nazarov.sample_body(n, count, r, stream, c1=0.01)
-    elif args.kind == "adaptive":
-        inst = adaptive.sample_adaptive_instance(args.n, args.N, stream)
-    elif args.kind == "tolerant":
+    kind = KINDS[args.kind]
+    values = {
+        "n": args.n, "N": args.N, "c1": 0.01, "l": args.l, "flavor": args.flavor,
+        "clip_c": ptf.DEFAULT_CLIP, "neg_atom": ptf.DEFAULT_NEG_ATOM, "neg_prob": ptf.DEFAULT_NEG_PROB,
+    }
+    if "r" in kind.params:
+        if args.N is None:
+            values["N"] = nazarov.default_halfspace_count(args.n)
+        values["r"] = nazarov.solve_r(args.n, values["N"], values["c1"])
+    if "c0_hat" in kind.params:
         if args.c0_hat is not None:
-            calibration = args.c0_hat
+            values["c0_hat"] = args.c0_hat
         elif args.calibration:
-            calibration = load_calibration(args.calibration)
+            values["c0_hat"] = load_calibration(args.calibration).c0_hat
         else:
             raise LabError("tolerant instances need --c0-hat or --calibration")
-        inst = tolerant.sample_tolerant_instance(args.n, args.N, stream, calibration)
-    else:
-        inst = ptf.sample_ptf_instance(args.n, args.l, ptf.DEFAULT_CLIP, args.flavor, stream)
+    inst = kind.sample(RngStream(args.seed), *(values[key] for key in kind.params))
     save_instance(inst, args.out, include_arrays=args.explicit)
     print(f"wrote {args.kind} instance to {args.out}")
     return 0

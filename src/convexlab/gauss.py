@@ -7,9 +7,10 @@ k = min(q, d)).  Then X F^T = R^T (F Q)^T, and F Q is a uniformly random
 k-frame of R^d: in law, the sign-fixed Q factor W of a d x k Gaussian.  So
 X F^T has the law of R^T W^T, which haar_coords draws with O(d k^2) work.
 The identity is exact, also for rank-deficient X; it holds for one draw of F
-against one fixed X, not for queries chosen after seeing answers.
-Instances that must exist as objects (testers, persistence, the adaptive
-event-rate experiment) still draw the full frame with sample_haar_frame.
+against one fixed X, not for queries chosen after seeing answers, so the
+testers draw it once per run, for their one batch.  Instances that must
+exist as objects (persistence, the adaptive event-rate experiment) still
+draw the full frame with sample_haar_frame.
 
 The cdf goes through erfc in double precision (max error well under the
 1e-13 budget).  The quantile and inverse survival function use bisection on

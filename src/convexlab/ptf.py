@@ -9,16 +9,20 @@ Yes-instances are convex (ellipsoid cap); no-instances with a negative
 coordinate are non-convex along lines in the span of the negative-coefficient
 basis vectors.
 
-The response-vector experiment labels a fixed batch of q queries, which see
-the basis only through their projections X U^T.  It draws those with
-gauss.haar_coords (R^T W^T for X = R^T Q^T and a uniform q-frame W), exactly
-in law, instead of the n x n basis; its coefficient streams are unchanged.
-Instances used as oracles, by the testers, no-distance and persistence, still
-draw the full basis with sample_haar_frame.
+A fixed batch of q queries sees the basis only through its projections
+X U^T, which gauss.haar_coords draws exactly in law (R^T W^T for
+X = R^T Q^T and a uniform q-frame W) instead of the n x n basis.  One rule
+(ptf_labels) labels a batch from its squared projections and the
+coefficients: an instance feeds it from its basis (eval_ptf_batch), and
+sample_ptf_labels from haar_coords, on the instance's two streams.  The
+testers label their one batch that way, and the response-vector experiment
+draws its projections the same way; no-distance and persistence draw the
+full basis with sample_haar_frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +93,7 @@ def _hermite_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs[0] ** 2
 
 
+@functools.lru_cache(maxsize=256)
 def match_moments_nonneg(l: int) -> tuple[float, DiscreteDistribution]:
     """Nonnegative law matching the first l moments of N(mu, 1).
 
@@ -112,6 +117,7 @@ def match_moments_nonneg(l: int) -> tuple[float, DiscreteDistribution]:
     return mu, dist
 
 
+@functools.lru_cache(maxsize=256)
 def match_moments_with_negative(
     mu: float,
     l: int,
@@ -235,15 +241,9 @@ def sample_ptf_instance(
 ) -> PTFInstance:
     if n < 1:
         raise DomainError("need n >= 1")
-    mu, yes_law = match_moments_nonneg(l)
+    mu, law = coefficient_law(l, flavor, neg_atom, neg_prob)
     basis = sample_haar_frame(n, n, rng.child(0), scale=1.0 / math.sqrt(n))
-    if flavor == "yes":
-        coeffs = yes_law.sample(n, rng.child(1))
-    elif flavor == "no":
-        no_law = match_moments_with_negative(mu, l, neg_atom, neg_prob)
-        coeffs = no_law.sample(n, rng.child(1))
-    else:
-        raise DomainError("flavor must be 'yes' or 'no'")
+    coeffs = law.sample(n, rng.child(1))
     return PTFInstance(
         n=n,
         l=l,
@@ -258,6 +258,36 @@ def sample_ptf_instance(
     )
 
 
+def coefficient_law(
+    l: int, flavor: str, neg_atom: float, neg_prob: float
+) -> tuple[float, DiscreteDistribution]:
+    """(mu, the coefficient law) of a yes- or no-flavor instance."""
+    mu, yes_law = match_moments_nonneg(l)
+    if flavor == "yes":
+        return mu, yes_law
+    if flavor == "no":
+        return mu, match_moments_with_negative(mu, l, neg_atom, neg_prob)
+    raise DomainError("flavor must be 'yes' or 'no'")
+
+
+def sample_ptf_labels(points: np.ndarray, n: int, l: int, flavor: str, rng: RngStream) -> np.ndarray:
+    """Labels of a batch of rows in a fresh instance, drawn without the basis.
+
+    Equal in law to sample_ptf_instance(n, l, DEFAULT_CLIP, flavor,
+    rng).labels(points): the projections come from haar_coords on stream
+    child(0), the coefficients from child(1).  Drawn for one batch; a later
+    batch would need the projections conditioned on this one.
+    """
+    if n < 1:
+        raise DomainError("need n >= 1")
+    mu, law = coefficient_law(l, flavor, DEFAULT_NEG_ATOM, DEFAULT_NEG_PROB)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[1] != n:
+        raise DimensionMismatchError(f"points must have dimension {n}")
+    proj_sq = haar_coords(points, rng.child(0)) ** 2 / n  # basis scale 1/sqrt(n)
+    return ptf_labels(points, proj_sq, law.sample(n, rng.child(1)), mu, math.sqrt(n) + DEFAULT_CLIP)
+
+
 def eval_ptf_batch(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
     """Labels 1{ sum_i c_i (a_i . x)^2 <= mu and |x| <= sqrt(n) + C }.
 
@@ -267,9 +297,15 @@ def eval_ptf_batch(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
     if points.shape[1] != inst.n:
         raise DimensionMismatchError(f"points must have dimension {inst.n}")
     proj = (points @ inst.basis.vectors.T) * inst.basis.scale
-    quad = (proj**2) @ inst.coeffs
+    return ptf_labels(points, proj**2, inst.coeffs, inst.mu, inst.clip_radius)
+
+
+def ptf_labels(points, proj_sq, coeffs, mu, clip_radius) -> np.ndarray:
+    """The labelling rule: 1{ proj_sq @ coeffs <= mu and |x| <= clip_radius }
+    for rows x with squared scaled projections proj_sq."""
+    quad = proj_sq @ coeffs
     norms_sq = np.einsum("ij,ij->i", points, points)
-    return ((quad <= inst.mu) & (norms_sq <= inst.clip_radius**2)).astype(np.int8)
+    return ((quad <= mu) & (norms_sq <= clip_radius**2)).astype(np.int8)
 
 
 def eval_ptf_rescaled(inst: PTFInstance, points: np.ndarray) -> np.ndarray:

@@ -20,12 +20,15 @@ implement it themselves (AdaptiveInstance, PTFInstance, NazarovBody, and the
 `yes` / `no` realizations of a TolerantInstance); any other oracle is a
 BatchOracle built from a rule on checked rows.  `family_oracle` names each
 family a tester runs against: the instance families and the convex families
-that soundness checks.
+that soundness checks.  It answers for an instance family with a ViewOracle:
+the labels of a fixed batch depend on an instance only through that batch's
+view, so the oracle draws the view of the batch it is asked about, exactly
+in law, and answers that one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -60,6 +63,28 @@ class BatchOracle:
         if points.shape[1] != self.ambient_dim:
             raise DimensionMismatchError(f"points must have dimension {self.ambient_dim}")
         return np.asarray(self.rule(points)).astype(np.int8)
+
+
+@dataclass
+class ViewOracle:
+    """An Oracle that answers one batch, from that batch's view of a fresh draw.
+
+    `view` maps checked (m, ambient_dim) rows to their m labels in one draw
+    of a family, drawn without the draw itself.  A later batch would need
+    the view conditioned on the answers already given, so a second labels
+    call raises DomainError.
+    """
+
+    ambient_dim: int
+    view: Callable[[np.ndarray], np.ndarray]
+    answered: bool = field(default=False, init=False)
+
+    def labels(self, points: np.ndarray) -> np.ndarray:
+        if self.answered:
+            raise DomainError("a view oracle answers one batch; a later batch needs the view conditioned on it")
+        labels = BatchOracle(self.ambient_dim, self.view).labels(points)
+        self.answered = True
+        return labels
 
 
 # A strategy maps the (m, d) rows asked so far and their int8 labels, as the
@@ -133,25 +158,28 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
     return residual <= tol * (1.0 + 1e-9)
 
 
-def _certified_outside(y, points, tol) -> bool:
-    """Cheap sound separation tests to skip the LP when y is clearly outside.
+def _outside_mask(zeros, points, tol) -> np.ndarray:
+    """Cheap sound separation tests: a mask of the rows of `zeros` that are
+    certainly not within tol of the hull of `points`, so the leaf skips
+    their LP.
 
-    A direction u separates when <u,y> exceeds max_i <u,p_i> by more than
-    tol * |u|_1, since any tol-approximate hull point moves <u, .> by at most
-    that much.  Never claims separation incorrectly.
+    A row y is outside when it leaves the bounding box of `points` widened by
+    tol, or when u = y - centroid separates: <u, y> exceeds max_i <u, p_i> by
+    more than tol * |u|_1, since any tol-approximate hull point moves <u, .>
+    by at most that much.  Never claims separation incorrectly.  The box and
+    the centroid are computed once for the whole (z, d) block.
     """
     lo = points.min(axis=0) - tol
     hi = points.max(axis=0) + tol
-    if np.any(y < lo) or np.any(y > hi):
-        return True
-    center = points.mean(axis=0)
-    u = y - center
-    norm1 = np.abs(u).sum()
-    if norm1 > 0:
-        margin = float(u @ y - (points @ u).max())
-        if margin > tol * norm1:
-            return True
-    return False
+    u = zeros - points.mean(axis=0)
+    margin = np.einsum("ij,ij->i", u, zeros) - (points @ u.T).max(axis=0)
+    return ((zeros < lo) | (zeros > hi)).any(axis=1) | (margin > tol * np.abs(u).sum(axis=1))
+
+
+def _certified_outside(y, points, tol) -> bool:
+    """_outside_mask of the single row y: the per-query form that
+    perfbench's tracer wraps by name."""
+    return bool(_outside_mask(y[None, :], points, tol)[0])
 
 
 def run_one_sided(
@@ -181,9 +209,8 @@ def run_one_sided(
         labels = np.concatenate([labels, oracle.labels(batch)])
     support = points[labels == 1]
     if len(support):
-        for y in points[labels == 0]:
-            if _certified_outside(y, support, HULL_TOL):
-                continue
+        zeros = points[labels == 0]
+        for y in zeros[~_outside_mask(zeros, support, HULL_TOL)]:
             lam = in_convex_hull(y, support, HULL_TOL)
             if lam is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)
@@ -226,18 +253,24 @@ CONVEX_FAMILIES = ("halfspace", "ball", "ellipsoid", "ptf-yes")
 def family_oracle(family: str, n: int, rng: RngStream, calibration=None) -> Oracle:
     """One draw of a named family, as the oracle the tester queries.
 
-    The instance families live in R^{2n} (adaptive), R^{n+1} (tolerant) and
-    R^n (ptf); the convex families live in R^n.
+    An instance family answers one batch, from that batch's view in an
+    instance drawn from rng (ViewOracle); it lives in R^{2n} (adaptive),
+    R^{n+1} (tolerant) or R^n (ptf).  The convex families live in R^n and
+    answer any number of batches.
     """
     from . import adaptive, tolerant
 
     if family == "adaptive":
-        return adaptive.sample_adaptive_instance(n, None, rng)
+        return ViewOracle(2 * n, lambda pts: adaptive.sample_adaptive_labels(pts, n, rng))
     if family in ("tolerant-yes", "tolerant-no"):
-        pair = tolerant.sample_tolerant_instance(n, None, rng, calibration)
-        return getattr(pair, family.removeprefix("tolerant-"))
+        realization = family.removeprefix("tolerant-")
+        return ViewOracle(
+            n + 1,
+            lambda pts: getattr(tolerant.sample_tolerant_view(pts, n, None, rng, calibration), realization)(),
+        )
     if family in ("ptf-yes", "ptf-no"):
-        return ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, family.removeprefix("ptf-"), rng)
+        flavor = family.removeprefix("ptf-")
+        return ViewOracle(n, lambda pts: ptf.sample_ptf_labels(pts, n, 3, flavor, rng))
     if family == "halfspace":
         w = rng.generator().standard_normal(n)
         w /= np.linalg.norm(w)

@@ -17,8 +17,9 @@ norms, |x_C|^2, the action coordinates, the violation matrix of the rows in
 the shell and the ball, and the subset P.  One rule (TolerantView.codes /
 yes / no / bad) maps a view to labels and to the distinguishing event.  A
 materialized instance builds the view from its frame and normals
-(inst.view); testers, persistence and the per-instance checks use that path.  For a fixed query batch, sample_tolerant_view draws
-the same view in law without the instance, by two exact identities.  The
+(inst.view); persistence and the per-instance checks use that path.  For a
+fixed query batch, sample_tolerant_view draws the same view in law without
+the instance, by two exact identities; view-tv and the testers use it.  The
 full frame [action_dir; control] is Haar, so the coordinates of the queries
 are gauss.haar_coords (column 0 is the action line, columns 1..n the control
 subspace).  The control block meets the N x n normals only through

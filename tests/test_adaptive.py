@@ -95,6 +95,30 @@ class TestOracle:
         np.testing.assert_array_equal(base, conj)
 
 
+class TestLabelRule:
+    def test_batch_rule_matches_per_row_spec(self):
+        # The labelling rule read row by row from the instance's own fields.
+        flap_labels = set()
+        for n in (4, 8):
+            for seed in range(10):
+                inst = sample_adaptive_instance(n, None, RngStream(340, seed))
+                gen = RngStream(341, seed).generator()
+                pts = gen.standard_normal((40, 2 * n)) * gen.uniform(0.3, 1.1, (40, 1))
+                expected = []
+                for x in pts:
+                    xc, xa = inst.control.coords(x), inst.action.coords(x)
+                    if x @ x > 2 * n or xc @ xc > n:
+                        expected.append(0)
+                        continue
+                    violated = [j for j in range(inst.N) if inst.body.normals[j] @ xc > inst.r]
+                    outside = [abs(inst.action_dirs[j] @ xa) > strip_halfwidth(n) for j in violated]
+                    expected.append(int(all(outside)))
+                    if violated:
+                        flap_labels.add(expected[-1])
+                assert eval_adaptive_batch(inst, pts).tolist() == expected
+        assert flap_labels == {0, 1}
+
+
 class TestViolatingTriples:
     def test_replay_and_geometry(self, inst100):
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(306))

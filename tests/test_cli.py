@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from convexlab import experiments, parallel
+from convexlab import experiments, parallel, testers
 from convexlab.cli import main
 from convexlab.errors import DomainError
 from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment
 from convexlab.report import ExperimentReport
+from convexlab.rng import RngStream
 
 
 def run_cli(args, env_extra=None):
@@ -193,6 +194,16 @@ class TestDeterminism:
         body1.pop("wall_time")
         body2.pop("wall_time")
         assert body1 == body2
+
+    def test_worker_count_invariance_of_a_nonzero_count(self, monkeypatch):
+        # Every rate the experiments above report is 0 at their sizes, so
+        # their bodies cannot show a unit drawing another unit's streams.
+        counts = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CONVEXLAB_WORKERS", workers)
+            counts.append(testers.rejections("line-segment", "adaptive", 4, 60, 40, RngStream(73)))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
     def test_bad_worker_count_rejected(self, monkeypatch, raw):

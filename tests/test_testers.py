@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import separated_by_direction_scan
+from conftest import homogeneity_pvalue, separated_by_direction_scan, two_proportion_z
 from convexlab import adaptive, nazarov, ptf, tolerant
 from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError
 from convexlab.rng import RngStream
@@ -11,6 +11,7 @@ from convexlab.testers import (
     INSTANCE_FAMILIES,
     BatchOracle,
     _certified_outside,
+    _outside_mask,
     baseline_strategy,
     certificate_valid,
     family_oracle,
@@ -219,6 +220,55 @@ class TestStrategies:
             run_one_sided(baseline_strategy("hull-sampling", 2, 3, RngStream(0)), _constant(4, 1), 2)
 
 
+def _certified_outside_row(y, points, tol) -> bool:
+    """The prefilter one 0-query at a time, as the runner once called it: the
+    reference for the batched _outside_mask."""
+    lo = points.min(axis=0) - tol
+    hi = points.max(axis=0) + tol
+    if np.any(y < lo) or np.any(y > hi):
+        return True
+    center = points.mean(axis=0)
+    u = y - center
+    norm1 = np.abs(u).sum()
+    if norm1 > 0:
+        margin = float(u @ y - (points @ u).max())
+        if margin > tol * norm1:
+            return True
+    return False
+
+
+class TestPrefilter:
+    @staticmethod
+    def _assert_matches_rows(zeros, support):
+        mask = _outside_mask(zeros, support, HULL_TOL)
+        expected = [_certified_outside_row(y, support, HULL_TOL) for y in zeros]
+        assert mask.dtype == bool and mask.tolist() == expected
+        assert [_certified_outside(y, support, HULL_TOL) for y in zeros] == expected
+
+    def test_random_supports(self):
+        gen = RngStream(920).generator()
+        skips = 0
+        for m, z, d in [(1, 5, 3), (2, 7, 2), (5, 9, 4), (12, 20, 6), (30, 30, 8), (40, 10, 40)]:
+            support = gen.standard_normal((m, d))
+            zeros = np.vstack([gen.standard_normal((z, d)), 0.3 * gen.standard_normal((z, d))])
+            self._assert_matches_rows(zeros, support)
+            skips += int(_outside_mask(zeros, support, HULL_TOL).sum())
+        assert 0 < skips < 160
+
+    def test_edge_cases(self):
+        gen = RngStream(921).generator()
+        support = gen.standard_normal((6, 4))
+        centroid = support.mean(axis=0)
+        # one support row, y equal to a support row, y at the centroid
+        # (u = 0, so the direction test is skipped), zero 0-queries.
+        self._assert_matches_rows(np.vstack([support[0], support[0] + 1e-3]), support[:1])
+        self._assert_matches_rows(support[[2, 4]], support)
+        self._assert_matches_rows(centroid[None, :], support)
+        assert not _outside_mask(centroid[None, :], support, HULL_TOL)[0]
+        empty = _outside_mask(np.empty((0, 4)), support, HULL_TOL)
+        assert empty.shape == (0,)
+
+
 def _per_prefix_verdict(points, labels) -> str:
     """The rule checked after every query: reject at the first prefix in which
     a 0-query lies in the hull of that prefix's 1-queries.  A new 0-query is
@@ -232,7 +282,7 @@ def _per_prefix_verdict(points, labels) -> str:
             continue
         support = np.vstack(ones)
         for y in fresh:
-            if not _certified_outside(y, support, HULL_TOL) and in_convex_hull(y, support) is not None:
+            if not _certified_outside_row(y, support, HULL_TOL) and in_convex_hull(y, support) is not None:
                 return "reject"
     return "accept"
 
@@ -340,6 +390,68 @@ class TestRejectionRate:
     def test_convex_families_never_rejected(self, family):
         for kind in ("line-segment", "hull-sampling"):
             assert rejections(kind, family, 6, 24, 20, RngStream(74)) == 0
+
+
+# Materialized draws of each instance family: the reference for its view oracle.
+MATERIALIZED = {
+    "adaptive": lambda n, rng: adaptive.sample_adaptive_instance(n, None, rng),
+    "tolerant-yes": lambda n, rng: tolerant.sample_tolerant_instance(n, None, rng, 0.35).yes,
+    "tolerant-no": lambda n, rng: tolerant.sample_tolerant_instance(n, None, rng, 0.35).no,
+    "ptf-yes": lambda n, rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "yes", rng),
+    "ptf-no": lambda n, rng: ptf.sample_ptf_instance(n, 3, ptf.DEFAULT_CLIP, "no", rng),
+}
+
+
+def _mixed_batch(d: int, rng: RngStream) -> np.ndarray:
+    """Two rows inside the ball of radius sqrt(d) that every family's
+    construction lives in, and two outside it (still inside the PTF clip).
+    The labels of every family vary from draw to draw, and at most two
+    adaptive rows meet the normals, so the batch sees how their products
+    are drawn."""
+    radii = np.array([0.6, 0.9, 1.1, 1.4]) * np.sqrt(d)
+    dirs = rng.generator().standard_normal((radii.size, d))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
+
+
+class TestViewOracles:
+    @pytest.mark.parametrize(
+        "family, n",
+        [("adaptive", 4), ("adaptive", 8), ("tolerant-yes", 4), ("tolerant-no", 4),
+         ("ptf-yes", 4), ("ptf-yes", 8), ("ptf-no", 4), ("ptf-no", 8)],
+    )
+    def test_view_labels_match_materialized(self, family, n):
+        # Chi-square homogeneity of the label vectors of one fixed batch.
+        trials = 2500
+        d = MATERIALIZED[family](n, RngStream(0)).ambient_dim
+        batch = _mixed_batch(d, RngStream(910))
+        lazy = [tuple(family_oracle(family, n, RngStream(911, t), 0.35).labels(batch)) for t in range(trials)]
+        dense = [tuple(MATERIALIZED[family](n, RngStream(912, t)).labels(batch)) for t in range(trials)]
+        assert len(set(dense)) >= 3
+        assert homogeneity_pvalue(lazy, dense) > 1e-3
+
+    def test_rejections_match_materialized(self):
+        trials = 600
+        lazy = rejections("line-segment", "adaptive", 4, 60, trials, RngStream(913))
+        dense = 0
+        for t in range(trials):
+            inst = adaptive.sample_adaptive_instance(4, None, RngStream(914, 2 * t))
+            strategy = baseline_strategy("line-segment", 60, 8, RngStream(914, 2 * t + 1))
+            dense += run_one_sided(strategy, inst, 60)[0].outcome == "reject"
+        assert lazy > 0 and dense > 0
+        assert abs(two_proportion_z(lazy, trials, dense, trials)) < 3.29
+
+    @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
+    def test_view_oracle_answers_one_batch(self, family):
+        oracle = family_oracle(family, 4, RngStream(915), 0.35)
+        rows = np.zeros((2, oracle.ambient_dim))
+        with pytest.raises(DimensionMismatchError):
+            oracle.labels(np.zeros((2, oracle.ambient_dim + 1)))
+        assert oracle.labels(rows).shape == (2,)
+        with pytest.raises(DomainError, match="one batch"):
+            oracle.labels(rows)
+        two_batches = _batches(rows[:1], rows[1:])
+        with pytest.raises(DomainError, match="one batch"):
+            run_one_sided(two_batches, family_oracle(family, 4, RngStream(916), 0.35), 2)
 
 
 def _adaptive8():
