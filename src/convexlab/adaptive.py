@@ -37,7 +37,7 @@ from .nazarov import (
     sample_body,
     solve_r_half,
 )
-from .report import ExperimentReport, binom_se, wilson_interval
+from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
 from .testers import BatchOracle
 
@@ -312,10 +312,9 @@ def estimate_distance_lb(
         seeds, _, _, _ = _triple_seed_scan(inst, pts, a_const, oracle)
         hits += seeds.shape[0]
         done += m
-    p_hat = hits / trials
+    p_hat, _ = report.add_rate("p_hat", hits, trials)
     lo, hi = wilson_interval(hits, trials)
     floor = pdf_ratio_floor(inst.n)
-    report.add_estimate("p_hat", p_hat, binom_se(hits, trials), trials)
     report.add_estimate("wilson_lower_99", lo)
     report.add_estimate("wilson_upper_99", hi)
     report.add_estimate("pdf_ratio_floor", floor)
@@ -391,9 +390,8 @@ def event_rate_experiment(n: int, q: int, instances: int, rng: RngStream) -> Exp
         flags = detect_events(inst, pts, q)
         e1_hits += flags["E1"]
         e2_hits += flags["E2"]
-    freq1 = e1_hits / instances
-    report.add_estimate("E1_rate", freq1, binom_se(e1_hits, instances), instances)
-    report.add_estimate("E2_rate", e2_hits / instances, binom_se(e2_hits, instances), instances)
+    freq1, _ = report.add_rate("E1_rate", e1_hits, instances)
+    report.add_rate("E2_rate", e2_hits, instances)
     report.assert_geq(
         "clustering event holds on at least 95% of random transcripts",
         freq1,
@@ -484,9 +482,8 @@ def strip_crossing_experiment(
         big_shift += int(np.count_nonzero(np.abs(t_y - t_base) > shift_bound))
         done += m
 
-    p_cond = crossings / consistent if consistent else 0.0
+    p_cond, _ = report.add_rate("conditional_crossing", crossings, consistent)
     scale = math.sqrt(q) * log2n / n**0.25
-    report.add_estimate("conditional_crossing", p_cond, binom_se(crossings, max(consistent, 1)), consistent)
     report.add_estimate("ratio_to_scale", p_cond / scale)
     report.add_estimate("boundary_window_rate", near_boundary / trials, 0.0, trials)
     report.add_estimate("large_shift_rate", big_shift / trials, 0.0, trials)

@@ -48,6 +48,10 @@ class ExperimentConfig:
     def halfspaces(self, n: int) -> int:
         return self.N if self.N is not None else nazarov.default_halfspace_count(n)
 
+    def grid(self) -> tuple[int, ...]:
+        """The n-grid of the trend experiments, or the one point --n fixes."""
+        return (64, 100, 144) if self.n is None else (self.n,)
+
     def budget(self, default: int) -> int:
         return self.q if self.q is not None else default
 
@@ -127,8 +131,7 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
     x = np.zeros(n)
     x[0] = math.sqrt(n)
     hits = sum(map_units(_shell_hit, bodies, rng, n, N, r, x))
-    freq = hits / bodies
-    report.add_estimate("mc_membership", freq, binom_se(hits, bodies), bodies)
+    freq, _ = report.add_rate("mc_membership", hits, bodies)
     report.assert_leq(
         "Monte Carlo shell membership within 0.03 of the closed form",
         abs(freq - closed),
@@ -317,12 +320,12 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
         )
         rates.append(sub.value("rejection_rate"))
         report.merge(sub, prefix=f"adaptive budget={budget}")
-    slack = 3.0 * max(binom_se(int(r * trials), trials) for r in rates) + 1e-12
-    report.assert_leq(
+    report.assert_trend(
         "adaptive-family rejection rate nondecreasing in budget (3se slack)",
-        max(0.0, max(rates[i] - rates[i + 1] for i in range(len(rates) - 1))),
-        slack,
-        source="derived",
+        rates,
+        [binom_se(int(r * trials), trials) for r in rates],
+        "nondecreasing",
+        floor=1e-12,
     )
     sub = testers.rejection_rate(
         "line-segment", "ptf-no", n, 30, trials, rng.child(len(budgets))
@@ -390,7 +393,7 @@ def run_detect_events(config: ExperimentConfig) -> ExperimentReport:
 def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
     q = config.budget(4)
     trials = config.samples(200_000)
-    grid = (64, 100, 144) if config.n is None else (config.n,)
+    grid = config.grid()
     report = ExperimentReport(
         "strip-crossing", {"grid": list(grid), "q": q, "trials": trials}, config.seed
     )
@@ -404,14 +407,12 @@ def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
         )
         rates.append(sub.value("conditional_crossing"))
         report.merge(sub, prefix=f"n={n}")
-    if len(rates) > 1:
-        slack = 3.0 * max(binom_se(int(r * trials), trials) for r in rates)
-        report.assert_leq(
-            "conditional crossing probability decreasing in n at fixed q (3se slack)",
-            max(0.0, max(rates[i + 1] - rates[i] for i in range(len(rates) - 1))),
-            slack,
-            source="derived",
-        )
+    report.assert_trend(
+        "conditional crossing probability decreasing in n at fixed q (3se slack)",
+        rates,
+        [binom_se(int(r * trials), trials) for r in rates],
+        "nonincreasing",
+    )
     return report
 
 
@@ -455,7 +456,7 @@ def run_eps_gap(config: ExperimentConfig) -> ExperimentReport:
 
 def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
     q_trials = config.samples(200_000)
-    grid = (64, 100, 144) if config.n is None else (config.n,)
+    grid = config.grid()
     calibration = _calibration(config)
     c2 = tolerant.c2_from(calibration)
     c3 = config.override("c3", 0.1)
@@ -488,24 +489,24 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         report.assert_leq(
             f"near-pair separation rate at n={n} <= 2^(-4 c3 n^(1/4)) + 3se",
             near_rate,
-            bound + 3.0 * binom_se(int(near_rate * q_trials), q_trials),
+            bound,
             source="analytic",
+            se=binom_se(int(near_rate * q_trials), q_trials),
         )
         sub_far = tolerant.xy_pair_experiment(
             n, x, far, q_trials, rng.child(2 * index + 1), calibration
         )
         star_rates.append(sub_far.value("same_unique_rate"))
         report.merge(sub_far, prefix=f"far n={n}")
+    report.assert_trend(
+        "near-pair separation rate decaying in n (3se slack)",
+        near_rates,
+        [binom_se(int(r * q_trials), q_trials) for r in near_rates],
+        "nonincreasing",
+    )
     if len(grid) > 1:
-        slack = 3.0 * max(binom_se(int(r * q_trials), q_trials) for r in near_rates)
-        report.assert_leq(
-            "near-pair separation rate decaying in n (3se slack)",
-            max(0.0, max(near_rates[i + 1] - near_rates[i] for i in range(len(near_rates) - 1))),
-            slack,
-            source="derived",
-        )
-        for i, n in enumerate(grid):
-            report.add_estimate(f"star_rate_trend[n={n}]", star_rates[i])
+        for n, rate in zip(grid, star_rates):
+            report.add_estimate(f"star_rate_trend[n={n}]", rate)
     return report
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionMismatchError, DomainError
-from .report import ExperimentReport, binom_se
+from .report import ExperimentReport
 from .rng import RngStream
 
 _SQRT2 = math.sqrt(2.0)
@@ -240,13 +240,13 @@ def verify_tail_bounds(n: int, trials: int, rng: RngStream) -> ExperimentReport:
     for eps in CAP_EPS_GRID:
         hits = int(np.count_nonzero(first_coord >= eps))
         bound = math.exp(-n * eps * eps / 2.0)
-        freq = hits / trials
-        report.add_estimate(f"cap_tail[eps={eps}]", freq, binom_se(hits, trials), trials)
+        freq, se = report.add_rate(f"cap_tail[eps={eps}]", hits, trials)
         report.assert_leq(
             f"spherical cap: Pr[u1 >= {eps}] <= exp(-n eps^2/2) + 3se",
             freq,
-            bound + 3 * binom_se(hits, trials),
+            bound,
             source="analytic",
+            se=se,
         )
 
     for t in CHI2_T_GRID:
@@ -255,38 +255,39 @@ def verify_tail_bounds(n: int, trials: int, rng: RngStream) -> ExperimentReport:
         bound = math.exp(-t)
         up_hits = int(np.count_nonzero(norms_sq >= upper))
         lo_hits = int(np.count_nonzero(norms_sq <= lower))
-        up_freq, lo_freq = up_hits / trials, lo_hits / trials
-        report.add_estimate(f"chi2_upper_tail[t={t}]", up_freq, binom_se(up_hits, trials), trials)
-        report.add_estimate(f"chi2_lower_tail[t={t}]", lo_freq, binom_se(lo_hits, trials), trials)
+        up_freq, up_se = report.add_rate(f"chi2_upper_tail[t={t}]", up_hits, trials)
+        lo_freq, lo_se = report.add_rate(f"chi2_lower_tail[t={t}]", lo_hits, trials)
         report.assert_leq(
             f"chi-square upper tail at t={t} <= exp(-t) + 3se",
             up_freq,
-            bound + 3 * binom_se(up_hits, trials),
+            bound,
             source="analytic",
+            se=up_se,
         )
         report.assert_leq(
             f"chi-square lower tail at t={t} <= exp(-t) + 3se",
             lo_freq,
-            bound + 3 * binom_se(lo_hits, trials),
+            bound,
             source="analytic",
+            se=lo_se,
         )
 
     for t in CHI2_REL_T_GRID:
         hits = int(np.count_nonzero(np.abs(norms_sq - n) >= t * n))
         bound = math.exp(-(3.0 / 16.0) * n * t * t)
-        freq = hits / trials
-        report.add_estimate(f"chi2_rel_tail[t={t}]", freq, binom_se(hits, trials), trials)
+        freq, se = report.add_rate(f"chi2_rel_tail[t={t}]", hits, trials)
         report.assert_leq(
             f"chi-square relative tail at t={t} <= exp(-(3/16) n t^2) + 3se",
             freq,
-            bound + 3 * binom_se(hits, trials),
+            bound,
             source="analytic",
+            se=se,
         )
 
     mean = float(norms_sq.mean())
     se = float(norms_sq.std(ddof=1) / math.sqrt(trials))
     report.add_estimate("chi2_mean", mean, se, trials)
     report.assert_leq(
-        "squared-norm mean within 3se of n", abs(mean - n), 3 * se, source="closed-form"
+        "squared-norm mean within 3se of n", abs(mean - n), 0.0, source="closed-form", se=se
     )
     return report

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 from .gauss import sf_array, std_normal_isf, std_normal_sf
-from .report import ExperimentReport, binom_se, mean_se, wilson_interval
+from .report import Z99, ExperimentReport, mean_se, wilson_interval
 from .rng import RngStream
 
 # Memory cap for explicit normal matrices, in float64 elements (~400 MB).
@@ -281,13 +281,13 @@ def verify_high_degree_bound(
     shell_gen = rng.child(0).generator()
     shell_counts = _count_batches(np.full(trials, math.sqrt(n)), N, r, shell_gen)
     shell_hits = int(np.count_nonzero(shell_counts >= q))
-    freq = shell_hits / trials
-    report.add_estimate("shell_tail", freq, binom_se(shell_hits, trials), trials)
+    freq, se = report.add_rate("shell_tail", shell_hits, trials)
     report.assert_leq(
         f"shell point in >= {q} flaps: freq <= c1^q/q! + 3se",
         freq,
-        bound + 3 * binom_se(shell_hits, trials),
+        bound,
         source="analytic",
+        se=se,
     )
 
     ball_gen = rng.child(1).generator()
@@ -300,13 +300,13 @@ def verify_high_degree_bound(
         counts = _count_batches(norms, N, r, ball_gen)
         ball_hits += int(np.count_nonzero(counts >= q))
         ball_total += norms.size
-    freq_ball = ball_hits / ball_total
-    report.add_estimate("ball_tail", freq_ball, binom_se(ball_hits, ball_total), ball_total)
+    freq_ball, se_ball = report.add_rate("ball_tail", ball_hits, ball_total)
     report.assert_leq(
         f"in-ball Gaussian point in >= {q} flaps: freq <= c1^q/q! + 3se",
         freq_ball,
-        bound + 3 * binom_se(ball_hits, ball_total),
+        bound,
         source="analytic",
+        se=se_ball,
     )
     return report
 
@@ -332,10 +332,8 @@ def verify_flap_dogear_ratio(
     )
     unique_hits, multi_hits = unique_multi_hits(n, N, r, trials, rng.child(0).generator())
     threshold = flap_dogear_threshold(c1)
-    p_unique = unique_hits / trials
-    p_multi = multi_hits / trials
-    report.add_estimate("vol_unique", p_unique, binom_se(unique_hits, trials), trials)
-    report.add_estimate("vol_multi", p_multi, binom_se(multi_hits, trials), trials)
+    p_unique, se_unique = report.add_rate("vol_unique", unique_hits, trials)
+    p_multi, se_multi = report.add_rate("vol_multi", multi_hits, trials)
     report.add_estimate("threshold", threshold)
     if multi_hits == 0:
         report.add_estimate("vol_multi_upper99", wilson_interval(0, trials)[1])
@@ -350,15 +348,15 @@ def verify_flap_dogear_ratio(
     ratio = p_unique / p_multi
     # Delta-method standard error of the ratio of two frequencies.
     se = ratio * math.sqrt(
-        (binom_se(unique_hits, trials) / max(p_unique, 1e-300)) ** 2
-        + (binom_se(multi_hits, trials) / p_multi) ** 2
+        (se_unique / max(p_unique, 1e-300)) ** 2 + (se_multi / p_multi) ** 2
     )
     report.add_estimate("ratio", ratio, se, trials)
     report.assert_geq(
         f"unique/multi volume ratio >= 2/c1 - 2 = {threshold:.6g} minus 3se",
         ratio,
-        threshold - 3 * se,
+        threshold,
         source="analytic",
+        se=se,
     )
     return report
 
@@ -440,7 +438,7 @@ def estimate_unique_volume(
     report.add_estimate("vol_unique_body_std", float(fractions.std(ddof=1)), 0.0, bodies)
     report.assert_geq(
         "mean unique volume positive at 99% confidence",
-        mean - 2.5758293035489004 * se,
+        mean - Z99 * se,
         0.0,
         source="derived",
     )
@@ -448,7 +446,7 @@ def estimate_unique_volume(
         report.add_estimate("mean_over_c1", mean / c1)
         report.assert_geq(
             "mean unique volume >= 0.01 c1 at 99% confidence (desk-scale floor)",
-            mean - 2.5758293035489004 * se,
+            mean - Z99 * se,
             0.01 * c1,
             source="derived",
         )

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, SolverError
 from .gauss import Frame, haar_coords, sample_haar_frame
 from .parallel import map_units
-from .report import ExperimentReport, binom_se, response_counts, tv_from_counts, wilson_interval
+from .report import ExperimentReport, response_counts, tv_from_counts, wilson_interval
 from .rng import RngStream
 
 DEFAULT_CLIP = 10.0
@@ -385,18 +385,13 @@ def estimate_no_distance(
         offsets = gen.standard_normal((lines, inst.n))
         offsets -= np.einsum("ij,ij->i", offsets, dirs)[:, None] * dirs
         witness_hits = line_patterns(dirs, offsets)
-    freq = witness_hits / lines
-    report.add_estimate(
-        "witness_pattern_rate", freq, binom_se(witness_hits, lines), lines
-    )
+    report.add_rate("witness_pattern_rate", witness_hits, lines)
 
     # Reference family: Haar directions through the origin.
     haar = gen.standard_normal((lines, inst.n))
     haar /= np.linalg.norm(haar, axis=1, keepdims=True)
     origin_hits = line_patterns(haar, np.zeros((lines, inst.n)))
-    report.add_estimate(
-        "origin_line_pattern_rate", origin_hits / lines, binom_se(origin_hits, lines), lines
-    )
+    report.add_rate("origin_line_pattern_rate", origin_hits, lines)
 
     if neg_idx.size:
         lo, _ = wilson_interval(witness_hits, lines)
@@ -447,17 +442,17 @@ def response_tv_experiment(
     tv = tv_from_counts(response_counts(yes_rows), response_counts(no_rows), trials)
     kept = trials - bad_hits
     tv_ok = tv_from_counts(response_counts(yes_rows[~bad]), response_counts(no_rows[~bad]), kept)
-    bad_freq = bad_hits / trials
     bad_bound = q * n * n ** (-4.5)
     report.add_estimate("tv", tv, 0.0, trials)
     report.add_estimate("tv_nonbad", tv_ok, 0.0, kept)
-    report.add_estimate("bad_basis_rate", bad_freq, binom_se(bad_hits, trials), trials)
+    bad_freq, bad_se = report.add_rate("bad_basis_rate", bad_hits, trials)
     report.add_estimate("bad_basis_bound", bad_bound)
     report.assert_leq(
         "bad-basis frequency <= q n / n^{9/2} + 3se",
         bad_freq,
-        bad_bound + 3.0 * binom_se(bad_hits, trials),
+        bad_bound,
         source="analytic",
+        se=bad_se,
     )
     return report
 

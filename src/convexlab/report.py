@@ -4,6 +4,10 @@ Report bodies are canonical: keys sorted, floats printed with 12 significant
 digits, wall time and per-experiment timings excluded.  Re-running an
 experiment with the same seed must produce byte-identical bodies regardless
 of worker count.
+
+The significance rule lives here once: add_rate records a frequency with its
+binomial standard error, assert_leq / assert_geq widen a bound by 3 se, and
+assert_trend checks the direction of a rate along an n-grid.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 # checked empirically; "derived" means a threshold computed from an
 # independent oracle or fixed at desk scale.
 SOURCES = ("closed-form", "analytic", "derived")
+
+# Two-sided 99% quantile of the standard normal.
+Z99 = 2.5758293035489004
 
 
 def fmt12(value: float) -> str:
@@ -69,11 +76,36 @@ class ExperimentReport:
             BoundAssertion(description, float(bound), float(observed), bool(passed), source)
         )
 
-    def assert_leq(self, description, observed, bound, source="derived"):
+    def add_rate(self, metric, hits, trials):
+        """Record hits / trials with its binomial se and the count; returns
+        (rate, se).  With no trials both are 0."""
+        rate = hits / trials if trials else 0.0
+        se = binom_se(hits, trials)
+        self.add_estimate(metric, rate, se, trials)
+        return rate, se
+
+    def assert_leq(self, description, observed, bound, source="derived", se=0.0):
+        """observed <= bound + 3 se."""
+        bound = bound + 3 * se
         self.add_assertion(description, bound, observed, observed <= bound, source)
 
-    def assert_geq(self, description, observed, bound, source="derived"):
+    def assert_geq(self, description, observed, bound, source="derived", se=0.0):
+        """observed >= bound - 3 se."""
+        bound = bound - 3 * se
         self.add_assertion(description, bound, observed, observed >= bound, source)
+
+    def assert_trend(self, description, values, ses, direction, floor=0.0):
+        """Values along a grid are `direction` ("nonincreasing" or
+        "nondecreasing") within 3 max(ses) + floor.  The observed value is the
+        largest step the wrong way, 0 if there is none; a grid of one point
+        records nothing."""
+        if direction not in ("nonincreasing", "nondecreasing"):
+            raise ValueError(f"unknown trend direction {direction!r}")
+        if len(values) < 2:
+            return
+        steps = zip(values, values[1:]) if direction == "nonincreasing" else zip(values[1:], values)
+        worst = max(b - a for a, b in steps)
+        self.assert_leq(description, max(0.0, worst), floor, se=max(ses))
 
     def value(self, metric: str) -> float:
         for e in self.estimates:
@@ -200,7 +232,7 @@ def response_counts(responses) -> dict:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
+def wilson_interval(successes: int, trials: int, z: float = Z99):
     """Wilson score interval; default z is the two-sided 99% quantile."""
     if trials <= 0:
         return 0.0, 1.0

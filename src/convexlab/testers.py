@@ -38,7 +38,7 @@ from . import ptf
 from .errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
 from .gauss import sample_haar_frame
 from .parallel import map_units
-from .report import ExperimentReport, binom_se, wilson_interval
+from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
 
 HULL_TOL = 1e-8
@@ -325,9 +325,8 @@ def rejection_rate(
         },
         rng.seed,
     )
-    freq = rejects / trials
+    report.add_rate("rejection_rate", rejects, trials)
     lo, hi = wilson_interval(rejects, trials)
-    report.add_estimate("rejection_rate", freq, binom_se(rejects, trials), trials)
     report.add_estimate("wilson_lower_99", lo)
     report.add_estimate("wilson_upper_99", hi)
     return report

@@ -55,22 +55,16 @@ from .nazarov import (
     unique_multi_hits,
 )
 from .parallel import map_units
-from .report import ExperimentReport, binom_se, response_counts, tv_from_counts
+from .report import Z99, ExperimentReport, response_counts, tv_from_counts
 from .rng import RngStream
 from .testers import BatchOracle
 
 C1_DEFAULT = 1.0 / 100.0
-Z99 = 2.5758293035489004
 
 REGION_LEFT = "left"
 REGION_MIDDLE = "middle"
 REGION_RIGHT = "right"
 REGION_CURB = "curb"
-
-LABEL_ZERO = "0"
-LABEL_ONE = "1"
-LABEL_ZERO_STAR = "0*"
-LABEL_ONE_STAR = "1*"
 
 
 @dataclass(frozen=True)
@@ -283,7 +277,6 @@ def sample_tolerant_view(
 # -- labeling -----------------------------------------------------------------
 
 _EXT_ZERO, _EXT_ONE, _EXT_ZERO_STAR, _EXT_ONE_STAR = 0, 1, 2, 3
-_EXT_NAMES = {0: LABEL_ZERO, 1: LABEL_ONE, 2: LABEL_ZERO_STAR, 3: LABEL_ONE_STAR}
 
 
 @dataclass(frozen=True)
@@ -379,18 +372,6 @@ class TolerantView:
         return False, None
 
 
-def eval_extended(inst: TolerantInstance, x: np.ndarray) -> str:
-    """Extended label ("0", "1", "0*" or "1*") of one point, kept for tests.
-
-    It reads the batch labeling, so it pins the label names and the
-    dimension check rather than the labeling rule itself.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.ambient_dim,):
-        raise DimensionMismatchError(f"expected one point of dimension {inst.ambient_dim}")
-    return _EXT_NAMES[int(inst.view(x[None, :]).codes[0])]
-
-
 def eval_yes_batch(inst: TolerantInstance, points: np.ndarray) -> np.ndarray:
     return inst.view(points).yes()
 
@@ -436,7 +417,7 @@ def view_experiment(
     important_ones_no = (starred & (no_rows == 1)).sum(axis=0)
     bad_hits = int(bad.sum())
     kept = trials - bad_hits
-    report.add_estimate("bad_rate", bad_hits / trials, binom_se(bad_hits, trials), trials)
+    report.add_rate("bad_rate", bad_hits, trials)
     tv_all = tv_from_counts(response_counts(yes_rows), response_counts(no_rows), trials)
     report.add_estimate("tv_unconditioned", tv_all, 0.0, trials)
     yes_counts = response_counts(yes_rows[~bad])
@@ -449,22 +430,22 @@ def view_experiment(
     report.assert_leq(
         "conditioned view TV <= 3x multinomial noise bound",
         tv_cond,
-        3.0 * noise,
+        0.0,
         source="analytic",
+        se=noise,
     )
     for j in range(q):
         events = int(important_events[j])
         if events == 0:
             continue
         for tag, ones in (("yes", important_ones_yes), ("no", important_ones_no)):
-            freq = int(ones[j]) / events
-            se = binom_se(int(ones[j]), events)
-            report.add_estimate(f"marginal_{tag}[q{j}]", freq, se, events)
+            freq, se = report.add_rate(f"marginal_{tag}[q{j}]", int(ones[j]), events)
             report.assert_leq(
                 f"query {j} {tag}-response frequency within 3se of 1/2 on starred draws",
                 abs(freq - 0.5),
-                3.0 * max(se, math.sqrt(0.25 / events)),
+                0.0,
                 source="analytic",
+                se=max(se, math.sqrt(0.25 / events)),
             )
     return report
 
@@ -538,15 +519,11 @@ def estimate_eps_bounds(
     )
     total = instance_draws * points_per_draw
     unique_hits, multi_hits = unique_multi_hits(n, N, r, total, rng.generator())
-    v_u = unique_hits / total
-    v_d = multi_hits / total
-    se_u = binom_se(unique_hits, total)
-    se_d = binom_se(multi_hits, total)
+    v_u, se_u = report.add_rate("v_unique", unique_hits, total)
+    v_d, se_d = report.add_rate("v_multi", multi_hits, total)
     eps1, eps2 = eps_from_volumes(v_u, v_d, c2, tau)
     gap = eps2 - eps1
     gap_se = math.sqrt(((1.0 - 2.0 * c2) / 3.0 * 0.3 * se_u) ** 2 + (2.0 * se_d) ** 2)
-    report.add_estimate("v_unique", v_u, se_u, total)
-    report.add_estimate("v_multi", v_d, se_d, total)
     report.add_estimate("eps1", eps1)
     report.add_estimate("eps2", eps2)
     report.add_estimate("gap", gap, gap_se, total)
@@ -594,16 +571,15 @@ def bivariate_tail_check(
         z2 = rho * z1 + root * gen.standard_normal(m)
         hits += int(np.count_nonzero((z1 > h) & (z2 > k)))
         done += m
-    freq = hits / trials
+    freq, se = report.add_rate("joint_tail", hits, trials)
     bound = bivariate_upper_bound(rho, h, k)
-    se = binom_se(hits, trials)
-    report.add_estimate("joint_tail", freq, se, trials)
     report.add_estimate("bound", bound)
     report.assert_leq(
         f"joint tail at rho={rho}, h={h}, k={k} <= closed-form bound + 3se",
         freq,
-        bound + 3.0 * se,
+        bound,
         source="analytic",
+        se=se,
     )
     return report
 
@@ -674,16 +650,14 @@ def xy_pair_experiment(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     gap = np.abs(dirs @ (x - y))
     sep_hits = int(np.count_nonzero(gap >= rho_width))
-    sep_freq = sep_hits / trials
-    report.add_estimate("action_separation_rate", sep_freq, binom_se(sep_hits, trials), trials)
+    report.add_rate("action_separation_rate", sep_hits, trials)
     report.add_estimate("curb_width", rho_width)
 
     # Projection norm retention (all but an exponentially small fraction of
     # directions keep |x_C| within 1 of |x|).
     xc_norm = np.sqrt(np.maximum(float(x @ x) - (dirs @ x) ** 2, 0.0))
     keep_hits = int(np.count_nonzero(xc_norm >= np.linalg.norm(x) - 1.0))
-    keep_freq = keep_hits / trials
-    report.add_estimate("projection_retention_rate", keep_freq, binom_se(keep_hits, trials), trials)
+    keep_freq, _ = report.add_rate("projection_retention_rate", keep_hits, trials)
     report.assert_geq(
         "projection norm within 1 of full norm with frequency >= 1 - 2^{-0.5 n^{1/4}}",
         keep_freq,
@@ -706,10 +680,7 @@ def xy_pair_experiment(
     cond_draws, star_hits = same_unique_counts(
         N, h_val, k_val, rho, trials, rng.child(2).generator()
     )
-    star_freq = star_hits / cond_draws if cond_draws else 0.0
-    report.add_estimate(
-        "same_unique_rate", star_freq, binom_se(star_hits, max(cond_draws, 1)), cond_draws
-    )
+    star_freq, star_se = report.add_rate("same_unique_rate", star_hits, cond_draws)
     if 0.0 < rho <= 0.99:
         # Far-pair regime: the joint-tail bound is numerically sound and the
         # same-unique rate must fall below it.
@@ -718,8 +689,9 @@ def xy_pair_experiment(
         report.assert_leq(
             "same-unique-halfspace rate <= conditional joint-tail bound + 3se",
             star_freq,
-            cond_bound + 3.0 * binom_se(star_hits, max(cond_draws, 1)),
+            cond_bound,
             source="analytic",
+            se=star_se,
         )
     elif rho > 0.99:
         # Near-coincident projections: the closed form loses precision as the
@@ -730,7 +702,8 @@ def xy_pair_experiment(
         report.assert_leq(
             "same-unique-halfspace rate at nonpositive correlation (vacuous comparator)",
             star_freq,
-            3.0 * binom_se(star_hits, max(cond_draws, 1)) + 1e-9,
+            1e-9,
             source="derived",
+            se=star_se,
         )
     return report

@@ -15,7 +15,6 @@ from convexlab.tolerant import (
     detect_bad,
     eps_from_volumes,
     estimate_eps_bounds,
-    eval_extended,
     eval_no_batch,
     eval_yes_batch,
     region_boundaries,
@@ -114,12 +113,12 @@ class TestLabels:
     def test_control_norm_overflow_is_zero(self, inst):
         # Control projection larger than sqrt(n) forces label 0.
         x = inst.control.vectors[0] * (1.2 * math.sqrt(inst.n))
-        assert eval_extended(inst, x) == "0"
+        assert inst.view(x[None, :]).codes[0] == 0
 
     def test_shell_body_point_is_one(self, inst):
         lo, _ = inst.shell
         x = inst.action_dir * (lo + 0.5)  # control part zero, inside the body
-        assert eval_extended(inst, x) == "1"
+        assert inst.view(x[None, :]).codes[0] == 1
         assert inst.yes.labels(x[None, :])[0] == inst.no.labels(x[None, :])[0] == 1
 
     def test_yes_no_agree_on_plain_labels(self, inst):
@@ -162,7 +161,7 @@ class TestLabels:
 
     def test_dimension_check(self, inst):
         with pytest.raises(DimensionMismatchError):
-            eval_extended(inst, np.zeros(inst.n))
+            inst.view(np.zeros((1, inst.n)))
 
 
 class TestBadEvent:
