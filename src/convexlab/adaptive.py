@@ -485,8 +485,8 @@ def strip_crossing_experiment(
     p_cond, _ = report.add_rate("conditional_crossing", crossings, consistent)
     scale = math.sqrt(q) * log2n / n**0.25
     report.add_estimate("ratio_to_scale", p_cond / scale)
-    report.add_estimate("boundary_window_rate", near_boundary / trials, 0.0, trials)
-    report.add_estimate("large_shift_rate", big_shift / trials, 0.0, trials)
+    report.add_rate("boundary_window_rate", near_boundary, trials)
+    report.add_rate("large_shift_rate", big_shift, trials)
     report.assert_leq(
         "conditional crossing probability <= recorded constant * sqrt(q) log2(n) / n^{1/4}",
         p_cond,

@@ -11,6 +11,9 @@ regions, which is the rare event the experiments measure.
 
 The constant c0_hat (the measured ratio of expected uniquely-violated volume
 to c1) comes from a calibration run and fixes c2 = tau = c0_hat * c1 / 100.
+The expectation is over the body as well as the point, so calibrate-c0
+estimates it over point-body pairs, a fresh body for each point, by drawing
+violation counts (nazarov.unique_multi_hits); no body is built.
 
 Labels depend on an instance only through a TolerantView of the rows: their
 norms, |x_C|^2, the action coordinates, the violation matrix of the rows in

@@ -3,26 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from convexlab.rng import RngStream
-from convexlab.tolerant import CalibrationRecord
+from convexlab.experiments import ExperimentConfig, run_experiment
+from convexlab.storage import load_calibration
 
 
 @pytest.fixture(scope="session")
-def calibration_small():
-    """Calibration record at test scale (n=64, N=256), measured once."""
-    from convexlab import nazarov, tolerant
-
-    n, num = 64, 256
-    c1 = tolerant.C1_DEFAULT
-    r = nazarov.solve_r(n, num, c1)
-    report = nazarov.estimate_unique_volume(
-        n, num, r, bodies=100, points_per_body=1000, rng=RngStream(2024, 77),
-        c1=c1, check_concentration=False,
+def calibration_small(tmp_path_factory):
+    """Calibration record at test scale (n=64, N=256), measured once by the
+    lab's own calibrate-c0 and read back from its file."""
+    path = tmp_path_factory.mktemp("calibration") / "small.json"
+    run_experiment(
+        ExperimentConfig(
+            "calibrate-c0", seed=2024, n=64, N=256, trials=100,
+            overrides={"points_per_body": 1000}, output_path=str(path),
+        )
     )
-    v_mean = report.value("vol_unique_mean")
-    return CalibrationRecord(
-        n=n, N=num, c1=c1, v_u_mean=v_mean, v_u_ci=0.0, produced_by_seed=2024
-    )
+    return load_calibration(str(path))
 
 
 # -- independent scalar oracles (series-based, no reuse of package paths) -----

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from convexlab import adaptive, nazarov, ptf, tolerant
+from convexlab import adaptive, ptf
 from convexlab.experiments import ExperimentConfig, run_all_lemmas, run_experiment
 from convexlab.rng import RngStream
+from convexlab.storage import load_calibration
 from convexlab.testers import in_convex_hull
-from convexlab.tolerant import CalibrationRecord
 
 SEED = 20240808
 
@@ -48,17 +48,12 @@ def _run(name, seed_offset=0, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def desk_calibration():
-    c1 = tolerant.C1_DEFAULT
-    r = nazarov.solve_r(100, 1024, c1)
-    report = nazarov.estimate_unique_volume(
-        100, 1024, r, bodies=200, points_per_body=2000,
-        rng=RngStream(SEED, 555), c1=c1, check_concentration=False,
-    )
-    return CalibrationRecord(
-        n=100, N=1024, c1=c1, v_u_mean=report.value("vol_unique_mean"),
-        v_u_ci=0.0, produced_by_seed=SEED,
-    )
+def desk_calibration(tmp_path_factory):
+    """The desk calibration as `lab run calibrate-c0 --out` records it."""
+    path = tmp_path_factory.mktemp("calibration") / "desk.json"
+    report = _run("calibrate-c0", n=100, N=1024, trials=200, output_path=str(path))
+    assert report.all_passed()
+    return load_calibration(str(path))
 
 
 def test_criterion_01_shell_membership():

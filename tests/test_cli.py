@@ -151,6 +151,20 @@ class TestRun:
         assert "error: " in result.stderr and "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--trials", "99"], ["--trials", "100", "--set", "points_per_body=999"]],
+        ids=["trials", "points_per_body"],
+    )
+    def test_calibration_below_minimum_sizes_rejected(self, tmp_path, args):
+        out = tmp_path / "calib.json"
+        result = run_cli(
+            ["run", "calibrate-c0", "--seed", "1", "--n", "16", "--N", "32", *args, "--out", str(out)]
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_missing_calibration_fails_cleanly(self):
         result = run_cli(
             ["run", "eps-gap", "--seed", "5", "--n", "64", "--N", "256", "--trials", "10"]
@@ -173,6 +187,7 @@ class TestDeterminism:
         [
             ["unique-volume", "--n", "16", "--N", "32", "--trials", "100",
              "--set", "points_per_body=1000"],
+            ["calibrate-c0", "--n", "16", "--N", "32", "--trials", "100"],
             ["shell-membership", "--n", "16", "--N", "64", "--trials", "60"],
             ["soundness", "--n", "10", "--q", "12", "--trials", "4"],
             ["rejection-rates", "--n", "16", "--trials", "8", "--set", "c0_hat=0.35"],
@@ -183,7 +198,8 @@ class TestDeterminism:
         ids=lambda args: args[0],
     )
     def test_worker_count_invariance(self, args):
-        # Each of these experiments spreads its trials over the workers.
+        # Each of these experiments but calibrate-c0 spreads its trials over
+        # the workers; calibrate-c0 draws counts in one process at any count.
         args = ["run", *args, "--seed", "9", "--format", "json"]
         one = run_cli(args, env_extra={"CONVEXLAB_WORKERS": "1"})
         two = run_cli(args, env_extra={"CONVEXLAB_WORKERS": "2"})

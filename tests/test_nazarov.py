@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import bisect_quantile, two_proportion_z
-from convexlab import nazarov
+from convexlab import experiments, nazarov, parallel
 from convexlab.errors import DimensionMismatchError, DomainError, ResourceLimitError
+from convexlab.experiments import ExperimentConfig, run_experiment
 from convexlab.gauss import std_normal_cdf
 from convexlab.nazarov import (
     NazarovBody,
@@ -27,6 +28,7 @@ from convexlab.nazarov import (
     verify_high_degree_bound,
 )
 from convexlab.rng import RngStream
+from convexlab.tolerant import C1_DEFAULT
 
 
 class TestSolveR:
@@ -244,6 +246,21 @@ class TestCountSamplers:
         assert abs(two_proportion_z(unique, points, ref_unique, trials)) <= 4.0
         assert abs(two_proportion_z(multi, points, ref_multi, trials)) <= 4.0
 
+    def test_chunked_draws_cover_every_point(self, monkeypatch):
+        # Above PAIRS_CHUNK points the draws come in chunks; the last one is
+        # the remainder, and the chunks draw in order from one generator.
+        monkeypatch.setattr(nazarov, "PAIRS_CHUNK", 1000)
+        n, num, r = 8, 16, solve_r(8, 16, 1.0)
+        got = unique_multi_hits(n, num, r, 2500, RngStream(80).generator())
+        gen = RngStream(80).generator()
+        expect = [0, 0]
+        for size in (1000, 1000, 500):
+            norms = np.sqrt(gen.chisquare(n, size))
+            counts = _count_batches(norms[norms <= math.sqrt(n)], num, r, gen)
+            expect[0] += int(np.count_nonzero(counts == 1))
+            expect[1] += int(np.count_nonzero(counts >= 2))
+        assert got == tuple(expect)
+
     def test_zero_norm_violates_nothing(self):
         counts = _count_batches(np.zeros(5), 16, 1.0, RngStream(75).generator())
         assert np.array_equal(counts, np.zeros(5))
@@ -288,8 +305,7 @@ class TestUniqueVolume:
         # integrand; Rao-Blackwellized sampling of it is the oracle.
         n, r = 16, 6.0
         report = estimate_unique_volume(
-            n, 1, r, bodies=100, points_per_body=2000, rng=RngStream(51),
-            check_concentration=False,
+            n, 1, r, bodies=100, points_per_body=2000, rng=RngStream(51)
         )
         from convexlab.gauss import sf_array
 
@@ -322,6 +338,38 @@ class TestUniqueVolume:
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             estimate_unique_volume(8, 4, 3.0, bodies=10, points_per_body=2000, rng=RngStream(0))
+
+
+class TestCalibration:
+    """calibrate-c0's count-level estimate of the unique volume at c1 = 1/100."""
+
+    @staticmethod
+    def _calibrate(**kwargs):
+        return run_experiment(ExperimentConfig("calibrate-c0", **kwargs))
+
+    def test_unique_rate_matches_materialized_bodies(self):
+        n, num = 16, 32
+        calib = self._calibrate(seed=81, n=n, N=num, trials=1000)
+        rate = next(e for e in calib.estimates if e.metric == "vol_unique_mean")
+        assert rate.sample_count == 1000 * 2000
+        report = estimate_unique_volume(
+            n, num, solve_r(n, num, C1_DEFAULT), bodies=500, points_per_body=4000,
+            rng=RngStream(82), c1=C1_DEFAULT,
+        )
+        body = next(e for e in report.estimates if e.metric == "vol_unique_mean")
+        z = (rate.value - body.value) / math.hypot(rate.ci_halfwidth, body.ci_halfwidth)
+        assert abs(z) <= 4.0
+        assert calib.value("c0_hat") == rate.value / C1_DEFAULT
+
+    def test_builds_no_body_and_starts_no_pool(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("calibrate-c0 materialized work")
+
+        monkeypatch.setattr(nazarov, "sample_body", forbidden)
+        monkeypatch.setattr(parallel, "map_units", forbidden)
+        monkeypatch.setattr(experiments, "map_units", forbidden)
+        monkeypatch.setenv("CONVEXLAB_WORKERS", "2")
+        assert self._calibrate(seed=83, n=100, N=1024).all_passed()
 
 
 class TestFlapDogear:
