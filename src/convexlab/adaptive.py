@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .gauss import Frame, haar_coords, sample_haar_frame, std_normal_cdf
+from .gauss import Frame, haar_coords, sample_haar_frame, sphere_coords, std_normal_cdf
 from .nazarov import (
     NazarovBody,
     default_halfspace_count,
@@ -421,7 +421,17 @@ def strip_crossing_experiment(
     1000 sqrt(q) n^{1/4} exceeds the geometry of Ball(sqrt(2n)) at desk
     dimensions, so displacements are clamped to sqrt(n), which keeps every
     constructed projection realizable by a point of the ball.
+
+    Only the projections of v are read, and they need no n-vector.  Rotate
+    the base point to sqrt(n) e1: v.base = sqrt(n) g0.  Each displacement
+    direction o_j is uniform on the unit sphere of base^perp, so
+    v.o_j = |v'| c_j, where v' is v's part in base^perp, |v'|^2 ~ chi^2_{n-1},
+    and c_j = h_j / sqrt(h_j^2 + chi^2_{n-2}) is the first coordinate of a
+    uniform unit vector of R^{n-1} (gauss.sphere_coords; sign(h_j) at n = 2).
+    g0, |v'| and the c_j are independent, so a trial is 2 + 2q draws.
     """
+    if n < 2:
+        raise DomainError("need n >= 2")
     if q < 1:
         raise DomainError("need q >= 1")
     requested = cluster_radius if cluster_radius is not None else 1000.0 * math.sqrt(q) * n**0.25
@@ -444,6 +454,7 @@ def strip_crossing_experiment(
     log2n = math.log2(n)
     gamma = 50000.0 * math.sqrt(q) * n**0.25 * log2n
     shift_bound = 1000.0 * math.sqrt(q) * n**0.25 * log2n
+    e1 = np.eye(1, n - 1)
 
     consistent = 0
     crossings = 0
@@ -453,33 +464,25 @@ def strip_crossing_experiment(
     done = 0
     while done < trials:
         m = min(batch, trials - done)
-        base = gen.standard_normal((m, n))
-        base /= np.linalg.norm(base, axis=1, keepdims=True)
-        base *= math.sqrt(n)
-        # orthogonal displacements for the q-1 cluster mates and for y
-        def orth(scale_max):
-            raw = gen.standard_normal((m, n))
-            raw -= (np.einsum("ij,ij->i", raw, base) / n)[:, None] * base
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            return raw * scale_max
+        t_base = math.sqrt(n) * gen.standard_normal(m)
+        v_orth = np.sqrt(gen.chisquare(n - 1, m))
 
-        v = gen.standard_normal((m, n))
-        t_base = np.einsum("ij,ij->i", v, base)
+        def shift(radius):
+            """v.(point - base) for a point displaced by radius along a fresh o_j."""
+            return radius * v_orth * sphere_coords(e1, m, gen)[:, 0]
+
         out_base = np.abs(t_base) > half
         agree = np.ones(m, dtype=bool)
         # Displacement budget: mates within radius/3 and y at 2 radius/3 keeps
         # every cluster-to-y distance at most the cluster radius.
         for _ in range(q - 1):
-            mate = base + orth(effective / 3.0) if effective > 0 else base
-            t_mate = np.einsum("ij,ij->i", v, mate)
-            agree &= (np.abs(t_mate) > half) == out_base
-        y = base + orth(2.0 * effective / 3.0) if effective > 0 else base
-        t_y = np.einsum("ij,ij->i", v, y)
-        cross = (np.abs(t_y) > half) != out_base
+            agree &= (np.abs(t_base + shift(effective / 3.0)) > half) == out_base
+        y_shift = shift(2.0 * effective / 3.0)
+        cross = (np.abs(t_base + y_shift) > half) != out_base
         consistent += int(np.count_nonzero(agree))
         crossings += int(np.count_nonzero(agree & cross))
         near_boundary += int(np.count_nonzero(np.abs(np.abs(t_base) - half) <= gamma))
-        big_shift += int(np.count_nonzero(np.abs(t_y - t_base) > shift_bound))
+        big_shift += int(np.count_nonzero(np.abs(y_shift) > shift_bound))
         done += m
 
     p_cond, _ = report.add_rate("conditional_crossing", crossings, consistent)

@@ -16,7 +16,7 @@ import numpy as np
 from . import adaptive, gauss, nazarov, ptf, testers, tolerant
 from .errors import CalibrationMissingError, DomainError
 from .parallel import map_units
-from .report import ExperimentReport, binom_se
+from .report import ExperimentReport
 from .rng import RngStream
 from .storage import load_calibration, save_calibration
 
@@ -128,9 +128,7 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
         1e-10,
         source="closed-form",
     )
-    x = np.zeros(n)
-    x[0] = math.sqrt(n)
-    hits = sum(map_units(_shell_hit, bodies, rng, n, N, r, x))
+    hits = sum(map_units(_shell_hit, bodies, rng, N, r, math.sqrt(n)))
     freq, _ = report.add_rate("mc_membership", hits, bodies)
     report.assert_leq(
         "Monte Carlo shell membership within 0.03 of the closed form",
@@ -141,9 +139,12 @@ def run_shell_membership(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _shell_hit(rng: RngStream, b: int, n: int, N: int, r: float, x: np.ndarray) -> bool:
-    body = nazarov.sample_body(n, N, r, rng.child(b))
-    return nazarov.classify(body, x).kind is nazarov.PointKind.IN_BODY
+def _shell_hit(rng: RngStream, b: int, N: int, r: float, x0: float) -> bool:
+    """Whether x = x0 e1 lies in body b: x meets each of the N normals g only
+    through g's first coordinate, so the body is N normals, not N x n, and
+    classify's rule reads x0 g <= r for all of them (ties inside)."""
+    g = rng.child(b).generator().standard_normal(N)
+    return bool((x0 * g <= r).all())
 
 
 def run_high_degree_bound(config: ExperimentConfig) -> ExperimentReport:
@@ -328,12 +329,12 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
         sub = testers.rejection_rate(
             "hull-sampling", "adaptive", n, budget, trials, rng.child(index)
         )
-        rates.append(sub.value("rejection_rate"))
+        rates.append(sub.estimate("rejection_rate"))
         report.merge(sub, prefix=f"adaptive budget={budget}")
     report.assert_trend(
         "adaptive-family rejection rate nondecreasing in budget (3se slack)",
-        rates,
-        [binom_se(int(r * trials), trials) for r in rates],
+        [e.value for e in rates],
+        [e.ci_halfwidth for e in rates],
         "nondecreasing",
         floor=1e-12,
     )
@@ -415,12 +416,12 @@ def run_strip_crossing(config: ExperimentConfig) -> ExperimentReport:
         sub = adaptive.strip_crossing_experiment(
             n, q, radius, trials, rng.child(index), ratio_limit=ratio_limit
         )
-        rates.append(sub.value("conditional_crossing"))
+        rates.append(sub.estimate("conditional_crossing"))
         report.merge(sub, prefix=f"n={n}")
     report.assert_trend(
         "conditional crossing probability decreasing in n at fixed q (3se slack)",
-        rates,
-        [binom_se(int(r * trials), trials) for r in rates],
+        [e.value for e in rates],
+        [e.ci_halfwidth for e in rates],
         "nonincreasing",
     )
     return report
@@ -492,16 +493,16 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         sub_near = tolerant.xy_pair_experiment(
             n, x, near, q_trials, rng.child(2 * index), calibration
         )
-        near_rate = sub_near.value("action_separation_rate")
-        near_rates.append(near_rate)
+        sep = sub_near.estimate("action_separation_rate")
+        near_rates.append(sep)
         report.merge(sub_near, prefix=f"near n={n}")
         bound = 2.0 ** (-4.0 * c3 * n**0.25)
         report.assert_leq(
             f"near-pair separation rate at n={n} <= 2^(-4 c3 n^(1/4)) + 3se",
-            near_rate,
+            sep.value,
             bound,
             source="analytic",
-            se=binom_se(int(near_rate * q_trials), q_trials),
+            se=sep.ci_halfwidth,
         )
         sub_far = tolerant.xy_pair_experiment(
             n, x, far, q_trials, rng.child(2 * index + 1), calibration
@@ -510,8 +511,8 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         report.merge(sub_far, prefix=f"far n={n}")
     report.assert_trend(
         "near-pair separation rate decaying in n (3se slack)",
-        near_rates,
-        [binom_se(int(r * q_trials), q_trials) for r in near_rates],
+        [e.value for e in near_rates],
+        [e.ci_halfwidth for e in near_rates],
         "nonincreasing",
     )
     if len(grid) > 1:

@@ -12,6 +12,13 @@ testers draw it once per run, for their one batch.  Instances that must
 exist as objects (persistence, the adaptive event-rate experiment) still
 draw the full frame with sample_haar_frame.
 
+The same split serves one uniform direction u = g/|g| of R^d per trial:
+X g = R^T Q^T g, where w = Q^T g ~ N(0, I_k) is independent of the part of
+g outside the column space of Q, whose squared norm is chi^2_{d-k}.  So
+sphere_coords draws X u as R^T w / sqrt(|w|^2 + chi^2_{d-k}), k + 1 draws
+per trial instead of d.  xy-pair reads (u.(x - y), u.x) this way, and
+strip-crossing the cosine of a direction with a uniform unit vector.
+
 The cdf goes through erfc in double precision (max error well under the
 1e-13 budget).  The quantile and inverse survival function use bisection on
 the monotone cdf/sf followed by one Newton refinement step: slower than a
@@ -203,6 +210,20 @@ def haar_coords(points: np.ndarray, rng: RngStream) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     r = np.linalg.qr(points.T, mode="r")
     return r.T @ _stiefel(points.shape[1], r.shape[0], rng).T
+
+
+def sphere_coords(points: np.ndarray, trials: int, gen: np.random.Generator) -> np.ndarray:
+    """(trials, q) coordinates X u of the q rows of X along `trials` uniform
+    unit vectors u of R^d, in law (module docstring).
+
+    Exact also for rank-deficient X: a zero row gets coordinate 0.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    r = np.linalg.qr(points.T, mode="r")
+    k = r.shape[0]
+    w = gen.standard_normal((trials, k))
+    rest = gen.chisquare(points.shape[1] - k, trials) if points.shape[1] > k else 0.0
+    return (w @ r) / np.sqrt(np.einsum("ij,ij->i", w, w) + rest)[:, None]
 
 
 # -- empirical verification of the tail bounds -------------------------------

@@ -226,7 +226,7 @@ def membership_prob(n: int, N: int, r: float, norm: float) -> float:
     """Closed-form probability that a point of given norm lies in a fresh body."""
     if norm < 0:
         raise DomainError("need norm >= 0")
-    if norm * norm > n:
+    if norm > math.sqrt(n):  # not norm^2 > n: sqrt(n)^2 rounds above n at n = 2, 8, 50, ...
         return 0.0
     if norm == 0.0:
         return 1.0

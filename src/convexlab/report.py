@@ -107,11 +107,14 @@ class ExperimentReport:
         worst = max(b - a for a, b in steps)
         self.assert_leq(description, max(0.0, worst), floor, se=max(ses))
 
-    def value(self, metric: str) -> float:
+    def estimate(self, metric: str) -> Estimate:
         for e in self.estimates:
             if e.metric == metric:
-                return e.value
+                return e
         raise KeyError(metric)
+
+    def value(self, metric: str) -> float:
+        return self.estimate(metric).value
 
     def all_passed(self) -> bool:
         return all(a.passed for a in self.assertions)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import ptf
 from .errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
@@ -117,6 +116,10 @@ def in_convex_hull(y: np.ndarray, points: np.ndarray, tol: float = HULL_TOL):
         raise DimensionMismatchError("hull points and target have different dimensions")
     if not tol > 0:
         raise DomainError("tol must be positive")
+    # Imported here so that a process that never tests hull membership never
+    # loads scipy.optimize.
+    from scipy.optimize import linprog
+
     m = points.shape[0]
     # lambda >= 0, sum lambda = 1, |points^T lambda - y|_inf <= tol.  The LP
     # runs at 0.9 tol with a tightened solver tolerance so the returned

@@ -44,6 +44,7 @@ from .gauss import (
     Frame,
     haar_coords,
     sample_haar_frame,
+    sphere_coords,
     std_normal_cdf,
     std_normal_quantile,
     std_normal_sf,
@@ -624,8 +625,17 @@ def xy_pair_experiment(
     that both control projections uniquely violate the same halfspace,
     conditioned on one of them doing so, over bodies with the subspace fixed
     first.  The second estimate is compared against the closed-form joint
-    Gaussian tail bound.  Each body enters (ii) only through its counts of
-    the four halfspace patterns (see same_unique_counts).
+    Gaussian tail bound.
+
+    Neither part draws an (n+1)-vector per trial.  (i) reads only
+    (u.(x - y), u.x) for a uniform direction u of R^{n+1}: in law
+    R^T w / sqrt(|w|^2 + chi^2_{n+1-k}), with R the r factor of the QR of
+    [x - y; x]^T and w ~ N(0, I_k), k <= 2 (gauss.sphere_coords).  A zero
+    row, as at x = y, keeps gap 0.  (ii) needs only f.x and f.y for the
+    action vector f, column 0 of gauss.haar_coords of [x; y]; then
+    |x_C|^2 = |x|^2 - (f.x)^2, |y_C|^2 likewise, and
+    x_C.y_C = x.y - (f.x)(f.y).  Each body enters (ii) only through its
+    counts of the four halfspace patterns (see same_unique_counts).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -648,17 +658,16 @@ def xy_pair_experiment(
 
     # (i) curb-width separation of the action coordinates over a random line
     rho_width = curb_interval_width(c2)
-    gen = rng.child(0).generator()
-    dirs = gen.standard_normal((trials, n + 1))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    gap = np.abs(dirs @ (x - y))
+    coords = sphere_coords(np.stack([x - y, x]), trials, rng.child(0).generator())
+    gap = np.abs(coords[:, 0])
     sep_hits = int(np.count_nonzero(gap >= rho_width))
     report.add_rate("action_separation_rate", sep_hits, trials)
     report.add_estimate("curb_width", rho_width)
 
     # Projection norm retention (all but an exponentially small fraction of
     # directions keep |x_C| within 1 of |x|).
-    xc_norm = np.sqrt(np.maximum(float(x @ x) - (dirs @ x) ** 2, 0.0))
+    xx = float(x @ x)
+    xc_norm = np.sqrt(np.maximum(xx - coords[:, 1] ** 2, 0.0))
     keep_hits = int(np.count_nonzero(xc_norm >= np.linalg.norm(x) - 1.0))
     keep_freq, _ = report.add_rate("projection_retention_rate", keep_hits, trials)
     report.assert_geq(
@@ -669,13 +678,9 @@ def xy_pair_experiment(
     )
 
     # (ii) same-unique-halfspace probability over bodies, subspace fixed first
-    frame = sample_haar_frame(n + 1, n + 1, rng.child(1))
-    action = frame.vectors[0]
-    control = Frame(ambient_dim=n + 1, vectors=frame.vectors[1:])
-    xp = control.coords(x)
-    yp = control.coords(y)
-    nx, ny = float(np.linalg.norm(xp)), float(np.linalg.norm(yp))
-    rho = min(max(float(xp @ yp) / (nx * ny), -1.0), 1.0)
+    fx, fy = haar_coords(np.stack([x, y]), rng.child(1))[:, 0]
+    nx, ny = math.sqrt(xx - fx * fx), math.sqrt(float(y @ y) - fy * fy)
+    rho = min(max((float(x @ y) - fx * fy) / (nx * ny), -1.0), 1.0)
     h_val, k_val = r / nx, r / ny
     report.add_estimate("norm_ratio", nx / ny)
     report.add_estimate("rho", rho)

@@ -229,6 +229,42 @@ class TestEvents:
         assert not flags["E2"]
 
 
+def _strip_cells_reference(n, q, radius, trials, gen, chunk=50_000):
+    """The n-wide loop that strip_crossing_experiment replaces: the base point,
+    the q displaced points and v drawn as n-vectors.  Returns the counts of
+    the cells (cluster disagrees, agrees and y stays, agrees and y crosses)."""
+    half = strip_halfwidth(n)
+    cells = np.zeros(3, dtype=np.int64)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        base = gen.standard_normal((m, n))
+        base *= math.sqrt(n) / np.linalg.norm(base, axis=1, keepdims=True)
+
+        def displaced(scale):
+            raw = gen.standard_normal((m, n))
+            raw -= (np.einsum("ij,ij->i", raw, base) / n)[:, None] * base
+            return base + scale * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+        v = gen.standard_normal((m, n))
+
+        def outside(points):
+            return np.abs(np.einsum("ij,ij->i", v, points)) > half
+
+        out_base = outside(base)
+        agree = np.ones(m, dtype=bool)
+        for _ in range(q - 1):
+            agree &= outside(displaced(radius / 3.0)) == out_base
+        cross = outside(displaced(2.0 * radius / 3.0)) != out_base
+        cells += [m - agree.sum(), (agree & ~cross).sum(), (agree & cross).sum()]
+    return cells
+
+
+def _strip_cells(report, trials):
+    rate = report.estimate("conditional_crossing")
+    crossings = round(rate.value * rate.sample_count)
+    return [trials - rate.sample_count, rate.sample_count - crossings, crossings]
+
+
 class TestStripCrossing:
     def test_zero_radius_never_crosses(self):
         report = strip_crossing_experiment(64, 4, 0.0, 20_000, RngStream(314))
@@ -238,3 +274,30 @@ class TestStripCrossing:
         report = strip_crossing_experiment(100, 4, 2.0 * 100**0.25, 50_000, RngStream(315))
         assert report.all_passed()
         assert 0.0 < report.value("conditional_crossing") < 1.0
+
+    @pytest.mark.parametrize("n", [2, 8, 12, 16])
+    def test_cells_match_n_wide_reference(self, n):
+        from scipy.stats import chi2_contingency
+
+        trials = 400_000
+        radius = math.sqrt(n)
+        fast = _strip_cells(strip_crossing_experiment(n, 4, radius, trials, RngStream(316, n)), trials)
+        ref = _strip_cells_reference(n, 4, radius, trials, RngStream(317, n).generator())
+        assert chi2_contingency(np.array([fast, ref]), correction=False).pvalue > 1e-3
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(DomainError):
+            strip_crossing_experiment(1, 4, None, 100, RngStream(318))
+
+    def test_large_n_allocates_no_n_wide_batch(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = strip_crossing_experiment(4096, 4, None, 20_000, RngStream(319))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < report.value("conditional_crossing") < 1.0
+        # One n-wide batch of the old loop was 20,000 x 4096 floats, 655 MB.
+        assert peak < 4e6

@@ -35,6 +35,19 @@ class TestManifest:
         assert "all-lemmas" in result.stdout
 
 
+def test_cli_import_leaves_the_lp_solver_unloaded():
+    script = (
+        "import sys; import numpy as np; import convexlab.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'imported with the cli'\n"
+        "from convexlab.testers import certificate_valid, in_convex_hull\n"
+        "points, y = np.eye(3), np.full(3, 1.0 / 3.0)\n"
+        "lam = in_convex_hull(y, points)\n"
+        "assert lam is not None and certificate_valid(y, points, lam)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestRun:
     def test_smoke_json(self, tmp_path):
         out = tmp_path / "report.json"

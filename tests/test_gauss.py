@@ -11,6 +11,7 @@ from convexlab.gauss import (
     haar_coords,
     sample_haar_frame,
     sf_array,
+    sphere_coords,
     std_normal_cdf,
     std_normal_isf,
     std_normal_quantile,
@@ -185,6 +186,31 @@ class TestHaarCoords:
         first = haar_coords(self.QUERIES, RngStream(184))
         assert first.tobytes() == haar_coords(self.QUERIES, RngStream(184)).tobytes()
         assert not np.array_equal(first, haar_coords(self.QUERIES, RngStream(185)))
+
+
+class TestSphereCoords:
+    """Coordinates of fixed rows along uniform directions, drawn without the
+    directions; xy-pair and strip-crossing pin them against n-wide loops."""
+
+    def test_matches_normalized_gaussian_directions(self):
+        from scipy.stats import ks_2samp
+
+        x = RngStream(186).generator().standard_normal((3, 7))
+        fast = sphere_coords(x, 50_000, RngStream(187).generator())
+        g = RngStream(188).generator().standard_normal((50_000, 7))
+        ref = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ x.T
+        for a, b in ((fast[:, 0], ref[:, 0]), (fast[:, 2], ref[:, 2]),
+                     (fast[:, 0] * fast[:, 1], ref[:, 0] * ref[:, 1])):
+            assert ks_2samp(a, b).pvalue > 1e-3
+
+    def test_zero_row_and_full_dimension(self):
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+        coords = sphere_coords(x, 1000, RngStream(189).generator())
+        assert not coords[:, 0].any()
+        assert np.abs(coords[:, 1]).max() <= 3.0 + 1e-12
+        # With k = d the direction lies in the row space: X u is a unit vector.
+        coords = sphere_coords(np.eye(2), 1000, RngStream(190).generator())
+        assert np.abs(np.linalg.norm(coords, axis=1) - 1.0).max() <= 1e-12
 
 
 class TestTailBounds:

@@ -195,6 +195,39 @@ class TestMembershipProb:
         se = math.sqrt(closed * (1 - closed) / 2000)
         assert abs(freq - closed) <= 3 * se + 1e-9
 
+    def test_half_at_shell_where_sqrt_n_squared_rounds_up(self):
+        # math.sqrt(8) ** 2 > 8: the shell point must still count as in the ball.
+        assert math.sqrt(8) ** 2 > 8
+        assert abs(membership_prob(8, 64, solve_r_half(8, 64), math.sqrt(8)) - 0.5) <= 1e-10
+
+
+class TestShellMembership:
+    def test_hit_rate_matches_materialized_bodies(self):
+        n, num, bodies = 16, 64, 4000
+        report = run_experiment(ExperimentConfig("shell-membership", seed=32, n=n, N=num, trials=bodies))
+        hits = round(report.value("mc_membership") * bodies)
+        r = solve_r_half(n, num)
+        x = np.zeros(n)
+        x[0] = math.sqrt(n)
+        root = RngStream(33)
+        ref = sum(
+            classify(sample_body(n, num, r, root.child(b)), x).kind is PointKind.IN_BODY
+            for b in range(bodies)
+        )
+        assert abs(two_proportion_z(hits, bodies, ref, bodies)) <= 4.0
+
+    def test_passes_where_sqrt_n_squared_rounds_up(self):
+        report = run_experiment(ExperimentConfig("shell-membership", seed=34, n=8, N=64, trials=2000))
+        assert report.all_passed()
+        assert 0.4 < report.value("mc_membership") < 0.6
+
+    def test_draws_no_body(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("shell-membership built a body")
+
+        monkeypatch.setattr(nazarov, "sample_body", forbidden)
+        run_experiment(ExperimentConfig("shell-membership", seed=35, n=1024, N=4096, trials=20))
+
 
 class TestHighDegreeBound:
     def test_bound_holds_and_matches_binomial_form(self):

@@ -138,7 +138,7 @@ class TestExperimentGrid:
         rates = [report.value(f"n={n}: conditional_crossing") for n in (64, 100, 144)]
         (trend,) = [a for a in report.assertions if a.description == TREND]
         assert trend.observed == max(b - a for a, b in zip(rates, rates[1:]))
-        assert trend.observed == pytest.approx(0.00603, abs=5e-6)
+        assert trend.observed == pytest.approx(0.00423, abs=5e-6)
         assert trend.passed
 
     @pytest.mark.parametrize(

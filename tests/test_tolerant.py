@@ -6,12 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import homogeneity_pvalue, two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
-from convexlab.gauss import std_normal_cdf
+from convexlab.gauss import sample_haar_frame, std_normal_cdf
 from convexlab.rng import RngStream
 from convexlab.tolerant import (
     C1_DEFAULT,
     bivariate_tail_check,
     bivariate_upper_bound,
+    c2_from,
+    curb_interval_width,
     detect_bad,
     eps_from_volumes,
     estimate_eps_bounds,
@@ -368,7 +370,59 @@ class TestSameUniqueCounts:
         assert cond > 0 and star == cond
 
 
+def _shell_pair(n, gap):
+    """x = sqrt(n+1) e1 and y on the same sphere at distance `gap` from x."""
+    s = math.sqrt(n + 1.0)
+    theta = 2.0 * math.asin(gap / (2.0 * s))
+    x, y = np.zeros(n + 1), np.zeros(n + 1)
+    x[0] = s
+    y[0], y[1] = s * math.cos(theta), s * math.sin(theta)
+    return x, y
+
+
+def _action_hits_reference(x, y, width, trials, gen):
+    """Part (i) of xy-pair as it was before the n-free sampler: one uniform
+    (n+1)-wide direction per trial.  Returns (separation hits, retention hits)."""
+    dirs = gen.standard_normal((trials, x.size))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    sep = np.abs(dirs @ (x - y)) >= width
+    keep = np.sqrt(np.maximum(x @ x - (dirs @ x) ** 2, 0.0)) >= np.linalg.norm(x) - 1.0
+    return int(sep.sum()), int(keep.sum())
+
+
+def _control_rho_reference(x, y, rng):
+    """Part (ii)'s correlation from a full Haar frame of R^{n+1}: rows 1..n
+    span the control subspace."""
+    control = sample_haar_frame(x.size, x.size, rng).vectors[1:]
+    xp, yp = control @ x, control @ y
+    return float(xp @ yp / (np.linalg.norm(xp) * np.linalg.norm(yp)))
+
+
 class TestXYPair:
+    def test_action_rates_match_n_wide_reference(self, calibration_small):
+        n, trials = 16, 200_000
+        width = curb_interval_width(c2_from(calibration_small))
+        # A gap at which about half the directions separate the pair.
+        x, y = _shell_pair(n, width * math.sqrt(n + 1.0) / 0.6745)
+        report = xy_pair_experiment(n, x, y, trials, RngStream(417), calibration_small)
+        sep, keep = _action_hits_reference(x, y, width, trials, RngStream(418).generator())
+        for metric, ref in (("action_separation_rate", sep), ("projection_retention_rate", keep)):
+            hits = round(report.value(metric) * trials)
+            assert 0 < ref < trials
+            assert abs(two_proportion_z(hits, trials, ref, trials)) <= 4.0
+
+    def test_control_rho_matches_full_frame(self, calibration_small):
+        from scipy.stats import ks_2samp
+
+        n, draws = 16, 400
+        x, y = _shell_pair(n, math.sqrt(n + 1.0))  # rho near 1/2
+        fast = [
+            xy_pair_experiment(n, x, y, 10, RngStream(419, t), calibration_small).value("rho")
+            for t in range(draws)
+        ]
+        ref = [_control_rho_reference(x, y, RngStream(420, t)) for t in range(draws)]
+        assert ks_2samp(fast, ref).pvalue > 1e-3
+
     def test_identical_points_never_separate(self, calibration_small):
         n = 64
         s = math.sqrt(n + 1.0)
