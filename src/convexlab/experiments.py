@@ -299,13 +299,15 @@ def run_soundness(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         "soundness", {"d": d, "budget": budget, "runs_per_cell": runs_per_cell}, config.seed
     )
-    rng = config.rng()
+    cells = [
+        testers.Cell(kind, family, d, budget, runs_per_cell, (k, f))
+        for k, kind in enumerate(testers.STRATEGY_KINDS)
+        for f, family in enumerate(testers.CONVEX_FAMILIES)
+    ]
+    counts = testers.cell_rejections(cells, config.rng())
     total_runs = len(testers.CONVEX_FAMILIES) * runs_per_cell
-    for k, kind in enumerate(testers.STRATEGY_KINDS):
-        rejections = sum(
-            testers.rejections(kind, family, d, budget, runs_per_cell, rng.child(k).child(f))
-            for f, family in enumerate(testers.CONVEX_FAMILIES)
-        )
+    for kind in testers.STRATEGY_KINDS:
+        rejections = sum(count for cell, count in zip(cells, counts) if cell.strategy_kind == kind)
         report.add_estimate(f"rejections[{kind}]", rejections, 0.0, total_runs)
         report.assert_leq(
             f"{kind} never rejects a convex oracle ({total_runs} runs)",
@@ -322,15 +324,26 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         "rejection-rates", {"n": n, "trials": trials}, config.seed
     )
-    rng = config.rng()
-    rates = []
     budgets = (4, 16, 64)
-    for index, budget in enumerate(budgets):
-        sub = testers.rejection_rate(
-            "hull-sampling", "adaptive", n, budget, trials, rng.child(index)
-        )
-        rates.append(sub.estimate("rejection_rate"))
-        report.merge(sub, prefix=f"adaptive budget={budget}")
+    # Merge prefix -> (strategy, family, budget); cell i draws from rng.child(i).
+    specs = {f"adaptive budget={budget}": ("hull-sampling", "adaptive", budget) for budget in budgets}
+    specs["ptf-no line-segment"] = ("line-segment", "ptf-no", 30)
+    specs["ptf-yes hull-sampling"] = ("hull-sampling", "ptf-yes", 30)
+    calibration = None
+    if "c0_hat" in config.overrides or config.calibration_path:
+        # Near-convex yes-realizations carry no acceptance guarantee; the
+        # rates are recorded, never asserted.
+        calibration = _calibration(config)
+        for family in ("tolerant-yes", "tolerant-no"):
+            specs[f"{family} hull-sampling"] = ("hull-sampling", family, 30)
+    cells = [
+        testers.Cell(kind, family, n, budget, trials, (index,))
+        for index, (kind, family, budget) in enumerate(specs.values())
+    ]
+    counts = testers.cell_rejections(cells, config.rng(), calibration)
+    for prefix, cell, count in zip(specs, cells, counts):
+        report.merge(testers.rate_report(cell, count, config.seed), prefix=prefix)
+    rates = [report.estimate(f"adaptive budget={budget}: rejection_rate") for budget in budgets]
     report.assert_trend(
         "adaptive-family rejection rate nondecreasing in budget (3se slack)",
         [e.value for e in rates],
@@ -338,35 +351,12 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
         "nondecreasing",
         floor=1e-12,
     )
-    sub = testers.rejection_rate(
-        "line-segment", "ptf-no", n, 30, trials, rng.child(len(budgets))
-    )
-    report.merge(sub, prefix="ptf-no line-segment")
-    sub = testers.rejection_rate(
-        "hull-sampling", "ptf-yes", n, 30, trials, rng.child(len(budgets) + 1)
-    )
-    report.merge(sub, prefix="ptf-yes hull-sampling")
     report.assert_leq(
         "ptf-yes rejection rate exactly zero",
-        sub.value("rejection_rate"),
+        report.value("ptf-yes hull-sampling: rejection_rate"),
         0.0,
         source="closed-form",
     )
-    if "c0_hat" in config.overrides or config.calibration_path:
-        # Near-convex yes-realizations carry no acceptance guarantee; the
-        # rates are recorded, never asserted.
-        calibration = _calibration(config)
-        for offset, family in enumerate(("tolerant-yes", "tolerant-no")):
-            sub = testers.rejection_rate(
-                "hull-sampling",
-                family,
-                n,
-                30,
-                trials,
-                rng.child(len(budgets) + 2 + offset),
-                calibration=calibration,
-            )
-            report.merge(sub, prefix=f"{family} hull-sampling")
     return report
 
 

@@ -7,6 +7,17 @@ once, at the leaf: more 1-queries never shrink the hull, so a 0-query inside
 the hull of some prefix's 1-queries is inside the hull of all of them, and the
 leaf verdict equals the verdict of checking after every query.
 
+The leaf decides each 0-query in stages, each sound on its own, with the LP
+last: the bounding box and the centroid direction (`_outside_mask`), a few
+Frank-Wolfe steps toward the nearest hull point, whose direction passes the
+same margin test (`_frank_wolfe_outside`, run only on the rows the first
+stage leaves), a midpoint certificate for a 0-query halfway between two
+1-queries (`_midpoint_certificate`), and the min-t LP (`in_convex_hull`),
+which is always feasible and so cannot stall on a target at the edge of the
+hull.  The separation stages never mark a row within tol of the hull, and
+the midpoint stage accepts only at the LP's threshold, so the verdict is
+the LP's alone.
+
 A strategy asks for its queries in batches: given the rows asked so far and
 their labels, it returns the next rows, and the runner labels each batch with
 one oracle call.  A non-adaptive strategy asks once; an adaptive one asks a
@@ -28,7 +39,9 @@ in law, and answers that one batch.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -41,6 +54,13 @@ from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
 
 HULL_TOL = 1e-8
+# Frank-Wolfe steps of the separation stage, per surviving 0-query.
+FW_STEPS = 8
+# Window pairs the midpoint stage re-verifies per 0-query; past this many the
+# LP decides.
+MIDPOINT_PAIRS = 64
+# Seconds HiGHS may spend on one hull LP before SolverError.
+LP_TIME_LIMIT = 30.0
 
 
 class Oracle(Protocol):
@@ -106,7 +126,15 @@ class TesterVerdict:
 
 def in_convex_hull(y: np.ndarray, points: np.ndarray, tol: float = HULL_TOL):
     """Convex-combination coefficients placing y within tol (sup norm) of
-    the hull of `points`, or None if the feasibility LP is infeasible.
+    the hull of `points`, or None if y is farther than 0.9 tol from it.
+
+    The LP minimises t subject to |points^T lam - y|_inf <= t, sum lam = 1,
+    lam >= 0.  Every convex combination is feasible, so it is well posed
+    whatever y is, a target on an edge of the hull included (where the
+    feasibility form |points^T lam - y|_inf <= 0.9 tol can run for
+    minutes).  y is inside when t* <= 0.9 tol and the coefficients pass
+    certificate_valid at tol; a solver that fails, or stops at
+    LP_TIME_LIMIT seconds, raises SolverError.
     """
     y = np.asarray(y, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -116,34 +144,37 @@ def in_convex_hull(y: np.ndarray, points: np.ndarray, tol: float = HULL_TOL):
         raise DimensionMismatchError("hull points and target have different dimensions")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    # Imported here so that a process that never tests hull membership never
-    # loads scipy.optimize.
+    if not (np.isfinite(y).all() and np.isfinite(points).all()):
+        raise DomainError("hull points and target must be finite")
+    # Imported here so that a process that never reaches the LP never loads
+    # scipy.optimize.
     from scipy.optimize import linprog
 
-    m = points.shape[0]
-    # lambda >= 0, sum lambda = 1, |points^T lambda - y|_inf <= tol.  The LP
-    # runs at 0.9 tol with a tightened solver tolerance so the returned
-    # certificate verifies strictly at tol.
-    inner = 0.9 * tol
-    a_ub = np.vstack([points.T, -points.T])
-    b_ub = np.concatenate([y + inner, inner - y])
+    m, d = points.shape
+    # Variables (lam, t): minimise t with points^T lam - t <= y and
+    # -points^T lam - t <= -y.  The tightened solver tolerance keeps the
+    # returned certificate verifying at tol.
+    ones = np.ones((d, 1))
     res = linprog(
-        c=np.zeros(m),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, m)),
+        c=np.concatenate([np.zeros(m), [1.0]]),
+        A_ub=np.block([[points.T, -ones], [-points.T, -ones]]),
+        b_ub=np.concatenate([y, -y]),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
         b_eq=np.array([1.0]),
         bounds=(0.0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": max(1e-10, min(1e-7, tol * 1e-2))},
+        options={
+            "primal_feasibility_tolerance": max(1e-10, min(1e-7, tol * 1e-2)),
+            "time_limit": LP_TIME_LIMIT,
+        },
     )
-    if res.status == 2:  # infeasible
-        return None
     if res.status != 0:
-        raise SolverError(f"hull LP did not converge (status {res.status}): {res.message}")
-    lam = np.asarray(res.x, dtype=np.float64)
+        raise SolverError(f"hull LP did not finish (status {res.status}): {res.message}")
+    if res.x[-1] > 0.9 * tol:
+        return None
+    lam = np.asarray(res.x[:-1], dtype=np.float64)
     if not certificate_valid(y, points, lam, tol):
-        raise SolverError("LP reported feasible but the certificate fails re-verification")
+        raise SolverError("LP reported a hull point but the certificate fails re-verification")
     return lam
 
 
@@ -185,6 +216,71 @@ def _certified_outside(y, points, tol) -> bool:
     return bool(_outside_mask(y[None, :], points, tol)[0])
 
 
+def _frank_wolfe_outside(zeros, points, tol) -> np.ndarray:
+    """A mask of the rows of `zeros` that FW_STEPS Frank-Wolfe steps toward
+    the hull of `points` separate from it.
+
+    Each row y keeps a running hull point x (the centroid at first).  A step
+    moves x toward the support row maximising <p, y - x>, with exact line
+    search for the distance to y (Gilbert's algorithm), then applies
+    _outside_mask's margin test with u = y - x: y is outside when <u, y>
+    exceeds max_i <u, p_i> by more than tol * |u|_1.  The test is sound for
+    any u, so however few steps run, no row within tol of the hull is ever
+    marked.  The rows still unseparated step together; a separated one drops
+    out.
+    """
+    outside = np.zeros(len(zeros), dtype=bool)
+    rows = np.arange(len(zeros))
+    x = np.broadcast_to(points.mean(axis=0), zeros.shape)
+    u = zeros - x
+    scores = u @ points.T
+    for _ in range(FW_STEPS):
+        step = points[scores.argmax(axis=1)] - x
+        length_sq = np.einsum("ij,ij->i", step, step)
+        gamma = np.einsum("ij,ij->i", u, step) / np.where(length_sq > 0, length_sq, 1.0)
+        x = x + np.clip(gamma, 0.0, 1.0)[:, None] * step
+        y = zeros[rows]
+        u = y - x
+        scores = u @ points.T
+        margin = np.einsum("ij,ij->i", u, y) - scores.max(axis=1)
+        separated = margin > tol * np.abs(u).sum(axis=1)
+        outside[rows[separated]] = True
+        keep = ~separated
+        rows, x, u, scores = rows[keep], x[keep], u[keep], scores[keep]
+        if not len(rows):
+            break
+    return outside
+
+
+def _midpoint_certificate(y, points, tol):
+    """Coefficients placing y at the midpoint of two rows of `points`, or
+    None.
+
+    y = (p_i + p_j) / 2 means p_j = 2y - p_i.  The rows are sorted on the
+    coordinate they spread most along, and for every i the rows whose
+    coordinate lies within 2 tol of that of 2y - p_i are candidates.  A
+    candidate pair is accepted only when its coefficients (1/2 on each, 1
+    when i = j) pass certificate_valid at 0.9 tol, the LP's own threshold;
+    past MIDPOINT_PAIRS candidates the LP decides instead.
+    """
+    coord = int(np.ptp(points, axis=0).argmax())
+    order = np.argsort(points[:, coord], kind="stable")
+    key = points[order, coord]
+    target = 2.0 * y[coord] - points[:, coord]
+    lo = np.searchsorted(key, target - 2.0 * tol, "left")
+    hi = np.searchsorted(key, target + 2.0 * tol, "right")
+    if not 0 < (hi - lo).sum() <= MIDPOINT_PAIRS:
+        return None
+    for i in np.flatnonzero(hi > lo):
+        for j in order[lo[i]:hi[i]]:
+            lam = np.zeros(len(points))
+            lam[i] += 0.5
+            lam[j] += 0.5
+            if certificate_valid(y, points, lam, 0.9 * tol):
+                return lam
+    return None
+
+
 def run_one_sided(
     strategy: Strategy, oracle: Oracle, q: int
 ) -> tuple[TesterVerdict, np.ndarray, np.ndarray]:
@@ -208,13 +304,20 @@ def run_one_sided(
             break
         if len(points) + len(batch) > q:
             raise BudgetExceededError(f"tester requested more than {q} queries")
+        if not np.isfinite(batch).all():
+            raise DomainError("tester produced a non-finite query")
         points = np.concatenate([points, batch])
         labels = np.concatenate([labels, oracle.labels(batch)])
     support = points[labels == 1]
     if len(support):
         zeros = points[labels == 0]
-        for y in zeros[~_outside_mask(zeros, support, HULL_TOL)]:
-            lam = in_convex_hull(y, support, HULL_TOL)
+        zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
+        if len(zeros):
+            zeros = zeros[~_frank_wolfe_outside(zeros, support, HULL_TOL)]
+        for y in zeros:
+            lam = _midpoint_certificate(y, support, HULL_TOL)
+            if lam is None:
+                lam = in_convex_hull(y, support, HULL_TOL)
             if lam is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)
                 return TesterVerdict("reject", cert), points, labels
@@ -287,6 +390,37 @@ def family_oracle(family: str, n: int, rng: RngStream, calibration=None) -> Orac
     raise DomainError(f"unknown instance family {family!r}")
 
 
+@dataclass(frozen=True)
+class Cell:
+    """`trials` runs of a baseline strategy against a family.  The cell's
+    stream is the run stream followed down `path`: (k, f) names
+    rng.child(k).child(f), and () the run stream itself."""
+
+    strategy_kind: str
+    family: str
+    n: int
+    budget: int
+    trials: int
+    path: tuple[int, ...] = ()
+
+
+def cell_rejections(cells, rng: RngStream, calibration=None) -> list[int]:
+    """How many runs of each cell reject, every cell's runs in one map_units
+    call (so a pool starts once per call, not once per cell).
+
+    Run t of a cell draws its oracle from s.child(2t) and its queries from
+    s.child(2t + 1), where s is the cell's stream.  The calibration reaches
+    the tolerant families only.
+    """
+    cells = tuple(cells)
+    for cell in cells:
+        if cell.family not in INSTANCE_FAMILIES + CONVEX_FAMILIES:
+            raise DomainError(f"unknown instance family {cell.family!r}")
+    starts = tuple(accumulate((cell.trials for cell in cells), initial=0))
+    outcomes = map_units(_rejects, starts[-1], rng, cells, starts, calibration)
+    return [sum(outcomes[a:b]) for a, b in zip(starts, starts[1:])]
+
+
 def rejections(
     strategy_kind: str,
     family: str,
@@ -296,14 +430,9 @@ def rejections(
     rng: RngStream,
     calibration=None,
 ) -> int:
-    """How many of `trials` runs of a baseline strategy reject a family.
-
-    Run t draws its oracle from rng.child(2t) and its queries from
-    rng.child(2t + 1).
-    """
-    if family not in INSTANCE_FAMILIES + CONVEX_FAMILIES:
-        raise DomainError(f"unknown instance family {family!r}")
-    return sum(map_units(_rejects, trials, rng, strategy_kind, family, n, budget, calibration))
+    """How many of `trials` runs of a baseline strategy reject a family:
+    the one cell whose stream is rng."""
+    return cell_rejections([Cell(strategy_kind, family, n, budget, trials)], rng, calibration)[0]
 
 
 def rejection_rate(
@@ -316,26 +445,35 @@ def rejection_rate(
     calibration=None,
 ) -> ExperimentReport:
     """Rejection frequency of a baseline strategy against an instance family."""
-    rejects = rejections(strategy_kind, instance_family, n, budget, trials, rng, calibration)
+    cell = Cell(strategy_kind, instance_family, n, budget, trials)
+    return rate_report(cell, cell_rejections([cell], rng, calibration)[0], rng.seed)
+
+
+def rate_report(cell: Cell, rejects: int, seed: int) -> ExperimentReport:
+    """The rejection-rate report of a cell whose runs rejected `rejects` times."""
     report = ExperimentReport(
         "rejection-rate",
         {
-            "strategy": strategy_kind,
-            "family": instance_family,
-            "n": n,
-            "budget": budget,
-            "trials": trials,
+            "strategy": cell.strategy_kind,
+            "family": cell.family,
+            "n": cell.n,
+            "budget": cell.budget,
+            "trials": cell.trials,
         },
-        rng.seed,
+        seed,
     )
-    report.add_rate("rejection_rate", rejects, trials)
-    lo, hi = wilson_interval(rejects, trials)
+    report.add_rate("rejection_rate", rejects, cell.trials)
+    lo, hi = wilson_interval(rejects, cell.trials)
     report.add_estimate("wilson_lower_99", lo)
     report.add_estimate("wilson_upper_99", hi)
     return report
 
 
-def _rejects(rng: RngStream, t: int, strategy_kind, family, n, budget, calibration) -> bool:
-    oracle = family_oracle(family, n, rng.child(2 * t), calibration)
-    strategy = baseline_strategy(strategy_kind, budget, oracle.ambient_dim, rng.child(2 * t + 1))
-    return run_one_sided(strategy, oracle, budget)[0].outcome == "reject"
+def _rejects(rng: RngStream, i: int, cells, starts, calibration) -> bool:
+    c = bisect_right(starts, i) - 1
+    cell, t = cells[c], i - starts[c]
+    for index in cell.path:
+        rng = rng.child(index)
+    oracle = family_oracle(cell.family, cell.n, rng.child(2 * t), calibration)
+    strategy = baseline_strategy(cell.strategy_kind, cell.budget, oracle.ambient_dim, rng.child(2 * t + 1))
+    return run_one_sided(strategy, oracle, cell.budget)[0].outcome == "reject"

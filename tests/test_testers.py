@@ -1,18 +1,28 @@
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from conftest import homogeneity_pvalue, separated_by_direction_scan, two_proportion_z
 from convexlab import adaptive, nazarov, ptf, tolerant
-from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError
+from convexlab import testers
+from convexlab.errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
+from convexlab.experiments import ExperimentConfig, run_experiment
 from convexlab.rng import RngStream
 from convexlab.testers import (
     CONVEX_FAMILIES,
     HULL_TOL,
     INSTANCE_FAMILIES,
     BatchOracle,
+    Cell,
     _certified_outside,
+    _frank_wolfe_outside,
+    _midpoint_certificate,
     _outside_mask,
     baseline_strategy,
+    cell_rejections,
     certificate_valid,
     family_oracle,
     in_convex_hull,
@@ -269,6 +279,167 @@ class TestPrefilter:
         assert empty.shape == (0,)
 
 
+def _feasibility_hull(y, points, tol=HULL_TOL):
+    """The hull LP in its feasibility form: lam >= 0, sum lam = 1 and
+    |points^T lam - y|_inf <= 0.9 tol, or None when infeasible.  It stalls
+    on targets at the midpoint of two support rows in high dimension, which
+    is why the runner no longer uses it; it stays here as the reference
+    that the min-t LP must agree with."""
+    from scipy.optimize import linprog
+
+    m = points.shape[0]
+    inner = 0.9 * tol
+    res = linprog(
+        c=np.zeros(m),
+        A_ub=np.vstack([points.T, -points.T]),
+        b_ub=np.concatenate([y + inner, inner - y]),
+        A_eq=np.ones((1, m)),
+        b_eq=np.array([1.0]),
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "time_limit": 20.0},
+    )
+    assert res.status in (0, 2), res.message
+    return None if res.status == 2 else res.x
+
+
+def _near_hull_rows(support, gen, tol):
+    """Rows within 0.5 tol (sup norm) of the hull of `support`: interior
+    convex combinations, vertices and midpoints, each moved by a random
+    offset, and vertices pushed 0.5 tol outward along a direction the
+    vertex maximises, so that they lie just outside the hull."""
+    m, d = support.shape
+    rows = [gen.dirichlet(np.ones(m), 8) @ support, support[:4], 0.5 * (support[:4] + support[4:8])]
+    rows = [r + gen.uniform(-0.5 * tol, 0.5 * tol, r.shape) for r in rows]
+    w = gen.standard_normal((8, d))
+    tops = support[(support @ w.T).argmax(axis=0)]
+    rows.append(tops + 0.5 * tol * w / np.abs(w).max(axis=1, keepdims=True))
+    return np.vstack(rows)
+
+
+class TestFrankWolfe:
+    def test_rows_within_half_tol_never_separated(self):
+        gen = RngStream(930).generator()
+        for m, d in [(8, 2), (8, 3), (12, 6), (40, 8), (200, 16), (9, 40)]:
+            support = gen.standard_normal((m, d))
+            rows = _near_hull_rows(support, gen, HULL_TOL)
+            assert not _frank_wolfe_outside(rows, support, HULL_TOL).any(), (m, d)
+
+    def test_separates_far_rows_the_prefilter_keeps(self):
+        # Rows just beyond the hull in a random direction: the centroid
+        # test misses many of them, a few Frank-Wolfe steps separate them,
+        # and every separated row is outside by the LP.
+        gen = RngStream(931).generator()
+        support = gen.standard_normal((60, 6))
+        w = gen.standard_normal((200, 6))
+        reach = (support @ w.T).max(axis=0) / np.einsum("ij,ij->i", w, w)
+        rows = 1.05 * reach[:, None] * w
+        kept = rows[~_outside_mask(rows, support, HULL_TOL)]
+        separated = _frank_wolfe_outside(kept, support, HULL_TOL)
+        assert len(kept) > 20 and separated.mean() > 0.8
+        assert all(_feasibility_hull(y, support) is None for y in kept[separated])
+
+    def test_not_called_when_the_prefilter_leaves_no_rows(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Frank-Wolfe stage ran on zero rows")
+
+        monkeypatch.setattr(testers, "_frank_wolfe_outside", fail)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
+        oracle = BatchOracle(2, lambda pts: pts.max(axis=1) <= 1.0)
+        verdict, _, labels = run_one_sided(_batches(square), oracle, 5)
+        assert verdict.outcome == "accept" and labels.tolist() == [1, 1, 1, 1, 0]
+
+
+class TestMidpoint:
+    def test_planted_midpoint_certified(self):
+        gen = RngStream(932).generator()
+        support = gen.standard_normal((300, 20))
+        for i, j in [(0, 1), (7, 250), (299, 3), (5, 5)]:
+            y = 0.5 * (support[i] + support[j])
+            lam = _midpoint_certificate(y, support, HULL_TOL)
+            assert lam is not None and certificate_valid(y, support, lam)
+            assert set(np.flatnonzero(lam)) == {i, j}
+
+    def test_rows_matching_only_the_sort_coordinate_do_not_certify(self):
+        # Coordinate 0 spreads most, so the stage sorts on it.  Each decoy
+        # row agrees with 2y - p_i there and nowhere else.
+        gen = RngStream(933).generator()
+        support = gen.standard_normal((50, 5))
+        support[:, 0] *= 10.0
+        y = support.mean(axis=0) + 0.1 * gen.standard_normal(5)
+        decoys = gen.standard_normal((6, 5))
+        decoys[:, 0] = 2.0 * y[0] - support[:6, 0]
+        rows = np.vstack([support, decoys])
+        assert _midpoint_certificate(y, rows, HULL_TOL) is None
+        # A pair whose midpoint lies within 0.4 tol of the target certifies.
+        y_near = 0.5 * (rows[2] + rows[-4]) + 0.4 * HULL_TOL
+        lam = _midpoint_certificate(y_near, rows, HULL_TOL)
+        assert lam is not None and certificate_valid(y_near, rows, lam)
+
+    def test_interior_non_midpoints_left_to_the_lp(self):
+        gen = RngStream(934).generator()
+        support = gen.standard_normal((40, 4))
+        y = gen.dirichlet(np.ones(40)) @ support
+        assert _midpoint_certificate(y, support, HULL_TOL) is None
+        assert in_convex_hull(y, support) is not None
+
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_midpoint_targets_where_the_feasibility_lp_stalls(self, d):
+        # The feasibility form ran past 20 s at these shapes; the min-t LP
+        # takes well under a second here, and the midpoint stage less.
+        support = RngStream(935, d).generator().standard_normal((800, d))
+        y = 0.5 * (support[3] + support[17])
+        start = time.perf_counter()
+        lam = in_convex_hull(y, support)
+        assert time.perf_counter() - start < 10.0
+        assert lam is not None and certificate_valid(y, support, lam)
+        start = time.perf_counter()
+        lam = _midpoint_certificate(y, support, HULL_TOL)
+        assert time.perf_counter() - start < 1.0
+        assert lam is not None and certificate_valid(y, support, lam)
+
+
+class TestMinTLP:
+    def test_agrees_with_the_feasibility_form(self):
+        gen = RngStream(936).generator()
+        inside = 0
+        for m, d in [(3, 2), (5, 3), (8, 4), (20, 5), (12, 8), (30, 6)]:
+            support = gen.standard_normal((m, d))
+            targets = np.vstack([
+                gen.dirichlet(np.ones(m), 3) @ support,
+                0.5 * (support[0] + support[1]),
+                support[2] if m > 2 else support[0],
+                3.0 * gen.standard_normal((3, d)),
+                support.mean(axis=0) + 2.0 * (support[0] - support.mean(axis=0)),
+            ])
+            for y in targets:
+                lam = in_convex_hull(y, support)
+                assert (lam is None) == (_feasibility_hull(y, support) is None), (m, d, y)
+                if lam is not None:
+                    inside += 1
+                    assert certificate_valid(y, support, lam)
+        assert 30 <= inside < 54
+
+    def test_near_zero_time_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(testers, "LP_TIME_LIMIT", 1e-9)
+        support = RngStream(937).generator().standard_normal((200, 20))
+        with pytest.raises(SolverError, match="status 1"):
+            in_convex_hull(support.mean(axis=0), support)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        points = np.eye(3)
+        y = np.full(3, 1.0 / 3.0)
+        with pytest.raises(DomainError, match="finite"):
+            in_convex_hull(np.array([bad, 0.0, 0.0]), points)
+        with pytest.raises(DomainError, match="finite"):
+            in_convex_hull(y, np.vstack([points, [0.0, bad, 0.0]]))
+        oracle = _CountingOracle(_constant(3, 1))
+        with pytest.raises(DomainError, match="finite"):
+            run_one_sided(_batches(points, np.array([[bad, 0.0, 0.0]])), oracle, 10)
+        assert oracle.batches == [3]
+
+
 def _per_prefix_verdict(points, labels) -> str:
     """The rule checked after every query: reject at the first prefix in which
     a 0-query lies in the hull of that prefix's 1-queries.  A new 0-query is
@@ -390,6 +561,54 @@ class TestRejectionRate:
     def test_convex_families_never_rejected(self, family):
         for kind in ("line-segment", "hull-sampling"):
             assert rejections(kind, family, 6, 24, 20, RngStream(74)) == 0
+
+    def test_cells_draw_the_streams_of_their_paths(self):
+        rng = RngStream(75)
+        cells = [
+            Cell("line-segment", "adaptive", 4, 60, 30, (0, 1)),
+            Cell("hull-sampling", "ball", 4, 12, 0, (2,)),
+            Cell("line-segment", "adaptive", 4, 60, 25, (3,)),
+            Cell("hull-sampling", "adaptive", 4, 60, 20),
+        ]
+        expected = [
+            rejections("line-segment", "adaptive", 4, 60, 30, rng.child(0).child(1)),
+            0,
+            rejections("line-segment", "adaptive", 4, 60, 25, rng.child(3)),
+            rejections("hull-sampling", "adaptive", 4, 60, 20, rng),
+        ]
+        assert cell_rejections(cells, rng) == expected
+        assert expected[0] > 0 and expected[2] > 0
+
+    @pytest.mark.parametrize("name", ["soundness", "rejection-rates"])
+    def test_one_map_units_call_per_run(self, monkeypatch, name):
+        calls = []
+        original = testers.map_units
+
+        def counting(fn, n_units, *args):
+            calls.append(n_units)
+            return original(fn, n_units, *args)
+
+        monkeypatch.setattr(testers, "map_units", counting)
+        overrides = {"c0_hat": 0.35} if name == "rejection-rates" else {}
+        config = ExperimentConfig(name, seed=3, n=4, trials=5, overrides=overrides)
+        assert run_experiment(config).all_passed()
+        assert calls == [40 if name == "soundness" else 35]
+
+    def test_tester_loop_sizes_leave_the_lp_solver_unloaded(self):
+        # The soundness and rejection-rates runs of the benchmark's
+        # tester-loop workload decide every hull test before the LP.
+        script = (
+            "import sys\n"
+            "from convexlab.experiments import ExperimentConfig, run_experiment\n"
+            "runs = [('soundness', 20, 30, 100, {}), ('rejection-rates', 64, None, 60, {'c0_hat': 0.35})]\n"
+            "for name, n, q, trials, overrides in runs:\n"
+            "    for seed in (1, 2):\n"
+            "        config = ExperimentConfig(name, seed=seed, n=n, q=q, trials=trials, overrides=overrides)\n"
+            "        assert run_experiment(config).all_passed(), (name, seed)\n"
+            "assert 'scipy.optimize' not in sys.modules, 'the hull LP ran'\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 # Materialized draws of each instance family: the reference for its view oracle.
