@@ -335,6 +335,12 @@ def detect_events(inst: AdaptiveInstance, points: np.ndarray, q: int) -> dict:
 
     Only E1 and E2 are computed, over the restricted query set
     {x : |x_C| <= sqrt(n)}.  An empty query set satisfies both vacuously.
+
+    The distance clause of E1 cannot fail on the transcripts that
+    event_rate_experiment draws: two standard Gaussian points of R^{2n} lie
+    about 2 sqrt(n) apart (20 at n = 100), and the threshold
+    1000 sqrt(q) n^{1/4} is 5,477 at n = 100, q = 3.  There E1 reads only the
+    per-row flap counts.
     """
     points = np.atleast_2d(points)
     if points.size == 0:

@@ -26,6 +26,10 @@ rational approximation but deterministic to the last bit on every platform,
 which the reproducibility contract values more than speed.  The inverse
 survival function works directly with upper-tail masses, so thresholds like
 "upper tail = c1/N" stay resolvable far beyond where 1 - c1/N rounds to 1.
+
+Only sf_array (the count estimators) and upper_orthant (xy-pair) need
+scipy.special; each imports it on its first call, so a process that never
+calls them, such as a tester or instance-view run, never loads scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionMismatchError, DomainError
 from .report import ExperimentReport
@@ -66,8 +69,11 @@ def sf_array(x: np.ndarray) -> np.ndarray:
     """Elementwise upper tail, the one vectorized form of std_normal_sf.
 
     The count samplers draw from it; tests pin it against the series cdf in
-    conftest, which shares no code with it.
+    conftest, which shares no code with it.  scipy.special loads on the first
+    call, not with the module.
     """
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
@@ -77,7 +83,10 @@ def upper_orthant(h: float, k: float, rho: float) -> float:
     Owen's T form (Owen 1956): sf(h)/2 + sf(k)/2 - T(h, a_h) - T(k, a_k) with
     a_h = (k - rho h) / (h sqrt(1 - rho^2)) and a_k symmetric.  At rho = +-1
     the pair is degenerate: Y = X gives sf(max(h, k)) and Y = -X gives 0.
+    scipy.special (owens_t) loads on the first call, not with the module.
     """
+    from scipy import special
+
     if not (h > 0 and k > 0):
         raise DomainError(f"need h, k > 0, got h={h}, k={k}")
     if not -1.0 <= rho <= 1.0:

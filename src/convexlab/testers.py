@@ -189,7 +189,7 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
     if abs(lam.sum() - 1.0) > tol:
         return False
     residual = np.abs(points.T @ lam - np.asarray(y, dtype=np.float64)).max()
-    return residual <= tol * (1.0 + 1e-9)
+    return bool(residual <= tol * (1.0 + 1e-9))
 
 
 def _outside_mask(zeros, points, tol) -> np.ndarray:

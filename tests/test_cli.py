@@ -36,13 +36,39 @@ class TestManifest:
 
 
 def test_cli_import_leaves_the_lp_solver_unloaded():
+    # Neither the cli nor any convexlab module loads scipy at import time;
+    # the hull LP imports scipy.optimize on its first call.
     script = (
-        "import sys; import numpy as np; import convexlab.cli\n"
-        "assert 'scipy.optimize' not in sys.modules, 'imported with the cli'\n"
+        "import importlib, pkgutil, sys; import numpy as np; import convexlab, convexlab.cli\n"
+        "for info in pkgutil.iter_modules(convexlab.__path__):\n"
+        "    importlib.import_module('convexlab.' + info.name)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, f'imported with the package: {loaded}'\n"
         "from convexlab.testers import certificate_valid, in_convex_hull\n"
         "points, y = np.eye(3), np.full(3, 1.0 / 3.0)\n"
         "lam = in_convex_hull(y, points)\n"
         "assert lam is not None and certificate_valid(y, points, lam)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_view_and_tester_runs_leave_scipy_special_unloaded():
+    # Only the count estimators (sf_array) and xy-pair (upper_orthant) need
+    # scipy.special; the instance-view and tester experiments never call them.
+    script = (
+        "import sys\n"
+        "from convexlab.experiments import ExperimentConfig, run_experiment\n"
+        "runs = [\n"
+        "    ('view-tv', dict(n=32, N=128, q=5, trials=40, overrides={'c0_hat': 0.35})),\n"
+        "    ('response-tv', dict(n=16, q=4, trials=40)),\n"
+        "    ('detect-events', dict(n=16, q=3, trials=20)),\n"
+        "    ('soundness', dict(n=20, q=30, trials=20)),\n"
+        "    ('rejection-rates', dict(n=64, trials=20, overrides={'c0_hat': 0.35})),\n"
+        "]\n"
+        "for name, sizes in runs:\n"
+        "    run_experiment(ExperimentConfig(name, seed=1, **sizes))\n"
+        "assert 'scipy.special' not in sys.modules, 'loaded by a view or tester run'\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,34 @@ class TestCdf:
         xs = np.linspace(-4.0, 4.0, 161)
         oracle = np.array([1.0 - series_normal_cdf(x) for x in xs])
         assert np.abs(sf_array(xs) - oracle).max() <= 1e-13
+
+
+_SF_POINTS = [-4.0, -1.0, 0.0, 0.5, 1.96, 4.0]
+_ORTHANT_CASES = [(0.5, 1.2, -0.3), (1.0, 1.0, 0.5), (2.0, 3.0, 0.95), (3.5, 3.2, 0.999)]
+
+
+def test_first_scipy_calls_give_the_pinned_values():
+    # In a fresh interpreter sf_array and upper_orthant are the first to load
+    # scipy.special; their values must still meet the pins above.
+    script = (
+        "import json, sys\n"
+        "from convexlab.gauss import sf_array, upper_orthant\n"
+        "assert 'scipy' not in sys.modules, 'loaded with convexlab.gauss'\n"
+        "sf = sf_array(%r).tolist()\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "orthant = [upper_orthant(h, k, rho) for h, k, rho in %r]\n"
+        "print(json.dumps([sf, orthant]))\n"
+    ) % (_SF_POINTS, _ORTHANT_CASES)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    sf, orthant = json.loads(result.stdout)
+    assert max(abs(v - (1.0 - series_normal_cdf(x))) for v, x in zip(sf, _SF_POINTS)) <= 1e-13
+    from scipy.stats import multivariate_normal
+
+    for value, (h, k, rho) in zip(orthant, _ORTHANT_CASES):
+        law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+        oracle = law.cdf([-h, -k])
+        assert abs(value - oracle) <= 1e-9 * oracle + 1e-15
 
 
 class TestUpperOrthant:

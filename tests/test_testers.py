@@ -65,6 +65,16 @@ class TestConvexHull:
         assert in_convex_hull(y, square) is not None
         assert not separated_by_direction_scan(y, square)
 
+    def test_certificate_check_returns_a_python_bool(self):
+        # A plain bool, so that a verdict serializes with json.
+        points = np.array([[0.0, 0.0], [2.0, 2.0]])
+        y = np.array([1.0, 1.0])
+        assert certificate_valid(y, points, [0.5, 0.5]) is True
+        # Wrong length, a negative weight, weights off sum 1, a wrong point.
+        for lam in ([0.5, 0.25, 0.25], [1.5, -0.5], [0.5, 0.4], [0.25, 0.75]):
+            verdict = certificate_valid(y, points, lam)
+            assert type(verdict) is bool and not verdict, lam
+
     def test_validation(self):
         with pytest.raises(DomainError):
             in_convex_hull(np.zeros(2), np.zeros((0, 2)))
