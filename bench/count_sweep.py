@@ -17,8 +17,7 @@ is shared by every seed.  Writes, for each assertion, how often it failed and
 its smallest and median slack (distance from the bound, negative on a
 failure; none for a vacuous one), plus the pass times, the machine and the
 sha256 digest of every report body, keyed by seed and experiment.
-Assertions that appear only on some seeds (flap-dogear-ratio's vacuous
-branch) count their own runs.
+Assertions that appear only on some seeds count their own runs.
 """
 
 from __future__ import annotations

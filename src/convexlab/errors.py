@@ -22,7 +22,8 @@ class CalibrationMissingError(LabError):
 
 
 class SolverError(LabError):
-    """An LP or eigenvalue solve failed to converge; never treated as accept."""
+    """A hull decision, quadrature or eigenvalue solve failed to finish or to
+    decide; never treated as accept."""
 
 
 class BudgetExceededError(LabError):

@@ -27,9 +27,10 @@ which the reproducibility contract values more than speed.  The inverse
 survival function works directly with upper-tail masses, so thresholds like
 "upper tail = c1/N" stay resolvable far beyond where 1 - c1/N rounds to 1.
 
-Only sf_array (the count estimators) and upper_orthant (xy-pair) need
-scipy.special; each imports it on its first call, so a process that never
-calls them, such as a tester or instance-view run, never loads scipy.
+Only sf_array (the count estimators) and upper_orthant (xy-pair) here, and
+the flap-dogear-ratio test in nazarov, need scipy.special; each imports it on
+its first call, so a process that never calls them, such as a tester or
+instance-view run, never loads scipy.
 """
 
 from __future__ import annotations

@@ -2,21 +2,22 @@
 
 A one-sided run rejects exactly when some 0-labeled query lies in the convex
 hull of the 1-labeled queries; the certificate (hull coefficients) is always
-returned and re-verified independently of the LP solver.  The rule is checked
+returned, and only after it passes certificate_valid.  The rule is checked
 once, at the leaf: more 1-queries never shrink the hull, so a 0-query inside
 the hull of some prefix's 1-queries is inside the hull of all of them, and the
 leaf verdict equals the verdict of checking after every query.
 
-The leaf decides each 0-query in stages, each sound on its own, with the LP
-last: the bounding box and the centroid direction (`_outside_mask`), a few
-Frank-Wolfe steps toward the nearest hull point, whose direction passes the
-same margin test (`_frank_wolfe_outside`, run only on the rows the first
-stage leaves), a midpoint certificate for a 0-query halfway between two
-1-queries (`_midpoint_certificate`), and the min-t LP (`in_convex_hull`),
-which is always feasible and so cannot stall on a target at the edge of the
-hull.  The separation stages never mark a row within tol of the hull, and
-the midpoint stage accepts only at the LP's threshold, so the verdict is
-the LP's alone.
+The leaf decides each 0-query in three stages, each sound on its own: the
+bounding box and the centroid direction (`_outside_mask`); a few Frank-Wolfe
+steps toward the nearest hull point, whose direction passes the same margin
+test (`_frank_wolfe_outside`, run only on the rows the first stage leaves);
+and Wolfe's minimum-norm-point algorithm (`in_convex_hull`), the finitely
+terminating completion of those steps, which decides the rest exactly.  The
+separation stages never mark a row within tol of the hull, and the last
+stage accepts only coefficients that pass certificate_valid at 0.9 tol and
+separates only by the same margin test, so every verdict is the one the
+min-t LP (min t with |points^T lam - y|_inf <= t, inside when t <= 0.9 tol)
+would give; a target that neither test can decide raises SolverError.
 
 A strategy asks for its queries in batches: given the rows asked so far and
 their labels, it returns the next rows, and the runner labels each batch with
@@ -56,11 +57,9 @@ from .rng import RngStream
 HULL_TOL = 1e-8
 # Frank-Wolfe steps of the separation stage, per surviving 0-query.
 FW_STEPS = 8
-# Window pairs the midpoint stage re-verifies per 0-query; past this many the
-# LP decides.
-MIDPOINT_PAIRS = 64
-# Seconds HiGHS may spend on one hull LP before SolverError.
-LP_TIME_LIMIT = 30.0
+# Major cycles of the minimum-norm-point algorithm per row of the largest
+# active set (min(m, d + 1) rows); past them a hull decision raises SolverError.
+WOLFE_CYCLES = 20
 
 
 class Oracle(Protocol):
@@ -125,16 +124,28 @@ class TesterVerdict:
 
 
 def in_convex_hull(y: np.ndarray, points: np.ndarray, tol: float = HULL_TOL):
-    """Convex-combination coefficients placing y within tol (sup norm) of
-    the hull of `points`, or None if y is farther than 0.9 tol from it.
+    """Convex-combination coefficients placing y within 0.9 tol (sup norm)
+    of the hull of `points`, or None if y is farther than 0.9 tol from it.
 
-    The LP minimises t subject to |points^T lam - y|_inf <= t, sum lam = 1,
-    lam >= 0.  Every convex combination is feasible, so it is well posed
-    whatever y is, a target on an edge of the hull included (where the
-    feasibility form |points^T lam - y|_inf <= 0.9 tol can run for
-    minutes).  y is inside when t* <= 0.9 tol and the coefficients pass
-    certificate_valid at tol; a solver that fails, or stops at
-    LP_TIME_LIMIT seconds, raises SolverError.
+    Wolfe's minimum-norm-point algorithm (P. Wolfe, "Finding the nearest
+    point in a polytope", Math. Programming, 1976) runs on the translated
+    rows q_i = p_i - y, from the nearest row.  A major cycle adds the row
+    minimising <x, q_j> for the current hull point x; minor cycles move x to
+    the point of the active rows' affine hull nearest the origin, and when a
+    weight there is not positive, line-search back to the face and drop that
+    row.  Every major cycle tests both verdicts, each sound alone:
+
+    - inside: the expanded weights pass certificate_valid at 0.9 tol, the
+      threshold the min-t LP (min t with |points^T lam - y|_inf <= t) used;
+    - outside: u = -x passes _outside_mask's margin test, min_j <x, q_j> >
+      tol |x|_1.  A hull point within 0.9 tol of y in sup norm would make
+      that margin at most 0.9 tol |x|_1, so y is farther than 0.9 tol.
+
+    Hence any verdict returned is the LP's.  At the nearest point, where
+    neither holds (y within about tol sqrt(d) of the hull but its Euclidean
+    nearest point more than 0.9 tol away in some coordinate), or past
+    WOLFE_CYCLES * min(m, d + 1) major cycles, it raises SolverError; tol is
+    never widened.
     """
     y = np.asarray(y, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -146,36 +157,54 @@ def in_convex_hull(y: np.ndarray, points: np.ndarray, tol: float = HULL_TOL):
         raise DomainError("tol must be positive")
     if not (np.isfinite(y).all() and np.isfinite(points).all()):
         raise DomainError("hull points and target must be finite")
-    # Imported here so that a process that never reaches the LP never loads
-    # scipy.optimize.
-    from scipy.optimize import linprog
-
-    m, d = points.shape
-    # Variables (lam, t): minimise t with points^T lam - t <= y and
-    # -points^T lam - t <= -y.  The tightened solver tolerance keeps the
-    # returned certificate verifying at tol.
-    ones = np.ones((d, 1))
-    res = linprog(
-        c=np.concatenate([np.zeros(m), [1.0]]),
-        A_ub=np.block([[points.T, -ones], [-points.T, -ones]]),
-        b_ub=np.concatenate([y, -y]),
-        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
-        b_eq=np.array([1.0]),
-        bounds=(0.0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": max(1e-10, min(1e-7, tol * 1e-2)),
-            "time_limit": LP_TIME_LIMIT,
-        },
-    )
-    if res.status != 0:
-        raise SolverError(f"hull LP did not finish (status {res.status}): {res.message}")
-    if res.x[-1] > 0.9 * tol:
-        return None
-    lam = np.asarray(res.x[:-1], dtype=np.float64)
-    if not certificate_valid(y, points, lam, tol):
-        raise SolverError("LP reported a hull point but the certificate fails re-verification")
-    return lam
+    q = points - y
+    m, d = q.shape
+    norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+    active = np.array([norms.argmin()])
+    weights = np.ones(1)
+    x = q[active[0]]
+    previous = np.inf
+    for _ in range(WOLFE_CYCLES * min(m, d + 1)):
+        lam = np.zeros(m)
+        lam[active] = weights
+        if certificate_valid(y, points, lam, 0.9 * tol):
+            return lam
+        scores = q @ x
+        j = scores.argmin()
+        if scores[j] > tol * np.abs(x).sum():
+            return None
+        # The nearest point: no row improves on x beyond rounding, or the
+        # last cycle did not shorten x.
+        norm_sq = x @ x
+        if j in active or norm_sq - scores[j] <= 1e-12 * np.sqrt(norm_sq) * norms.max() or norm_sq >= previous:
+            raise SolverError("hull target in the undecided band: neither certified inside nor separated")
+        previous = norm_sq
+        active, weights = np.append(active, j), np.append(weights, 0.0)
+        while True:
+            # The affine minimiser, as a step from the current weights (the
+            # bordered Gram system in least-squares form), so that the new
+            # row's weight, as small as the step, keeps its sign however
+            # close y is to the hull.
+            rows = q[active]
+            diffs = (rows[1:] - rows[0]).T
+            c = np.linalg.lstsq(diffs, -x, rcond=None)[0]
+            step = np.concatenate([[-c.sum()], c])
+            negative = np.flatnonzero(weights + step < 0)
+            if not len(negative):
+                weights, x = weights + step, x + diffs @ c
+                # Projecting the now small x off the face once more removes
+                # the rounding the step left along it, which would otherwise
+                # swamp a separation margin of order |x|^2.
+                x = x + diffs @ np.linalg.lstsq(diffs, -x, rcond=None)[0]
+                break
+            # Line search back to the face: the first weight to reach 0 leaves.
+            ratios = weights[negative] / -step[negative]
+            theta = ratios.min()
+            weights, x = weights + theta * step, x + theta * (diffs @ c)
+            keep = weights > 0
+            keep[negative[ratios.argmin()]] = False
+            active, weights = active[keep], weights[keep]
+    raise SolverError(f"hull decision took more than {WOLFE_CYCLES} * min(m, d + 1) major cycles")
 
 
 def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
@@ -195,7 +224,7 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
 def _outside_mask(zeros, points, tol) -> np.ndarray:
     """Cheap sound separation tests: a mask of the rows of `zeros` that are
     certainly not within tol of the hull of `points`, so the leaf skips
-    their LP.
+    their exact decision.
 
     A row y is outside when it leaves the bounding box of `points` widened by
     tol, or when u = y - centroid separates: <u, y> exceeds max_i <u, p_i> by
@@ -252,35 +281,6 @@ def _frank_wolfe_outside(zeros, points, tol) -> np.ndarray:
     return outside
 
 
-def _midpoint_certificate(y, points, tol):
-    """Coefficients placing y at the midpoint of two rows of `points`, or
-    None.
-
-    y = (p_i + p_j) / 2 means p_j = 2y - p_i.  The rows are sorted on the
-    coordinate they spread most along, and for every i the rows whose
-    coordinate lies within 2 tol of that of 2y - p_i are candidates.  A
-    candidate pair is accepted only when its coefficients (1/2 on each, 1
-    when i = j) pass certificate_valid at 0.9 tol, the LP's own threshold;
-    past MIDPOINT_PAIRS candidates the LP decides instead.
-    """
-    coord = int(np.ptp(points, axis=0).argmax())
-    order = np.argsort(points[:, coord], kind="stable")
-    key = points[order, coord]
-    target = 2.0 * y[coord] - points[:, coord]
-    lo = np.searchsorted(key, target - 2.0 * tol, "left")
-    hi = np.searchsorted(key, target + 2.0 * tol, "right")
-    if not 0 < (hi - lo).sum() <= MIDPOINT_PAIRS:
-        return None
-    for i in np.flatnonzero(hi > lo):
-        for j in order[lo[i]:hi[i]]:
-            lam = np.zeros(len(points))
-            lam[i] += 0.5
-            lam[j] += 0.5
-            if certificate_valid(y, points, lam, 0.9 * tol):
-                return lam
-    return None
-
-
 def run_one_sided(
     strategy: Strategy, oracle: Oracle, q: int
 ) -> tuple[TesterVerdict, np.ndarray, np.ndarray]:
@@ -315,10 +315,7 @@ def run_one_sided(
         if len(zeros):
             zeros = zeros[~_frank_wolfe_outside(zeros, support, HULL_TOL)]
         for y in zeros:
-            lam = _midpoint_certificate(y, support, HULL_TOL)
-            if lam is None:
-                lam = in_convex_hull(y, support, HULL_TOL)
-            if lam is not None:
+            if (lam := in_convex_hull(y, support, HULL_TOL)) is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)
                 return TesterVerdict("reject", cert), points, labels
     return TesterVerdict("accept"), points, labels

@@ -98,7 +98,7 @@ def test_criterion_03_flap_dogear_ratio():
         "unique vs multiply-violated volume ratio above 2/c1 - 2",
         report.all_passed(),
         "; ".join(
-            f"{'ln2' if 'ln2' in d else '0.01'}: observed {a.observed:.4g}"
+            f"{'ln2' if 'ln2' in d else '0.01'}: p-value {a.observed:.4g}"
             for d, a in thresholds.items()
         ),
     )

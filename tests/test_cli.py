@@ -36,8 +36,8 @@ class TestManifest:
 
 
 def test_cli_import_leaves_the_lp_solver_unloaded():
-    # Neither the cli nor any convexlab module loads scipy at import time;
-    # the hull LP imports scipy.optimize on its first call.
+    # Neither the cli nor any convexlab module loads scipy at import time,
+    # and a hull decision loads no LP solver.
     script = (
         "import importlib, pkgutil, sys; import numpy as np; import convexlab, convexlab.cli\n"
         "for info in pkgutil.iter_modules(convexlab.__path__):\n"
@@ -48,6 +48,7 @@ def test_cli_import_leaves_the_lp_solver_unloaded():
         "points, y = np.eye(3), np.full(3, 1.0 / 3.0)\n"
         "lam = in_convex_hull(y, points)\n"
         "assert lam is not None and certificate_valid(y, points, lam)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'a hull decision loaded scipy.optimize'\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

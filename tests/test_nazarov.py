@@ -416,6 +416,20 @@ class TestFlapDogear:
         assert report.all_passed()
         assert report.value("ratio") >= flap_dogear_threshold(c1)
 
+    @pytest.mark.parametrize("unique, multi, passed", [(211, 0, True), (211, 4, True), (211, 6, False), (211, 8, False)])
+    def test_exact_binomial_ratio_test(self, monkeypatch, unique, multi, passed):
+        # Given u + m hits, m is Bin(u + m, 1/(ratio + 1)).  Four multi hits
+        # beside 211 unique ones have p = 0.024 at ratio 198; the delta-method
+        # bound failed them (ratio 52.75 against 198 - 3se = 118).
+        monkeypatch.setattr(nazarov, "unique_multi_hits", lambda *args: (unique, multi))
+        report = verify_flap_dogear_ratio(100, 1024, solve_r(100, 1024, 0.01), 0.01, 100_000, RngStream(62))
+        total, pi = unique + multi, 1.0 / 199.0
+        tail = sum(math.comb(total, k) * pi**k * (1.0 - pi) ** (total - k) for k in range(multi, total + 1))
+        [check] = report.assertions
+        assert check.observed == pytest.approx(tail, rel=1e-9)
+        assert check.bound == pytest.approx(0.0013499, rel=1e-4)
+        assert check.passed == passed
+
     def test_pointwise_closed_form(self):
         for c1 in (math.log(2), 0.01):
             report = pointwise_flap_dogear_check(100, 1024, solve_r(100, 1024, c1), c1)
