@@ -12,6 +12,13 @@ testers draw it once per run, for their one batch.  Instances that must
 exist as objects (persistence, the adaptive event-rate experiment) still
 draw the full frame with sample_haar_frame.
 
+haar_coords also draws a stack of independent frames for one X: one
+(trials, d, k) Gaussian from one stream and one stacked QR, with the sign
+fix applied per frame.  The fixed-query experiments draw a block of trials
+that way.  A one-frame stack gives the same bits as the two-dimensional QR,
+so the single draws (sample_haar_frame, the testers' views) go through the
+same routine and read their streams as before.
+
 The same split serves one uniform direction u = g/|g| of R^d per trial:
 X g = R^T Q^T g, where w = Q^T g ~ N(0, I_k) is independent of the part of
 g outside the column space of Q, whose squared norm is chi^2_{d-k}.  So
@@ -189,37 +196,42 @@ class Frame:
         return np.asarray(coords, dtype=np.float64) @ self.vectors
 
 
-def _stiefel(d: int, k: int, rng: RngStream) -> np.ndarray:
-    """d x k matrix with uniformly random orthonormal columns.
+def _stiefel(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
+    """(trials, d, k) stack of d x k matrices with uniformly random orthonormal
+    columns, independent across the stack.
 
     Householder QR of a d x k Gaussian with a sign fix on diag(R); equivalent
     in distribution to Gram-Schmidt on the same draws and stable at desk
-    dimensions.
+    dimensions.  The stack is one Gaussian draw and one stacked QR.
     """
     if not 1 <= k <= d:
         raise DomainError(f"need 1 <= k <= d, got k={k}, d={d}")
-    gauss = rng.generator().standard_normal((d, k))
+    gauss = rng.generator().standard_normal((trials, d, k))
     q, r = np.linalg.qr(gauss, mode="reduced")
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[:, None, :]
 
 
 def sample_haar_frame(d: int, k: int, rng: RngStream, scale: float = 1.0) -> Frame:
     """Rotation-invariant frame: orthonormalized iid Gaussian vectors."""
-    return Frame(ambient_dim=d, vectors=_stiefel(d, k, rng).T, scale=scale)
+    return Frame(ambient_dim=d, vectors=_stiefel(d, k, 1, rng)[0].T, scale=scale)
 
 
-def haar_coords(points: np.ndarray, rng: RngStream) -> np.ndarray:
+def haar_coords(points: np.ndarray, rng: RngStream, trials: int | None = None) -> np.ndarray:
     """Coordinates X F^T of the q rows of X in a Haar frame F of R^d, in law.
 
     Draws R^T W^T (module docstring) from the stream instead of F.  Column
     j holds the coordinates along the frame's j-th vector, and the rows keep
-    the Gram matrix X X^T up to rounding.
+    the Gram matrix X X^T up to rounding.  As numpy's `size`: with `trials`
+    None one (q, d) draw, else a (trials, q, d) stack over independent
+    frames; a one-frame stack holds the same bits as the single draw.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     r = np.linalg.qr(points.T, mode="r")
-    return r.T @ _stiefel(points.shape[1], r.shape[0], rng).T
+    frames = _stiefel(points.shape[1], r.shape[0], 1 if trials is None else trials, rng)
+    coords = r.T @ np.swapaxes(frames, 1, 2)
+    return coords[0] if trials is None else coords
 
 
 def sphere_coords(points: np.ndarray, trials: int, gen: np.random.Generator) -> np.ndarray:

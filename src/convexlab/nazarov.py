@@ -214,7 +214,8 @@ def classify(body: NazarovBody, x: np.ndarray) -> PointClass:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (body.n,):
         raise DimensionMismatchError(f"expected a point of dimension {body.n}, got {x.shape}")
-    if float(x @ x) > body.n:
+    # Norms, as in membership_prob: x . x rounds above n at x = sqrt(n) e1 for n = 2, 8, 50, ...
+    if math.sqrt(float(x @ x)) > math.sqrt(body.n):
         return PointClass(PointKind.OUTSIDE, ())
     violated = np.nonzero(body.normals @ x > body.r)[0]
     if violated.size == 0:

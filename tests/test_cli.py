@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from convexlab import experiments, parallel, testers
+from convexlab import experiments, parallel, ptf, testers, tolerant
 from convexlab.cli import main
 from convexlab.errors import DomainError
 from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment
@@ -240,6 +240,26 @@ class TestDeterminism:
     def test_worker_count_invariance(self, args):
         # Each of these experiments but calibrate-c0 spreads its trials over
         # the workers; calibrate-c0 draws counts in one process at any count.
+        self._assert_same_body_at_one_and_two_workers(args)
+
+    @pytest.mark.parametrize(
+        "args, block",
+        [
+            pytest.param(
+                ["view-tv", "--n", "16", "--N", "32", "--q", "8", "--set", "c0_hat=0.35"],
+                tolerant.BLOCK,
+                id="view-tv",
+            ),
+            pytest.param(["response-tv", "--n", "32", "--q", "6"], ptf.BLOCK, id="response-tv"),
+        ],
+    )
+    def test_worker_count_invariance_across_blocks(self, args, block):
+        # A unit of these experiments is a block of trials; 2 * BLOCK + 5
+        # trials make three units, the last one short, split over two workers.
+        self._assert_same_body_at_one_and_two_workers([*args, "--trials", str(2 * block + 5)])
+
+    @staticmethod
+    def _assert_same_body_at_one_and_two_workers(args):
         args = ["run", *args, "--seed", "9", "--format", "json"]
         one = run_cli(args, env_extra={"CONVEXLAB_WORKERS": "1"})
         two = run_cli(args, env_extra={"CONVEXLAB_WORKERS": "2"})

@@ -218,6 +218,30 @@ class TestHaarCoords:
         assert first.tobytes() == haar_coords(self.QUERIES, RngStream(184)).tobytes()
         assert not np.array_equal(first, haar_coords(self.QUERIES, RngStream(185)))
 
+    @pytest.mark.parametrize("d, k", [(20, 20), (128, 64), (101, 5), (100, 8), (200, 200)])
+    def test_one_frame_stack_is_the_two_dimensional_qr(self, d, k):
+        # Single draws (sample_haar_frame, the testers' views) go through the
+        # stacked QR; at one frame they keep the bits of a 2-D QR of the
+        # same d x k Gaussian.
+        q, r = np.linalg.qr(RngStream(186, d).generator().standard_normal((d, k)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        reference = (q * signs).T
+        frame = sample_haar_frame(d, k, RngStream(186, d))
+        assert frame.vectors.tobytes() == reference.tobytes()
+        points = RngStream(187, d).generator().standard_normal((k, d))
+        coords = haar_coords(points, RngStream(186, d))
+        assert coords.tobytes() == (np.linalg.qr(points.T, mode="r").T @ reference).tobytes()
+        np.testing.assert_array_equal(haar_coords(points, RngStream(186, d), 1)[0], coords)
+
+    def test_stack_shape_and_independent_frames(self):
+        stack = haar_coords(self.QUERIES, RngStream(188), 5)
+        assert stack.shape == (5, *self.QUERIES.shape)
+        gram = self.QUERIES @ self.QUERIES.T
+        for coords in stack:
+            assert np.abs(coords @ coords.T - gram).max() <= 1e-9
+        assert len({coords.tobytes() for coords in stack}) == 5
+
 
 class TestSphereCoords:
     """Coordinates of fixed rows along uniform directions, drawn without the

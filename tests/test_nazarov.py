@@ -105,6 +105,16 @@ class TestClassify:
         x[0] = 1.01 * math.sqrt(8)
         assert classify(body, x).kind is PointKind.OUTSIDE
 
+    @pytest.mark.parametrize("n", [2, 8, 32, 50])
+    def test_ball_boundary_where_sqrt_n_squared_rounds_up(self, n):
+        # sqrt(n) * e1 has norm exactly sqrt(n), though its x . x rounds above n.
+        x = np.zeros(n)
+        x[0] = math.sqrt(n)
+        assert float(x @ x) > n
+        body = NazarovBody(n=n, N=1, r=1.0, normals=np.eye(n)[1:2])
+        assert classify(body, x).kind is PointKind.IN_BODY
+        assert membership_prob(n, 1, 1.0, math.sqrt(n)) > 0.0
+
     def test_tie_counts_inside(self):
         normals = np.array([[1.0, 0.0]])
         body = NazarovBody(n=2, N=1, r=1.0, normals=normals)

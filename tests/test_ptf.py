@@ -8,6 +8,7 @@ from conftest import homogeneity_pvalue
 from convexlab.errors import DimensionMismatchError, DomainError, SolverError
 from convexlab.gauss import Frame, haar_coords, sample_haar_frame
 from convexlab.ptf import (
+    BLOCK,
     DEFAULT_CLIP,
     DiscreteDistribution,
     PTFInstance,
@@ -19,6 +20,7 @@ from convexlab.ptf import (
     match_moments_with_negative,
     response_tv_experiment,
     sample_ptf_instance,
+    _response_block,
 )
 from convexlab.rng import RngStream
 from convexlab.testers import baseline_strategy, run_one_sided
@@ -245,37 +247,93 @@ class TestResponseTV:
             response_tv_experiment(np.zeros((21, 16)), 16, 3, 10, RngStream(0))
 
 
+PIN_N, PIN_TRIALS = 8, 20_000
+
+
+def _response_keys(yes, no, bad):
+    """Per-trial outcomes (yes pattern, no pattern, bad basis)."""
+    return [(tuple(y), tuple(m), bool(b)) for y, m, b in zip(yes, no, bad)]
+
+
+@pytest.fixture(scope="module")
+def response_pin():
+    """Three queries of R^8, the l = 3 laws, and the responses of
+    PIN_TRIALS full sample_haar_frame bases with fresh coefficients."""
+    n, trials = PIN_N, PIN_TRIALS
+    mu, yes_law = match_moments_nonneg(3)
+    no_law = match_moments_with_negative(mu, 3)
+    u, v, w = np.linalg.qr(RngStream(624).generator().standard_normal((n, 3)))[0].T
+    root = math.sqrt(n)
+    queries = np.vstack([0.9 * root * u, root * (0.8 * u + 0.6 * v), 1.1 * root * w])
+    full = np.array([
+        queries @ sample_haar_frame(n, n, RngStream(625, t)).vectors.T for t in range(trials)
+    ])
+    return queries, mu, yes_law, no_law, 10.0 * math.log(n) / n, full
+
+
 class TestLazyProjections:
-    """response-tv draws the queries' basis projections with haar_coords;
-    pinned here against full sample_haar_frame bases."""
+    """response-tv draws the queries' basis projections with haar_coords, a
+    block of trials per stack; pinned here against full sample_haar_frame
+    bases."""
 
-    def test_responses_match_full_bases(self):
-        n, q, trials = 8, 3, 20_000
-        mu, yes_law = match_moments_nonneg(3)
-        no_law = match_moments_with_negative(mu, 3)
-        u, v, w = np.linalg.qr(RngStream(624).generator().standard_normal((n, q)))[0].T
-        root = math.sqrt(n)
-        queries = np.vstack([0.9 * root * u, root * (0.8 * u + 0.6 * v), 1.1 * root * w])
-        clip_sq = 10.0 * math.log(n) / n
+    @staticmethod
+    def _keys(response_pin, proj_sq, seed):
+        # Coefficient draws as response_tv_experiment makes them, one law each.
+        _, mu, yes_law, no_law, clip_sq, _ = response_pin
+        n, trials = PIN_N, PIN_TRIALS
+        yes_c = yes_law.sample((trials, n), RngStream(seed, 1))
+        no_c = no_law.sample((trials, n), RngStream(seed, 2))
+        yes = np.einsum("tqn,tn->tq", proj_sq, yes_c) <= mu
+        no = np.einsum("tqn,tn->tq", proj_sq, no_c) <= mu
+        bad = (proj_sq >= clip_sq).any(axis=(1, 2))
+        peak = np.minimum(np.floor(n * proj_sq.max(axis=2)), 6).astype(int)
+        return _response_keys(yes, no, bad), [tuple(row) for row in peak]
 
-        def keys(proj_sq, seed):
-            # Coefficient draws as response_tv_experiment makes them, one law each.
-            yes_c = yes_law.sample((trials, n), RngStream(seed, 1))
-            no_c = no_law.sample((trials, n), RngStream(seed, 2))
-            yes = np.einsum("tqn,tn->tq", proj_sq, yes_c) <= mu
-            no = np.einsum("tqn,tn->tq", proj_sq, no_c) <= mu
-            bad = (proj_sq >= clip_sq).any(axis=(1, 2))
-            peak = np.minimum(np.floor(n * proj_sq.max(axis=2)), 6).astype(int)
-            responses = [(tuple(y), tuple(m), b) for y, m, b in zip(yes, no, bad)]
-            return responses, [tuple(row) for row in peak]
-
-        full = np.array([
-            queries @ sample_haar_frame(n, n, RngStream(625, t)).vectors.T for t in range(trials)
-        ])
-        lazy = np.array([haar_coords(queries, RngStream(626, t)) for t in range(trials)])
-        dense_keys, lazy_keys = keys(full**2 / n, 627), keys(lazy**2 / n, 628)
+    def test_responses_match_full_bases(self, response_pin):
+        queries, full, n = response_pin[0], response_pin[-1], PIN_N
+        lazy = np.array([haar_coords(queries, RngStream(626, t)) for t in range(PIN_TRIALS)])
+        dense_keys = self._keys(response_pin, full**2 / n, 627)
+        lazy_keys = self._keys(response_pin, lazy**2 / n, 628)
         assert homogeneity_pvalue(dense_keys[0], lazy_keys[0]) > 1e-3
         assert homogeneity_pvalue(dense_keys[1], lazy_keys[1]) > 1e-3
+
+    def test_block_responses_match_full_bases(self, response_pin):
+        # The trials of response_tv_experiment's map_units units, one block
+        # each, against independent full bases.  Trials within a block must
+        # be independent too: a draw shared across a block spreads the
+        # block totals wider than BLOCK times the variance of one trial.
+        from scipy.stats import chi2
+
+        queries, mu, yes_law, no_law, clip_sq, full = response_pin
+        n, trials = PIN_N, PIN_TRIALS - BLOCK // 2  # the last block is short
+        blocks = [
+            _response_block(RngStream(629), b, trials, queries, n, mu, clip_sq, yes_law, no_law)
+            for b in range(-(-trials // BLOCK))
+        ]
+        assert [block[0].size for block in blocks[-2:]] == [BLOCK, BLOCK - BLOCK // 2]
+        bad, yes, no = (np.concatenate(column) for column in zip(*blocks))
+        dense_keys = self._keys(response_pin, full**2 / n, 627)
+        assert homogeneity_pvalue(dense_keys[0], _response_keys(yes, no, bad)) > 1e-3
+        totals = yes.sum(axis=1) + no.sum(axis=1)
+        full_blocks = trials // BLOCK
+        sums = totals[: full_blocks * BLOCK].reshape(full_blocks, BLOCK).sum(axis=1)
+        dispersion = ((sums - sums.mean()) ** 2).sum() / (BLOCK * totals.var(ddof=1))
+        assert chi2.sf(dispersion, full_blocks - 1) > 1e-3
+
+    def test_stacked_frames_match_full_bases(self, response_pin):
+        # Per frame, and for pairs of consecutive frames of a stack, which
+        # must be independent.
+        queries, full = response_pin[0], response_pin[-1]
+        stacks = [haar_coords(queries, RngStream(630, b), BLOCK) for b in range(PIN_TRIALS // BLOCK)]
+        lazy = np.concatenate(stacks)
+        dense_peak, lazy_peak = (
+            [tuple(row) for row in np.minimum(np.floor((coords**2).max(axis=2)), 6).astype(int)]
+            for coords in (full[: lazy.shape[0]], lazy)
+        )
+        assert homogeneity_pvalue(dense_peak, lazy_peak) > 1e-3
+        assert homogeneity_pvalue(
+            list(zip(dense_peak[0::2], dense_peak[1::2])), list(zip(lazy_peak[0::2], lazy_peak[1::2]))
+        ) > 1e-3
 
 
 class TestOneSidedSoundnessOnYes:

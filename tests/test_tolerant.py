@@ -9,7 +9,9 @@ from convexlab.errors import CalibrationMissingError, DimensionMismatchError, Do
 from convexlab.gauss import sample_haar_frame, std_normal_cdf
 from convexlab.rng import RngStream
 from convexlab.tolerant import (
+    BLOCK,
     C1_DEFAULT,
+    TolerantView,
     bivariate_tail_check,
     bivariate_upper_bound,
     c2_from,
@@ -25,6 +27,7 @@ from convexlab.tolerant import (
     same_unique_counts,
     sample_tolerant_instance,
     sample_tolerant_view,
+    sample_tolerant_views,
     view_experiment,
     xy_pair_experiment,
 )
@@ -198,6 +201,96 @@ class TestBadEvent:
         assert flag is False
 
 
+def _bad_by_pairs(view):
+    """TolerantView.bad by the pair loop: the reference the grouped form is
+    pinned against."""
+    unique = view.viol.sum(axis=1) == 1
+    idx = view.probed[unique]
+    if idx.size < 2:
+        return False, None
+    flaps = np.argmax(view.viol[unique], axis=1)
+    regions = region_codes(view.action[idx], view.c2)
+    for a in range(idx.size):
+        for b in range(a + 1, idx.size):
+            if flaps[a] != flaps[b]:
+                continue
+            ra, rb = regions[a], regions[b]
+            if ra != rb and ra != 3 and rb != 3:
+                return True, (int(idx[a]), int(idx[b]))
+    return False, None
+
+
+def _loop_accepts(view, pair) -> bool:
+    """Whether the pair loop's test holds for the witness `pair`."""
+    a, b = pair
+    if not (a < b and a in view.probed and b in view.probed):
+        return False
+    rows = {int(i): row for i, row in zip(view.probed, view.viol)}
+    if rows[a].sum() != 1 or rows[b].sum() != 1 or np.argmax(rows[a]) != np.argmax(rows[b]):
+        return False
+    ra, rb = region_codes(view.action[[a, b]], view.c2)
+    return ra != rb and ra != 3 and rb != 3
+
+
+def _random_view(m: int, gen) -> TolerantView:
+    """A view of m rows on a few flaps, so that rows often share one.
+
+    Half the views put every row of a flap in one coarse region, where no
+    pair is bad unless a row is moved; curb rows come from a wide c2.
+    """
+    N = int(gen.integers(1, 9))
+    c2 = float(gen.choice([0.004, 0.1]))
+    probed = np.sort(gen.choice(m, size=int(gen.integers(0, m + 1)), replace=False))
+    viol = np.zeros((probed.size, N), dtype=bool)
+    hits = gen.integers(0, 3, size=probed.size)  # 0, 1 or 2 violated halfspaces
+    for row, k in enumerate(hits):
+        viol[row, gen.choice(N, size=min(k, N), replace=False)] = True
+    action = gen.standard_normal(m)
+    if gen.random() < 0.5:
+        centers = np.array([-2.0, 0.0, 2.0])[gen.integers(0, 3, size=N)]
+        flap = np.argmax(viol, axis=1)
+        action[probed] = centers[flap] + 0.1 * gen.standard_normal(probed.size)
+        moved = probed[gen.random(probed.size) < 1.0 / max(m, 1)]
+        action[moved] = gen.standard_normal(moved.size) * 2.0
+    zeros = np.zeros(m)
+    return TolerantView(16, c2, zeros, zeros, action, probed, viol, gen.random(N) < 0.5)
+
+
+class TestGroupedBad:
+    """TolerantView.bad groups the uniquely violated rows by flap; pinned
+    against the pair loop."""
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 40, 200, 1000])
+    def test_matches_the_pair_loop_on_random_views(self, m):
+        gen = RngStream(440, m).generator()
+        flags = []
+        for _ in range(200 if m <= 40 else 40):
+            view = _random_view(m, gen)
+            flag, witness = view.bad()
+            ref_flag, ref_witness = _bad_by_pairs(view)
+            assert flag is ref_flag
+            assert (witness is None) == (ref_witness is None)
+            if flag:
+                assert _loop_accepts(view, witness)
+            flags.append(flag)
+        if m >= 3:
+            assert 0 < sum(flags) < len(flags)
+
+    def test_matches_the_pair_loop_on_sampled_views(self):
+        # q = 1000 shell queries at n = 16, N = 32 share flaps often.
+        from convexlab.experiments import _shell_queries
+
+        c0_hat, flags = 0.35, []
+        for q in (50, 1000):
+            queries = _shell_queries(16, q, c0_hat * C1_DEFAULT / 100.0, RngStream(441, q))
+            for view in sample_tolerant_views(queries, 16, 32, 30, RngStream(442, q), c0_hat):
+                flag, witness = view.bad()
+                assert flag is _bad_by_pairs(view)[0]
+                assert witness is None if not flag else _loop_accepts(view, witness)
+                flags.append(flag)
+        assert 0 < sum(flags) < len(flags)
+
+
 class TestViewExperiment:
     def test_far_queries_give_identical_views(self, calibration_small):
         queries = np.full((3, 65), 10.0)  # far outside the shell: all-zero rows
@@ -295,6 +388,57 @@ class TestLazyView:
     def test_query_shape_checked(self, calibration_small):
         with pytest.raises(DimensionMismatchError):
             sample_tolerant_view(np.zeros((2, 64)), 64, None, RngStream(0), calibration_small)
+
+
+BLOCK_PIN_TRIALS = 10_240
+
+
+def _pair_key(v, w) -> tuple:
+    """Outcome of two views: the region of each one's first action
+    coordinate and how many of the 32 flaps their P sets agree on (in fours).
+    Two independent instances give the product law; a frame or a P set
+    shared between them does not."""
+    regions = region_codes(np.array([v.action[0], w.action[0]]), v.c2)
+    return int(regions[0]), int(regions[1]), int((v.p_set == w.p_set).sum()) // 4
+
+
+@pytest.fixture(scope="module")
+def block_views():
+    """Outcomes of BLOCK_PIN_TRIALS materialized views and as many views
+    drawn BLOCK at a time, of 8 shell queries at n = 16, N = 32: per view,
+    and for the pairs (0, 1), (2, 3), ... of consecutive views."""
+    from convexlab.experiments import _shell_queries
+
+    n, N, c0_hat = 16, 32, 0.35
+    queries = _shell_queries(n, 8, c0_hat * C1_DEFAULT / 100.0, RngStream(430))
+    dense = [
+        sample_tolerant_instance(n, N, RngStream(431, t), c0_hat).view(queries)
+        for t in range(BLOCK_PIN_TRIALS)
+    ]
+    lazy = [
+        view
+        for b in range(BLOCK_PIN_TRIALS // BLOCK)
+        for view in sample_tolerant_views(queries, n, N, BLOCK, RngStream(432, b), c0_hat)
+    ]
+
+    def outcomes(views):
+        keys = [_view_keys(v) for v in views]
+        pairs = [_pair_key(v, w) for v, w in zip(views[0::2], views[1::2])]
+        return [k[0] for k in keys], [k[1] for k in keys], pairs
+
+    return outcomes(dense), outcomes(lazy)
+
+
+class TestBlockViews:
+    """view-tv draws BLOCK views per unit from one stack of frames, one
+    normal generator and one (BLOCK, N) draw of P sets; pinned against
+    materialized instances."""
+
+    @pytest.mark.parametrize("part", ["statistics", "labels", "pairs"])
+    def test_match_materialized(self, block_views, part):
+        index = ("statistics", "labels", "pairs").index(part)
+        dense, lazy = block_views
+        assert homogeneity_pvalue(dense[index], lazy[index]) > 1e-3
 
 
 class TestEpsBounds:
