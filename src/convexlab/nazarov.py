@@ -126,7 +126,7 @@ class NazarovBody:
         """Membership labels of the body: the halfspaces intersected with the ball."""
         viol = self.violated(points)
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        inside = np.einsum("ij,ij->i", points, points) <= self.n
+        inside = np.sqrt(np.einsum("ij,ij->i", points, points)) <= self.radius
         return (inside & ~viol.any(axis=1)).astype(np.int8)
 
 
@@ -398,7 +398,7 @@ def body_unique_fraction(body: NazarovBody, points: int, rng: RngStream) -> floa
     while done < points:
         m = min(chunk, points - done)
         x = gen.standard_normal((m, body.n))
-        inside = np.einsum("ij,ij->i", x, x) <= body.n
+        inside = np.sqrt(np.einsum("ij,ij->i", x, x)) <= body.radius
         counts = body.violated(x).sum(axis=1)
         hits += int(np.count_nonzero(inside & (counts == 1)))
         done += m

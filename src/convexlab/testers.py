@@ -7,17 +7,15 @@ once, at the leaf: more 1-queries never shrink the hull, so a 0-query inside
 the hull of some prefix's 1-queries is inside the hull of all of them, and the
 leaf verdict equals the verdict of checking after every query.
 
-The leaf decides each 0-query in three stages, each sound on its own: the
-bounding box and the centroid direction (`_outside_mask`); a few Frank-Wolfe
-steps toward the nearest hull point, whose direction passes the same margin
-test (`_frank_wolfe_outside`, run only on the rows the first stage leaves);
-and Wolfe's minimum-norm-point algorithm (`in_convex_hull`), the finitely
-terminating completion of those steps, which decides the rest exactly.  The
-separation stages never mark a row within tol of the hull, and the last
-stage accepts only coefficients that pass certificate_valid at 0.9 tol and
-separates only by the same margin test, so every verdict is the one the
-min-t LP (min t with |points^T lam - y|_inf <= t, inside when t <= 0.9 tol)
-would give; a target that neither test can decide raises SolverError.
+The leaf decides each 0-query in two stages, each sound on its own: one
+separation pass (`_outside_mask`: the centroid, then a few Gilbert steps
+toward the nearest hull point), and Wolfe's minimum-norm-point algorithm
+(`in_convex_hull`), which decides the rest exactly.  The pass never marks a
+row within tol of the hull, and the exact stage accepts only coefficients
+that pass certificate_valid at 0.9 tol and separates only by the pass's
+margin test, so every verdict is the one the min-t LP (min t with
+|points^T lam - y|_inf <= t, inside when t <= 0.9 tol) would give; a target
+that neither test can decide raises SolverError.
 
 A strategy asks for its queries in batches: given the rows asked so far and
 their labels, it returns the next rows, and the runner labels each batch with
@@ -55,7 +53,7 @@ from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
 
 HULL_TOL = 1e-8
-# Frank-Wolfe steps of the separation stage, per surviving 0-query.
+# Gilbert steps of the separation pass, per 0-query the centroid leaves.
 FW_STEPS = 8
 # Major cycles of the minimum-norm-point algorithm per row of the largest
 # active set (min(m, d + 1) rows); past them a hull decision raises SolverError.
@@ -222,47 +220,27 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
 
 
 def _outside_mask(zeros, points, tol) -> np.ndarray:
-    """Cheap sound separation tests: a mask of the rows of `zeros` that are
-    certainly not within tol of the hull of `points`, so the leaf skips
-    their exact decision.
+    """The separation pass: a mask of the rows of `zeros` certainly not
+    within tol of the hull of `points`, whose exact decision the leaf skips.
 
-    A row y is outside when it leaves the bounding box of `points` widened by
-    tol, or when u = y - centroid separates: <u, y> exceeds max_i <u, p_i> by
-    more than tol * |u|_1, since any tol-approximate hull point moves <u, .>
-    by at most that much.  Never claims separation incorrectly.  The box and
-    the centroid are computed once for the whole (z, d) block.
+    Each row y keeps a running hull point x and is outside when u = y - x
+    separates: <u, y> exceeds max_i <u, p_i> by more than tol * |u|_1, which
+    no tol-approximate hull point can, whatever x is.  Iterate 0 is the
+    centroid, tested on the whole (z, d) block; the rows it leaves take up to
+    FW_STEPS Gilbert steps together (E. G. Gilbert, SIAM J. Control, 1966:
+    x moves toward the support row maximising <p, y - x>, with exact line
+    search for the distance to y) and drop out once separated.
     """
-    lo = points.min(axis=0) - tol
-    hi = points.max(axis=0) + tol
-    u = zeros - points.mean(axis=0)
-    margin = np.einsum("ij,ij->i", u, zeros) - (points @ u.T).max(axis=0)
-    return ((zeros < lo) | (zeros > hi)).any(axis=1) | (margin > tol * np.abs(u).sum(axis=1))
-
-
-def _certified_outside(y, points, tol) -> bool:
-    """_outside_mask of the single row y: the per-query form that
-    perfbench's tracer wraps by name."""
-    return bool(_outside_mask(y[None, :], points, tol)[0])
-
-
-def _frank_wolfe_outside(zeros, points, tol) -> np.ndarray:
-    """A mask of the rows of `zeros` that FW_STEPS Frank-Wolfe steps toward
-    the hull of `points` separate from it.
-
-    Each row y keeps a running hull point x (the centroid at first).  A step
-    moves x toward the support row maximising <p, y - x>, with exact line
-    search for the distance to y (Gilbert's algorithm), then applies
-    _outside_mask's margin test with u = y - x: y is outside when <u, y>
-    exceeds max_i <u, p_i> by more than tol * |u|_1.  The test is sound for
-    any u, so however few steps run, no row within tol of the hull is ever
-    marked.  The rows still unseparated step together; a separated one drops
-    out.
-    """
-    outside = np.zeros(len(zeros), dtype=bool)
-    rows = np.arange(len(zeros))
-    x = np.broadcast_to(points.mean(axis=0), zeros.shape)
+    x = points.mean(axis=0)
     u = zeros - x
     scores = u @ points.T
+    margin = np.einsum("ij,ij->i", u, zeros) - scores.max(axis=1)
+    outside = margin > tol * np.abs(u).sum(axis=1)
+    rows = np.flatnonzero(~outside)
+    if not len(rows):
+        return outside
+    u, scores = u[rows], scores[rows]
+    x = np.broadcast_to(x, u.shape)
     for _ in range(FW_STEPS):
         step = points[scores.argmax(axis=1)] - x
         length_sq = np.einsum("ij,ij->i", step, step)
@@ -279,6 +257,12 @@ def _frank_wolfe_outside(zeros, points, tol) -> np.ndarray:
         if not len(rows):
             break
     return outside
+
+
+def _certified_outside(y, points, tol) -> bool:
+    """_outside_mask of the single row y: the per-query form that
+    perfbench's tracer wraps by name."""
+    return bool(_outside_mask(y[None, :], points, tol)[0])
 
 
 def run_one_sided(
@@ -312,8 +296,6 @@ def run_one_sided(
     if len(support):
         zeros = points[labels == 0]
         zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
-        if len(zeros):
-            zeros = zeros[~_frank_wolfe_outside(zeros, support, HULL_TOL)]
         for y in zeros:
             if (lam := in_convex_hull(y, support, HULL_TOL)) is not None:
                 cert = Certificate(point=y, support=support, coefficients=lam)

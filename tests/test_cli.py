@@ -155,6 +155,18 @@ class TestRun:
         assert "c2" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_a_const_rejected(self, tmp_path, value):
+        out = tmp_path / "out.json"
+        result = run_cli(
+            ["run", "distance-lb", "--seed", "1", "--n", "16", "--trials", "100000",
+             "--set", f"a_const={value}", "--out", str(out)]
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert "a_const" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -234,6 +246,7 @@ class TestDeterminism:
             ["view-tv", "--n", "16", "--N", "32", "--q", "8", "--trials", "100",
              "--set", "c0_hat=0.35"],
             ["response-tv", "--n", "32", "--q", "6", "--trials", "60"],
+            ["detect-events", "--n", "4", "--q", "1", "--trials", "200"],
         ],
         ids=lambda args: args[0],
     )

@@ -114,6 +114,7 @@ class TestClassify:
         body = NazarovBody(n=n, N=1, r=1.0, normals=np.eye(n)[1:2])
         assert classify(body, x).kind is PointKind.IN_BODY
         assert membership_prob(n, 1, 1.0, math.sqrt(n)) > 0.0
+        self._assert_kernel_matches_spec(body, x[None, :])
 
     def test_tie_counts_inside(self):
         normals = np.array([[1.0, 0.0]])

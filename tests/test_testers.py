@@ -18,7 +18,6 @@ from convexlab.testers import (
     BatchOracle,
     Cell,
     _certified_outside,
-    _frank_wolfe_outside,
     _outside_mask,
     baseline_strategy,
     cell_rejections,
@@ -237,52 +236,11 @@ class TestStrategies:
 
 
 def _certified_outside_row(y, points, tol) -> bool:
-    """The prefilter one 0-query at a time, as the runner once called it: the
-    reference for the batched _outside_mask."""
-    lo = points.min(axis=0) - tol
-    hi = points.max(axis=0) + tol
-    if np.any(y < lo) or np.any(y > hi):
-        return True
-    center = points.mean(axis=0)
-    u = y - center
+    """The centroid margin test of one 0-query: iterate 0 of _outside_mask,
+    so the pass marks every row this marks."""
+    u = y - points.mean(axis=0)
     norm1 = np.abs(u).sum()
-    if norm1 > 0:
-        margin = float(u @ y - (points @ u).max())
-        if margin > tol * norm1:
-            return True
-    return False
-
-
-class TestPrefilter:
-    @staticmethod
-    def _assert_matches_rows(zeros, support):
-        mask = _outside_mask(zeros, support, HULL_TOL)
-        expected = [_certified_outside_row(y, support, HULL_TOL) for y in zeros]
-        assert mask.dtype == bool and mask.tolist() == expected
-        assert [_certified_outside(y, support, HULL_TOL) for y in zeros] == expected
-
-    def test_random_supports(self):
-        gen = RngStream(920).generator()
-        skips = 0
-        for m, z, d in [(1, 5, 3), (2, 7, 2), (5, 9, 4), (12, 20, 6), (30, 30, 8), (40, 10, 40)]:
-            support = gen.standard_normal((m, d))
-            zeros = np.vstack([gen.standard_normal((z, d)), 0.3 * gen.standard_normal((z, d))])
-            self._assert_matches_rows(zeros, support)
-            skips += int(_outside_mask(zeros, support, HULL_TOL).sum())
-        assert 0 < skips < 160
-
-    def test_edge_cases(self):
-        gen = RngStream(921).generator()
-        support = gen.standard_normal((6, 4))
-        centroid = support.mean(axis=0)
-        # one support row, y equal to a support row, y at the centroid
-        # (u = 0, so the direction test is skipped), zero 0-queries.
-        self._assert_matches_rows(np.vstack([support[0], support[0] + 1e-3]), support[:1])
-        self._assert_matches_rows(support[[2, 4]], support)
-        self._assert_matches_rows(centroid[None, :], support)
-        assert not _outside_mask(centroid[None, :], support, HULL_TOL)[0]
-        empty = _outside_mask(np.empty((0, 4)), support, HULL_TOL)
-        assert empty.shape == (0,)
+    return bool(norm1 > 0 and float(u @ y - (points @ u).max()) > tol * norm1)
 
 
 def _feasibility_hull(y, points, tol=HULL_TOL):
@@ -351,37 +309,99 @@ def _near_hull_rows(support, gen, tol):
     return np.vstack(rows)
 
 
-class TestFrankWolfe:
-    def test_rows_within_half_tol_never_separated(self):
+class TestPrefilter:
+    @staticmethod
+    def _assert_covers_rows(zeros, support):
+        mask = _outside_mask(zeros, support, HULL_TOL)
+        centroid = [_certified_outside_row(y, support, HULL_TOL) for y in zeros]
+        assert mask.dtype == bool and mask.shape == (len(zeros),)
+        assert not (np.array(centroid, dtype=bool) & ~mask).any()
+        assert [_certified_outside(y, support, HULL_TOL) for y in zeros] == mask.tolist()
+        return mask
+
+    def test_marks_every_row_the_centroid_marks(self):
+        gen = RngStream(920).generator()
+        skips = 0
+        for m, z, d in [(1, 5, 3), (2, 7, 2), (5, 9, 4), (12, 20, 6), (30, 30, 8), (40, 10, 40)]:
+            support = gen.standard_normal((m, d))
+            zeros = np.vstack([gen.standard_normal((z, d)), 0.3 * gen.standard_normal((z, d))])
+            skips += int(self._assert_covers_rows(zeros, support).sum())
+        assert 0 < skips < 160
+
+    def test_edge_cases(self):
+        gen = RngStream(921).generator()
+        support = gen.standard_normal((6, 4))
+        centroid = support.mean(axis=0)
+        # one support row, y equal to a support row, y at the centroid
+        # (u = 0, so the direction test is skipped), zero 0-queries.
+        self._assert_covers_rows(np.vstack([support[0], support[0] + 1e-3]), support[:1])
+        self._assert_covers_rows(support[[2, 4]], support)
+        self._assert_covers_rows(centroid[None, :], support)
+        assert not _outside_mask(centroid[None, :], support, HULL_TOL)[0]
+        empty = _outside_mask(np.empty((0, 4)), support, HULL_TOL)
+        assert empty.shape == (0,)
+
+    def test_rows_within_half_tol_never_marked(self):
         gen = RngStream(930).generator()
         for m, d in [(8, 2), (8, 3), (12, 6), (40, 8), (200, 16), (9, 40)]:
             support = gen.standard_normal((m, d))
             rows = _near_hull_rows(support, gen, HULL_TOL)
-            assert not _frank_wolfe_outside(rows, support, HULL_TOL).any(), (m, d)
+            assert not _outside_mask(rows, support, HULL_TOL).any(), (m, d)
 
-    def test_separates_far_rows_the_prefilter_keeps(self):
+    def test_separates_rows_just_beyond_a_vertex(self):
+        # Vertices pushed 2 tol outward along a direction the vertex
+        # maximises.  The centroid misses most of them; a Gilbert step to
+        # the vertex itself (the step length clipped at 1) separates them.
+        gen = RngStream(935).generator()
+        kept = separated = 0
+        for m, d in [(8, 2), (8, 3), (12, 6), (40, 8), (200, 16), (9, 40)]:
+            support = gen.standard_normal((m, d))
+            w = gen.standard_normal((200, d))
+            w /= np.abs(w).max(axis=1, keepdims=True)
+            rows = support[(support @ w.T).argmax(axis=0)] + 2 * HULL_TOL * w
+            rows = rows[[not _certified_outside_row(y, support, HULL_TOL) for y in rows]]
+            kept += len(rows)
+            separated += int(_outside_mask(rows, support, HULL_TOL).sum())
+        assert kept > 400 and separated > 0.8 * kept
+
+    def test_marked_rows_are_outside_by_the_lp(self):
+        # Interior convex combinations, and rows up to 10 % beyond the
+        # hull's supporting hyperplane in a random direction, where the
+        # centroid misses many and the Gilbert steps decide the rest.
+        gen = RngStream(934).generator()
+        for m, d in [(8, 2), (12, 6), (40, 8), (9, 40)]:
+            support = gen.standard_normal((m, d))
+            w = gen.standard_normal((60, d))
+            reach = (support @ w.T).max(axis=0) / np.einsum("ij,ij->i", w, w)
+            far = gen.uniform(1.0, 1.1, 60)[:, None] * reach[:, None] * w
+            rows = np.vstack([gen.dirichlet(np.ones(m), 20) @ support, far])
+            mask = self._assert_covers_rows(rows, support)
+            assert not mask[:20].any() and mask[20:].any(), (m, d)
+            assert all(_lp_hull(y, support) is None for y in rows[mask]), (m, d)
+
+    def test_separates_far_rows_the_centroid_keeps(self):
         # Rows just beyond the hull in a random direction: the centroid
-        # test misses many of them, a few Frank-Wolfe steps separate them,
-        # and every separated row is outside by the LP.
+        # test misses many of them, a few Gilbert steps separate them, and
+        # every separated row is outside by the LP.
         gen = RngStream(931).generator()
         support = gen.standard_normal((60, 6))
         w = gen.standard_normal((200, 6))
         reach = (support @ w.T).max(axis=0) / np.einsum("ij,ij->i", w, w)
         rows = 1.05 * reach[:, None] * w
-        kept = rows[~_outside_mask(rows, support, HULL_TOL)]
-        separated = _frank_wolfe_outside(kept, support, HULL_TOL)
+        kept = rows[[not _certified_outside_row(y, support, HULL_TOL) for y in rows]]
+        separated = _outside_mask(kept, support, HULL_TOL)
         assert len(kept) > 20 and separated.mean() > 0.8
         assert all(_feasibility_hull(y, support) is None for y in kept[separated])
 
-    def test_not_called_when_the_prefilter_leaves_no_rows(self, monkeypatch):
+    def test_exact_stage_not_called_when_every_row_separates(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("Frank-Wolfe stage ran on zero rows")
+            raise AssertionError("exact hull stage ran on a separated row")
 
-        monkeypatch.setattr(testers, "_frank_wolfe_outside", fail)
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
+        monkeypatch.setattr(testers, "in_convex_hull", fail)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 5.0], [1.5, 0.5]])
         oracle = BatchOracle(2, lambda pts: pts.max(axis=1) <= 1.0)
-        verdict, _, labels = run_one_sided(_batches(square), oracle, 5)
-        assert verdict.outcome == "accept" and labels.tolist() == [1, 1, 1, 1, 0]
+        verdict, _, labels = run_one_sided(_batches(square), oracle, 6)
+        assert verdict.outcome == "accept" and labels.tolist() == [1, 1, 1, 1, 0, 0]
 
 
 class TestMidpoint:
