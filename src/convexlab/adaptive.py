@@ -173,8 +173,8 @@ def adaptive_labels(n, points, xc, violated, action_products) -> np.ndarray:
     """
     labels = np.zeros(points.shape[0], dtype=np.int8)
     norms_sq = np.einsum("ij,ij->i", points, points)
-    xc_sq = np.einsum("ij,ij->i", xc, xc)
-    live = (norms_sq <= 2.0 * n) & (xc_sq <= n)
+    xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
+    live = (norms_sq <= 2.0 * n) & (xc_norm <= math.sqrt(n))  # as body.labels
     if not np.any(live):
         return labels
     idx = np.nonzero(live)[0]

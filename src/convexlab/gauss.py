@@ -34,10 +34,13 @@ which the reproducibility contract values more than speed.  The inverse
 survival function works directly with upper-tail masses, so thresholds like
 "upper tail = c1/N" stay resolvable far beyond where 1 - c1/N rounds to 1.
 
-Only sf_array (the count estimators) and upper_orthant (xy-pair) here, and
-the flap-dogear-ratio test in nazarov, need scipy.special; each imports it on
-its first call, so a process that never calls them, such as a tester or
-instance-view run, never loads scipy.
+sf_array, the count estimators' tail, evaluates erfc in numpy with the
+rational approximations of Cephes ndtr.c (S. L. Moshier, Methods and Programs
+for Mathematical Functions, 1989), the ones scipy.special.erfc evaluates, in
+the same order of operations.  Only upper_orthant (xy-pair) here and the
+flap-dogear-ratio test in nazarov need scipy.special; each imports it on its
+first call, so a process that never calls them (calibrate-c0,
+high-degree-bound, eps-gap, a tester or instance-view run) never loads scipy.
 """
 
 from __future__ import annotations
@@ -73,16 +76,109 @@ def std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
+def _coefficients(*values: float) -> tuple:
+    """Horner coefficients as 0-d arrays, which a ufunc converts faster than
+    Python floats."""
+    return tuple(np.array(v) for v in values)
+
+
+# Cephes ndtr.c: erfc(a) = exp(-a^2) P(a)/Q(a) on 1 <= a < 8 and exp(-a^2)
+# R(a)/S(a) from 8 on; 1 - a T(a^2)/U(a^2) for |a| < 1; 2 - erfc(-a) for a <= -1;
+# exactly 0 (2 below) once a^2 exceeds MAXLOG.  Highest degree first; Q, S
+# and U are monic, their leading 1 written out.
+_ERFC_P = _coefficients(
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = _coefficients(
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = _coefficients(
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = _coefficients(
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = _coefficients(
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = _coefficients(
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996843e2
+# Elements per pass: the Horner temporaries of a chunk stay in cache.
+_SF_CHUNK = 1 << 14
+
+
+def _horner(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """coef[0] x^k + ... + coef[k] in Cephes' polevl order (p1evl when monic)."""
+    if coef[0] == 1.0:
+        y = x + coef[1]
+    else:
+        y = x * coef[0]
+        y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erfc_tail(a: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
+    """exp(-a^2) num(a) / den(a), Cephes' erfc for a >= 1 short of underflow."""
+    y = a * a
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y *= _horner(a, num)
+    y /= _horner(a, den)
+    return y
+
+
+def _erfc_any(a: np.ndarray) -> np.ndarray:
+    """erfc of any arguments: each Cephes range by its mask; nan stays nan."""
+    x = np.abs(a)
+    z = x * x
+    y = np.full_like(a, np.nan)
+    inner = x < 1.0
+    t = z[inner]
+    y[inner] = 1.0 - a[inner] * _horner(t, _ERF_T) / _horner(t, _ERF_U)
+    mid = (x >= 1.0) & (x < 8.0)
+    far = (x >= 8.0) & (z <= _MAXLOG)
+    y[mid] = _erfc_tail(x[mid], _ERFC_P, _ERFC_Q)
+    y[far] = _erfc_tail(x[far], _ERFC_R, _ERFC_S)
+    y[z > _MAXLOG] = 0.0  # Cephes' underflow; also +-inf, where Horner gives nan
+    np.subtract(2.0, y, out=y, where=(a < 0.0) & (x >= 1.0))
+    return y
+
+
 def sf_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise upper tail, the one vectorized form of std_normal_sf.
+    """Elementwise upper tail 0.5 erfc(x / sqrt(2)), the one vectorized form of
+    std_normal_sf; a 0-d input gives a scalar, as a ufunc would.
 
     The count samplers draw from it; tests pin it against the series cdf in
-    conftest, which shares no code with it.  scipy.special loads on the first
-    call, not with the module.
+    conftest, which shares no code with it, and against scipy.special.erfc.
+    erfc is Cephes' (module docstring), a chunk at a time.  A chunk whose
+    erfc arguments x / sqrt(2) all lie in [1, 8), as every argument of the
+    count estimators does, takes one P/Q evaluation; any other chunk goes
+    through _erfc_any.
     """
-    from scipy import special
-
-    return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / _SQRT2)
+    x = np.asarray(x, dtype=np.float64)
+    a = (x / _SQRT2).ravel()
+    y = np.empty_like(a)
+    for start in range(0, a.size, _SF_CHUNK):
+        part = a[start : start + _SF_CHUNK]
+        if part.min() >= 1.0 and part.max() < 8.0:  # nan fails both
+            y[start : start + _SF_CHUNK] = _erfc_tail(part, _ERFC_P, _ERFC_Q)
+        else:
+            y[start : start + _SF_CHUNK] = _erfc_any(part)
+    y *= 0.5
+    return y.reshape(x.shape)[()]
 
 
 def upper_orthant(h: float, k: float, rho: float) -> float:

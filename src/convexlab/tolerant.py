@@ -316,9 +316,9 @@ class TolerantView:
     n: int
     c2: float             # also tau
     norms: np.ndarray     # |x|
-    xc_sq: np.ndarray     # |x_C|^2
+    xc_norm: np.ndarray   # |x_C|
     action: np.ndarray    # x . action_dir
-    probed: np.ndarray    # indices of the rows in the shell with |x_C|^2 <= n
+    probed: np.ndarray    # indices of the rows in the shell with |x_C| <= sqrt(n)
     viol: np.ndarray      # (probed.size, N) bool
     p_set: np.ndarray     # (N,) bool
     codes: np.ndarray = field(init=False)  # extended codes 0, 1, 0*, 1* (_EXT_*)
@@ -338,11 +338,11 @@ class TolerantView:
         coordinates and `violated`, which maps k control rows to their (k, N)
         violation matrix."""
         norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        xc_sq = np.einsum("ij,ij->i", xc, xc)
+        xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
         lo, hi = shell_interval(n, c2)
-        probed = np.nonzero((norms >= lo) & (norms <= hi) & (xc_sq <= n))[0]
+        probed = np.nonzero((norms >= lo) & (norms <= hi) & (xc_norm <= math.sqrt(n)))[0]
         viol = violated(xc[probed]) if probed.size else np.zeros((0, p_set.size), dtype=bool)
-        return cls(n, c2, norms, xc_sq, action, probed, viol, p_set)
+        return cls(n, c2, norms, xc_norm, action, probed, viol, p_set)
 
     def __post_init__(self):
         object.__setattr__(self, "codes", self._codes())
@@ -351,7 +351,7 @@ class TolerantView:
         codes = np.full(self.norms.shape, _EXT_ZERO, dtype=np.int8)
         if not self.probed.size:
             return codes
-        live = self.xc_sq[self.probed] < self.n  # the zero case uses |x_C| >= sqrt(n)
+        live = self.xc_norm[self.probed] < math.sqrt(self.n)  # the zero case: |x_C| >= sqrt(n)
         counts = self.viol.sum(axis=1)
         codes[self.probed[live & (counts == 0)]] = _EXT_ONE
         unique = live & (counts == 1)  # counts >= 2 rows stay 0 (multiply violated)

@@ -18,7 +18,7 @@ from convexlab.adaptive import (
 )
 from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import Frame, sample_haar_frame, std_normal_cdf
-from convexlab.nazarov import classify
+from convexlab.nazarov import NazarovBody, classify, solve_r_half
 from convexlab.rng import RngStream
 from convexlab.testers import in_convex_hull, run_one_sided
 
@@ -107,7 +107,7 @@ class TestLabelRule:
                 expected = []
                 for x in pts:
                     xc, xa = inst.control.coords(x), inst.action.coords(x)
-                    if x @ x > 2 * n or xc @ xc > n:
+                    if x @ x > 2 * n or math.sqrt(xc @ xc) > math.sqrt(n):
                         expected.append(0)
                         continue
                     violated = [j for j in range(inst.N) if inst.body.normals[j] @ xc > inst.r]
@@ -117,6 +117,26 @@ class TestLabelRule:
                         flap_labels.add(expected[-1])
                 assert eval_adaptive_batch(inst, pts).tolist() == expected
         assert flap_labels == {0, 1}
+
+    @pytest.mark.parametrize("n", [8, 32, 50])
+    def test_control_ball_boundary_where_sqrt_n_squared_rounds_up(self, n):
+        # x = sqrt(n) e1 has control norm exactly sqrt(n), though x_C . x_C
+        # rounds above n: the rule labels it as the body and the convexified
+        # oracle, which reads the body's labels, do.
+        eye, r = np.eye(2 * n), solve_r_half(n, 2)
+        inst = AdaptiveInstance(
+            n=n,
+            N=2,
+            r=r,
+            control=Frame(ambient_dim=2 * n, vectors=eye[:n]),
+            action=Frame(ambient_dim=2 * n, vectors=eye[n:]),
+            body=NazarovBody(n=n, N=2, r=r, normals=np.eye(n)[1:3]),
+            action_dirs=np.eye(n)[:2],
+            stream=RngStream(0),
+        )
+        x = eye[:1] * math.sqrt(n)
+        assert float(x[0] @ x[0]) > n
+        assert inst.labels(x).tolist() == convexified_oracle(inst).labels(x).tolist() == [1]
 
 
 class TestViolatingTriples:

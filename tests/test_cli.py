@@ -55,12 +55,16 @@ def test_cli_import_leaves_the_lp_solver_unloaded():
 
 
 def test_view_and_tester_runs_leave_scipy_special_unloaded():
-    # Only the count estimators (sf_array) and xy-pair (upper_orthant) need
-    # scipy.special; the instance-view and tester experiments never call them.
+    # Only xy-pair (upper_orthant) and flap-dogear-ratio's exact test need
+    # scipy.special; the calibration, the other count estimators (sf_array
+    # is numpy) and the instance-view and tester experiments load no scipy.
     script = (
         "import sys\n"
         "from convexlab.experiments import ExperimentConfig, run_experiment\n"
         "runs = [\n"
+        "    ('calibrate-c0', dict(n=16, N=32, trials=100, overrides={'points_per_body': 1000})),\n"
+        "    ('high-degree-bound', dict(n=16, N=32, trials=200)),\n"
+        "    ('eps-gap', dict(n=16, N=32, trials=50, overrides={'c0_hat': 0.35})),\n"
         "    ('view-tv', dict(n=32, N=128, q=5, trials=40, overrides={'c0_hat': 0.35})),\n"
         "    ('response-tv', dict(n=16, q=4, trials=40)),\n"
         "    ('detect-events', dict(n=16, q=3, trials=20)),\n"
@@ -69,7 +73,8 @@ def test_view_and_tester_runs_leave_scipy_special_unloaded():
         "]\n"
         "for name, sizes in runs:\n"
         "    run_experiment(ExperimentConfig(name, seed=1, **sizes))\n"
-        "assert 'scipy.special' not in sys.modules, 'loaded by a view or tester run'\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, f'loaded by a count, view or tester run: {loaded}'\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -309,6 +309,21 @@ class TestCountSamplers:
         counts = _count_batches(np.zeros(5), 16, 1.0, RngStream(75).generator())
         assert np.array_equal(counts, np.zeros(5))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_equal_those_from_scipy_erfc(self, seed):
+        # calibrate-c0's draw at desk size (n = 100, N = 1024, 200 x 2000
+        # points): the binomial draws from sf_array's numpy erfc equal those
+        # from scipy.special.erfc, which the count estimators drew from before.
+        from scipy import special
+
+        n, N = 100, 1024
+        r = solve_r(n, N, C1_DEFAULT)
+        norms = np.sqrt(RngStream(96, seed).generator().chisquare(n, 400_000))
+        norms = norms[norms <= math.sqrt(n)]
+        counts = _count_batches(norms, N, r, RngStream(97, seed).generator())
+        p = 0.5 * special.erfc((r / norms) / math.sqrt(2.0))
+        np.testing.assert_array_equal(counts, RngStream(97, seed).generator().binomial(N, p))
+
 
 class TestNormalProducts:
     """Products of fixed rows with fresh normal vectors, drawn as R^T Z^T.

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import homogeneity_pvalue, two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
 from convexlab.gauss import sample_haar_frame, std_normal_cdf
+from convexlab.nazarov import NazarovBody
 from convexlab.rng import RngStream
 from convexlab.tolerant import (
     BLOCK,
@@ -119,6 +120,19 @@ class TestLabels:
         # Control projection larger than sqrt(n) forces label 0.
         x = inst.control.vectors[0] * (1.2 * math.sqrt(inst.n))
         assert inst.view(x[None, :]).codes[0] == 0
+
+    @pytest.mark.parametrize("n", [8, 32, 50])
+    def test_control_ball_boundary_where_sqrt_n_squared_rounds_up(self, n):
+        # x_C = sqrt(n) e1 lies on the control ball, though x_C . x_C rounds
+        # above n: it is probed, and coded 0 (the zero case |x_C| >= sqrt(n)).
+        x = np.zeros((1, n + 1))
+        x[0, 0] = math.sqrt(n)
+        xc = x[:, :n]
+        assert float(xc[0] @ xc[0]) > n
+        body = NazarovBody(n=n, N=1, r=1.0, normals=np.eye(n)[1:2])
+        view = TolerantView.of(n, C2_TEST, x, xc, x[:, n], body.violated, np.zeros(1, dtype=bool))
+        assert view.probed.tolist() == [0]
+        assert view.codes.tolist() == [0]
 
     def test_shell_body_point_is_one(self, inst):
         lo, _ = inst.shell
@@ -370,7 +384,7 @@ class TestLazyView:
             inst.view(queries),
             sample_tolerant_view(queries, inst.n, None, RngStream(424), calibration_small),
         ):
-            assert np.abs(view.xc_sq + view.action**2 - view.norms**2).max() <= 1e-10
+            assert np.abs(view.xc_norm**2 + view.action**2 - view.norms**2).max() <= 1e-10
 
     def test_only_shell_rows_in_the_ball_are_probed(self, inst, calibration_small):
         lo, hi = inst.shell
@@ -380,7 +394,7 @@ class TestLazyView:
             inst.view(queries),
             sample_tolerant_view(queries, inst.n, None, RngStream(426), calibration_small),
         ):
-            expected = (view.norms >= lo) & (view.norms <= hi) & (view.xc_sq <= inst.n)
+            expected = (view.norms >= lo) & (view.norms <= hi) & (view.xc_norm <= math.sqrt(inst.n))
             np.testing.assert_array_equal(view.probed, np.nonzero(expected)[0])
             assert view.viol.shape == (view.probed.size, inst.N)
             assert 0 < view.probed.size < 150
