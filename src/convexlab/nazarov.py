@@ -288,8 +288,10 @@ def verify_high_degree_bound(
     bound = c1**q / math.factorial(q)
     report.add_estimate("bound", bound)
 
+    # Every shell point has norm sqrt(n), so one tail serves all trials; a
+    # scalar p draws the same bits as an array of equal p.
     shell_gen = rng.child(0).generator()
-    shell_counts = _count_batches(np.full(trials, math.sqrt(n)), N, r, shell_gen)
+    shell_counts = shell_gen.binomial(N, sf_array(r / math.sqrt(n)), size=trials)
     shell_hits = int(np.count_nonzero(shell_counts >= q))
     freq, se = report.add_rate("shell_tail", shell_hits, trials)
     report.assert_leq(

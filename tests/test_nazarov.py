@@ -249,6 +249,18 @@ class TestHighDegreeBound:
         closed = -math.expm1(num * math.log1p(-c1 / num))
         assert abs(report.value("shell_tail") - closed) <= 4 * math.sqrt(closed / 20_000)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_shell_tail_equals_per_point_counts(self, q):
+        # The shell draws use one scalar tail; they must give the counts of a
+        # tail per shell point, as the estimator drew them before.
+        n, num, c1, trials = 100, 1024, 1.0, 2500  # about one violation a point
+        r = solve_r(n, num, c1)
+        report = verify_high_degree_bound(n, num, r, c1, q, trials, RngStream(43))
+        counts = _count_batches(
+            np.full(trials, math.sqrt(n)), num, r, RngStream(43).child(0).generator()
+        )
+        assert report.value("shell_tail") == np.count_nonzero(counts >= q) / trials
+
     def test_q_validation(self):
         with pytest.raises(DomainError):
             verify_high_degree_bound(64, 256, 30.0, 0.01, 0, 1000, RngStream(0))
