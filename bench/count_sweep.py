@@ -64,11 +64,19 @@ def _experiment_specs(experiment: str, sizes: dict):
     return specs
 
 
+def _scipy_version() -> str | None:
+    """scipy's version if it is installed (the tests' oracle), else None."""
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
+
+
 def sweep(target: dict, specs, seeds: int, calibration_seed: int, command: str) -> dict:
     """Run the calls `specs(seed, c0_hat)` for each seed; `target` names them
     in the output ({"workload": ...} or {"experiment": ..., "sizes": ...})."""
     import numpy
-    import scipy
 
     import convexlab
     from convexlab.experiments import run_experiment
@@ -104,7 +112,7 @@ def sweep(target: dict, specs, seeds: int, calibration_seed: int, command: str) 
             "cores": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "convexlab": convexlab.__version__,
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         },

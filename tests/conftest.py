@@ -21,6 +21,11 @@ def calibration_small(tmp_path_factory):
     return load_calibration(str(path))
 
 
+# Relative accuracy of gauss.owens_t against scipy.special.owens_t, pinned in
+# test_gauss.TestOwensT; upper_orthant's error bound in test_tolerant scales it.
+OWENS_T_RTOL = 2.5e-13
+
+
 # -- independent scalar oracles (series-based, no reuse of package paths) -----
 
 

@@ -54,27 +54,39 @@ def test_cli_import_leaves_the_lp_solver_unloaded():
     assert result.returncode == 0, result.stderr
 
 
-def test_view_and_tester_runs_leave_scipy_special_unloaded():
-    # Only xy-pair (upper_orthant) and flap-dogear-ratio's exact test need
-    # scipy.special; the calibration, the other count estimators (sf_array
-    # is numpy) and the instance-view and tester experiments load no scipy.
+def test_every_experiment_runs_with_scipy_blocked():
+    # numpy is the one runtime dependency: with scipy made unimportable, every
+    # registry experiment runs at small sizes, the exact tails of xy-pair
+    # (Owen's T) and flap-dogear-ratio (the binomial test) included.
     script = (
         "import sys\n"
-        "from convexlab.experiments import ExperimentConfig, run_experiment\n"
-        "runs = [\n"
-        "    ('calibrate-c0', dict(n=16, N=32, trials=100, overrides={'points_per_body': 1000})),\n"
-        "    ('high-degree-bound', dict(n=16, N=32, trials=200)),\n"
-        "    ('eps-gap', dict(n=16, N=32, trials=50, overrides={'c0_hat': 0.35})),\n"
-        "    ('view-tv', dict(n=32, N=128, q=5, trials=40, overrides={'c0_hat': 0.35})),\n"
-        "    ('response-tv', dict(n=16, q=4, trials=40)),\n"
-        "    ('detect-events', dict(n=16, q=3, trials=20)),\n"
-        "    ('soundness', dict(n=20, q=30, trials=20)),\n"
-        "    ('rejection-rates', dict(n=64, trials=20, overrides={'c0_hat': 0.35})),\n"
-        "]\n"
-        "for name, sizes in runs:\n"
+        "sys.modules['scipy'] = None\n"
+        "from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment\n"
+        "runs = {\n"
+        "    'verify-tail-bounds': dict(n=16, trials=10_000),\n"
+        "    'r-estimate': dict(n=16, N=32),\n"
+        "    'shell-membership': dict(n=16, N=32, trials=200),\n"
+        "    'high-degree-bound': dict(n=16, N=32, trials=200),\n"
+        "    'flap-dogear-ratio': dict(n=16, N=32, trials=100_000),\n"
+        "    'unique-volume': dict(n=16, N=32, trials=100, overrides={'points_per_body': 1000}),\n"
+        "    'calibrate-c0': dict(n=16, N=32, trials=100, overrides={'points_per_body': 1000}),\n"
+        "    'moment-matching': dict(),\n"
+        "    'soundness': dict(n=8, q=10, trials=5),\n"
+        "    'rejection-rates': dict(n=8, trials=5, overrides={'c0_hat': 0.35}),\n"
+        "    'distance-lb': dict(n=16, trials=100_000),\n"
+        "    'detect-events': dict(n=16, q=3, trials=20),\n"
+        "    'strip-crossing': dict(trials=3000),\n"
+        "    'view-tv': dict(n=32, N=128, q=5, trials=40, overrides={'c0_hat': 0.35}),\n"
+        "    'eps-gap': dict(n=16, N=32, trials=50, overrides={'c0_hat': 0.35}),\n"
+        "    'xy-pair': dict(n=64, trials=500, overrides={'c0_hat': 0.35}),\n"
+        "    'bivariate-tail': dict(trials=10_000),\n"
+        "    'no-distance': dict(n=16, trials=50),\n"
+        "    'response-tv': dict(n=16, q=4, trials=40),\n"
+        "}\n"
+        "assert set(runs) == set(REGISTRY), sorted(set(runs) ^ set(REGISTRY))\n"
+        "for name, sizes in runs.items():\n"
         "    run_experiment(ExperimentConfig(name, seed=1, **sizes))\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, f'loaded by a count, view or tester run: {loaded}'\n"
+        "assert sys.modules['scipy'] is None\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

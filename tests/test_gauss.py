@@ -1,17 +1,16 @@
-import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bisect_quantile, series_normal_cdf
+from conftest import OWENS_T_RTOL, bisect_quantile, series_normal_cdf
+from convexlab import gauss
 from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import (
     Frame,
     haar_coords,
+    owens_t,
     sample_haar_frame,
     sf_array,
     sphere_coords,
@@ -100,34 +99,59 @@ class TestSfArray:
         np.testing.assert_array_equal(sf_array(np.append(xs, np.nan))[:-1], sf_array(xs))
 
 
-_SF_POINTS = [-4.0, -1.0, 0.0, 0.5, 1.96, 4.0]
-_ORTHANT_CASES = [(0.5, 1.2, -0.3), (1.0, 1.0, 0.5), (2.0, 3.0, 0.95), (3.5, 3.2, 0.999)]
+class TestOwensT:
+    """owens_t against scipy.special.owens_t, which ports the same algorithm
+    (Patefield and Tandy 2000) to C."""
 
+    def test_matches_scipy_on_a_dense_grid(self):
+        # Measured maximum of |owens_t - scipy| / |scipy| (numpy 2.4.6, scipy
+        # 1.17.1): 2.1e-14 on the coarse grid; 1.6e-13 on the dense strip
+        # around the cells where T3's series runs (h past 3.36, a from 0.36
+        # to 1, and 1/a there for a > 1), at h = 3.37, a = 0.8875, where an
+        # mpmath quadrature puts both sides about 1e-13 off.  3.6e-15 at the
+        # cancellation corner h ~ 8, a ~ 1.05 of the a > 1 identity.  Bound:
+        # OWENS_T_RTOL.
+        from scipy import special
 
-def test_first_scipy_calls_give_the_pinned_values():
-    # In a fresh interpreter sf_array loads no scipy and upper_orthant is the
-    # first to load scipy.special; their values must still meet the pins.
-    script = (
-        "import json, sys\n"
-        "from convexlab.gauss import sf_array, upper_orthant\n"
-        "assert 'scipy' not in sys.modules, 'loaded with convexlab.gauss'\n"
-        "sf = sf_array(%r).tolist()\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, f'loaded by sf_array: {loaded}'\n"
-        "orthant = [upper_orthant(h, k, rho) for h, k, rho in %r]\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "print(json.dumps([sf, orthant]))\n"
-    ) % (_SF_POINTS, _ORTHANT_CASES)
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    sf, orthant = json.loads(result.stdout)
-    assert max(abs(v - (1.0 - series_normal_cdf(x))) for v, x in zip(sf, _SF_POINTS)) <= 1e-13
-    from scipy.stats import multivariate_normal
+        grids = [
+            np.meshgrid(np.linspace(0.05, 8.0, 160), np.linspace(-20.0, 20.0, 401)),
+            np.meshgrid(np.linspace(3.3, 4.9, 161), np.linspace(0.45, 2.2, 461)),
+            np.meshgrid(np.linspace(7.5, 8.0, 21), np.linspace(1.0, 1.1, 41)),
+        ]
+        h = np.concatenate([g[0].ravel() for g in grids])
+        a = np.concatenate([g[1].ravel() for g in grids])
+        ref = special.owens_t(h, a)
+        got = np.array([owens_t(x, y) for x, y in zip(h.tolist(), a.tolist())])
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        nonzero = ref != 0.0
+        assert (np.abs(got - ref)[nonzero] / np.abs(ref[nonzero])).max() <= OWENS_T_RTOL
 
-    for value, (h, k, rho) in zip(orthant, _ORTHANT_CASES):
-        law = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
-        oracle = law.cdf([-h, -k])
-        assert abs(value - oracle) <= 1e-9 * oracle + 1e-15
+    def test_symmetries_and_closed_forms(self):
+        for h in (0.3, 1.7, 5.0):
+            for a in (0.2, 0.99, 3.0):
+                assert owens_t(-h, a) == owens_t(h, a)
+                assert owens_t(h, -a) == -owens_t(h, a)
+            assert owens_t(h, 0.0) == 0.0
+        for h in (0.3, 1.7, 3.5):  # inside the series oracle's range
+            tail = 1.0 - series_normal_cdf(h)
+            assert abs(owens_t(h, 1.0) - 0.5 * tail * (1.0 - tail)) <= 1e-13
+        for a in (0.5, 1.0, 7.0):
+            assert abs(owens_t(0.0, a) - math.atan(a) / (2.0 * math.pi)) <= 1e-16
+
+    def test_rejects_non_finite(self):
+        for h, a in ((math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(DomainError):
+                owens_t(h, a)
+
+    def test_series_and_quadrature_constants(self):
+        # T3's polynomial stands for 1/(1 + x^2) on [0, 1]; T5 is the
+        # 26-point Gauss-Legendre rule folded onto [0, 1].
+        x = np.linspace(0.0, 1.0, 10_001)
+        poly = np.polynomial.polynomial.polyval(x * x, gauss._OWEN_T3)
+        assert np.abs(poly - 1.0 / (1.0 + x * x)).max() <= 1e-15
+        nodes, weights = np.polynomial.legendre.leggauss(26)
+        np.testing.assert_allclose(gauss._OWEN_T5_X2, nodes[13:] ** 2, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss._OWEN_T5_W, weights[13:] / (2.0 * math.pi), rtol=0, atol=1e-16)
 
 
 class TestUpperOrthant:

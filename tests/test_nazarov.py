@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from convexlab.nazarov import (
     NazarovBody,
     PointKind,
     _count_batches,
+    binomial_sf,
     classify,
     default_halfspace_count,
     estimate_unique_volume,
@@ -27,8 +29,19 @@ from convexlab.nazarov import (
     verify_flap_dogear_ratio,
     verify_high_degree_bound,
 )
+from convexlab.report import fmt12
 from convexlab.rng import RngStream
 from convexlab.tolerant import C1_DEFAULT
+
+# The flap-dogear-ratio test's success probabilities, 1/(2/c1 - 1), at
+# c1 = ln 2 and c1 = 0.01, and two more.
+_BINOMIAL_PS = (1.0 / (2.0 / math.log(2.0) - 1.0), 1.0 / 199.0, 0.3, 0.9)
+
+
+def _exact_binomial_sf(m: int, n: int, p: float) -> Fraction:
+    """P[Bin(n, p) >= m] in exact rational arithmetic at the float p."""
+    a, b = p.as_integer_ratio()
+    return Fraction(sum(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(m, n + 1)), b**n)
 
 
 class TestSolveR:
@@ -468,7 +481,61 @@ class TestFlapDogear:
         assert check.bound == pytest.approx(0.0013499, rel=1e-4)
         assert check.passed == passed
 
+    def test_default_size_p_value_prints_one(self):
+        # (u, m) at c1 = ln 2 and the default sizes, n = 100, N = 1024, 1e5
+        # pairs: m lies 80 sd below the mean, so the tail is 1 to rounding.
+        p = binomial_sf(3292, 12583 + 3292, 1.0 / (flap_dogear_threshold(math.log(2.0)) + 1.0))
+        assert fmt12(p) == "1"
+
     def test_pointwise_closed_form(self):
         for c1 in (math.log(2), 0.01):
             report = pointwise_flap_dogear_check(100, 1024, solve_r(100, 1024, c1), c1)
             assert report.all_passed()
+
+
+class TestBinomialSf:
+    """binomial_sf, the exact tail of the flap-dogear-ratio test."""
+
+    @staticmethod
+    def _cases(ns):
+        for n in ns:
+            for p in _BINOMIAL_PS:
+                mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+                for m in {0, 1, int(mean - 3 * sd), math.floor(mean), math.ceil(mean), int(mean + 3 * sd) + 1, n}:
+                    if 0 <= m <= n:
+                        yield m, n, p
+
+    def test_matches_exact_rational_tail(self):
+        # Measured maximum relative error against the exact sum: 1.5e-13, at
+        # n = 201, p = 1/199, m = 140, a tail of 2.5e-270 where the saddle-point
+        # terms reach 600.  Tails that underflow double precision are skipped.
+        worst = 0.0
+        for n in (1, 2, 5, 17, 64, 201, 300):
+            for p in _BINOMIAL_PS:
+                for m in range(0, n + 1, max(1, n // 20)):
+                    exact = _exact_binomial_sf(m, n, p)
+                    if exact >= Fraction(1, 10**290):
+                        worst = max(worst, float(abs(Fraction(binomial_sf(m, n, p)) - exact) / exact))
+        assert worst <= 2.5e-13
+
+    def test_matches_bdtrc(self):
+        # Measured maximum of |binomial_sf - bdtrc| / bdtrc: 2.8e-11, at the
+        # largest n.  bdtrc goes through log-gamma sums, which lose digits to
+        # cancellation as n grows; the exact test above bounds binomial_sf.
+        from scipy.special import bdtrc
+
+        for m, n, p in self._cases((1, 2, 7, 30, 201, 1000, 4999, 15875, 20_000)):
+            ref = float(bdtrc(m - 1, n, p))
+            got = binomial_sf(m, n, p)
+            assert abs(got - ref) <= 4e-11 * ref + 1e-300, (m, n, p)
+
+    def test_edges_and_clamp(self):
+        for n in (0, 1, 50, 20_000):
+            assert binomial_sf(0, n, 0.3) == 1.0
+            assert binomial_sf(-4, n, 0.3) == 1.0
+            assert binomial_sf(n + 1, n, 0.3) == 0.0
+        for m, n, p in self._cases((1, 50, 15875, 20_000)):
+            assert 0.0 <= binomial_sf(m, n, p) <= 1.0
+        for p in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                binomial_sf(1, 10, p)
