@@ -1,15 +1,18 @@
 """Worker-count-invariant parallel mapping over independent work units.
 
-Every per-trial loop of the lab goes through map_units.  A unit is one trial
-or a fixed-size block of trials: response-tv, view-tv and detect-events give
-each unit BLOCK trials (the last unit may be shorter), a module constant of
-theirs that does not depend on the worker count.  Unit i derives each stream
-it draws from the run stream and its own index alone (rng.child(i),
-rng.child(2 * i + 1), rng.child(i).child(0), ...), results come back in unit
-order, and cross-unit aggregation is plain summation, so the numbers an
-experiment reports never depend on how many workers ran it.  Worker count
-comes only from the CONVEXLAB_WORKERS environment variable, which must be a
-positive integer when set.
+The per-trial loops of shell-membership, unique-volume, soundness,
+rejection-rates, view-tv, response-tv and detect-events go through
+map_units; the others (verify-tail-bounds, bivariate-tail, distance-lb,
+strip-crossing and the count estimators) draw sequential chunks from one
+stream.  A unit is one trial or a fixed-size block of trials: response-tv,
+view-tv and detect-events give each unit BLOCK trials (the last unit may be
+shorter), a module constant of theirs that does not depend on the worker
+count.  Unit i derives each stream it draws from the run stream and its own
+index alone (rng.child(i), rng.child(2 * i + 1), rng.child(i).child(0), ...),
+results come back in unit order, and cross-unit aggregation is plain
+summation, so the numbers an experiment reports never depend on how many
+workers ran it.  Worker count comes only from the CONVEXLAB_WORKERS
+environment variable, which must be a positive integer when set.
 """
 
 from __future__ import annotations

@@ -414,20 +414,6 @@ def rejections(
     return cell_rejections([Cell(strategy_kind, family, n, budget, trials)], rng, calibration)[0]
 
 
-def rejection_rate(
-    strategy_kind: str,
-    instance_family: str,
-    n: int,
-    budget: int,
-    trials: int,
-    rng: RngStream,
-    calibration=None,
-) -> ExperimentReport:
-    """Rejection frequency of a baseline strategy against an instance family."""
-    cell = Cell(strategy_kind, instance_family, n, budget, trials)
-    return rate_report(cell, cell_rejections([cell], rng, calibration)[0], rng.seed)
-
-
 def rate_report(cell: Cell, rejects: int, seed: int) -> ExperimentReport:
     """The rejection-rate report of a cell whose runs rejected `rejects` times."""
     report = ExperimentReport(

@@ -21,9 +21,10 @@ def calibration_small(tmp_path_factory):
     return load_calibration(str(path))
 
 
-# Relative accuracy of gauss.owens_t against scipy.special.owens_t, pinned in
-# test_gauss.TestOwensT; upper_orthant's error bound in test_tolerant scales it.
-OWENS_T_RTOL = 2.5e-13
+# Accuracy of gauss.upper_orthant against 40-digit values: relative for
+# rho > 0, in units of sf(h) sf(k) for rho < 0 (test_gauss.TestSheppardOrthant,
+# measured worst 2.2e-14).  test_tolerant's exact-tail check allows it.
+ORTHANT_RTOL = 5e-14
 
 
 # -- independent scalar oracles (series-based, no reuse of package paths) -----

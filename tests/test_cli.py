@@ -57,7 +57,7 @@ def test_cli_import_leaves_the_lp_solver_unloaded():
 def test_every_experiment_runs_with_scipy_blocked():
     # numpy is the one runtime dependency: with scipy made unimportable, every
     # registry experiment runs at small sizes, the exact tails of xy-pair
-    # (Owen's T) and flap-dogear-ratio (the binomial test) included.
+    # (Sheppard's integral) and flap-dogear-ratio (the binomial test) included.
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import OWENS_T_RTOL, bisect_quantile, series_normal_cdf
+from conftest import ORTHANT_RTOL, bisect_quantile, series_normal_cdf
 from convexlab import gauss
 from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import (
     Frame,
     haar_coords,
-    owens_t,
     sample_haar_frame,
     sf_array,
     sphere_coords,
@@ -99,59 +98,135 @@ class TestSfArray:
         np.testing.assert_array_equal(sf_array(np.append(xs, np.nan))[:-1], sf_array(xs))
 
 
-class TestOwensT:
-    """owens_t against scipy.special.owens_t, which ports the same algorithm
-    (Patefield and Tandy 2000) to C."""
+# P[X > h, Y > k] at correlation rho as (rho, h, k, value), the value to 40
+# digits from mpmath 1.3.0 by the integral over x of phi(x) P[Y > k | X = x],
+# which shares nothing with Sheppard's form:
+#   def orthant(h, k, rho):
+#       h, k, rho = mp.mpf(h), mp.mpf(k), mp.mpf(rho)
+#       s = mp.sqrt((1 - rho) * (1 + rho))
+#       step = [(k + m * s) / rho for m in (-40, -10, -3, -1, 0, 1, 3, 10, 40)] if rho > 0 else []
+#       pts = sorted({h, h + 0.01, h + 0.1, h + 0.3, *(p for p in step if p > h)})
+#       pts += [pts[-1] + 1, pts[-1] + 3, pts[-1] + 10, pts[-1] + 40]
+#       return mp.quad(lambda x: mp.npdf(x) * mp.ncdf((rho * x - k) / s), pts)
+# run at mp.mp.dps = 45 - floor(log10(value)) and printed with
+# mp.nstr(value, 40); at 15 more digits every value agreed to 2e-43.  The
+# rows at 1 - 7.7e-10 with k = h + 2e-7 are xy-pair's near pairs.
+ORTHANT_TABLE = [
+    (0.05, 0.1, 0.1, "2.196421798719747635236469503111556445867e-1"),
+    (0.05, 0.1, 8.0, "3.85928183023163938715147763969565173292e-16"),
+    (0.05, 1.25, 5.0, "4.604463909290992108406466022474866291349e-8"),
+    (0.05, 3.3, 3.3, "4.290479275414474656284272248587786803658e-7"),
+    (0.05, 6.0, 2.0, "4.451383414823844736968998101950158119579e-11"),
+    (0.05, 8.0, 8.0, "8.979032295424042410508835998889918568726e-30"),
+    (0.3, 0.1, 0.1, "2.598299458698584929409739237450460866501e-1"),
+    (0.3, 0.1, 8.0, "6.176224935239918984761986772965036696278e-16"),
+    (0.3, 1.25, 5.0, "1.793223325177853221385732530843891580018e-7"),
+    (0.3, 3.3, 3.3, "4.774850046486207961633109976050546864775e-6"),
+    (0.3, 6.0, 2.0, "4.307179145018082809846016916711829191356e-10"),
+    (0.3, 8.0, 8.0, "1.750664974025027246963295936155142703378e-24"),
+    (0.5, 0.1, 0.1, "2.944218298579369407169979277904441132832e-1"),
+    (0.5, 0.1, 8.0, "6.220944982622368922139335603495294338377e-16"),
+    (0.5, 1.25, 5.0, "2.690521708101808728448399209611530924798e-7"),
+    (0.5, 3.3, 3.3, "2.004945464564409831376071306759151783723e-5"),
+    (0.5, 6.0, 2.0, "8.807946193305638794363902066459497208925e-10"),
+    (0.5, 8.0, 8.0, "1.788660548590185170717230814086309853632e-21"),
+    (0.86, 0.1, 0.1, "3.753759756246251203616357213816661751434e-1"),
+    (0.86, 0.1, 8.0, "6.220960574271784123515995172588188422488e-16"),
+    (0.86, 1.25, 5.0, "2.866515717707128928362100603079967106059e-7"),
+    (0.86, 3.3, 3.3, "1.592405443495270204759898727777810385577e-4"),
+    (0.86, 6.0, 2.0, "9.865876449313570674138593498664401007152e-10"),
+    (0.86, 8.0, 8.0, "1.61436092864448639935452172992334850956e-17"),
+    (0.925, 0.1, 0.1, "3.984531700388684587125382691261960044819e-1"),
+    (0.925, 0.1, 8.0, "6.220960574271784123515995172588188422489e-16"),
+    (0.925, 1.25, 5.0, "2.866515718791939116558227945247753736972e-7"),
+    (0.925, 3.3, 3.3, "2.331955762627629511634183537207043775439e-4"),
+    (0.925, 6.0, 2.0, "9.865876450376981406998901765637568924377e-10"),
+    (0.925, 8.0, 8.0, "6.782279156997953857062563941327813573204e-17"),
+    (0.97, 0.1, 0.1, "4.212851068706174104115871479493459616028e-1"),
+    (0.97, 0.1, 8.0, "6.220960574271784123515995172588188422489e-16"),
+    (0.97, 1.25, 5.0, "2.866515718791939116737523328746453538544e-7"),
+    (0.97, 3.3, 3.3, "3.192025274708979971481055817844241567806e-4"),
+    (0.97, 6.0, 2.0, "9.865876450376981407008641323980420186698e-10"),
+    (0.97, 8.0, 8.0, "1.967672400165966554080071610438897582072e-16"),
+    (0.9999, 0.1, 0.1, "4.57932579321656204184174675219620357083e-1"),
+    (0.9999, 0.1, 8.0, "6.220960574271784123515995172588188422489e-16"),
+    (0.9999, 1.25, 5.0, "2.866515718791939116737523328746453538544e-7"),
+    (0.9999, 3.3, 3.3, "4.737063887969086120581458642217335288361e-4"),
+    (0.9999, 6.0, 2.0, "9.865876450376981407008641323980420186698e-10"),
+    (0.9999, 8.0, 8.0, "5.936066284283378556685329333816888035076e-16"),
+    (0.99999999923, 0.1, 0.1, "4.601659481827044534270854541380682259544e-1"),
+    (0.99999999923, 0.1, 8.0, "6.220960574271784123515995172588188422489e-16"),
+    (0.99999999923, 1.25, 5.0, "2.866515718791939116737523328746453538544e-7"),
+    (0.99999999923, 3.3, 3.3, "4.833971744902742513035214232338500379409e-4"),
+    (0.99999999923, 6.0, 2.0, "9.865876450376981407008641323980420186698e-10"),
+    (0.99999999923, 8.0, 8.0, "6.220169609655059233648230253823581765615e-16"),
+    (0.86, 5.0, 1.25, "2.866515717707128928362100603079967106059e-7"),
+    (0.99999999923, 1.0, 1.0000002, "1.586514414826200422340717110403651128199e-1"),
+    (0.99999999923, 3.0, 3.0000002, "1.349828204207914699109590084507007222132e-3"),
+    (0.99999999923, 5.0, 5.0000002, "2.866281473933589329182923372187055695228e-7"),
+    (-0.3, 0.1, 0.1, "1.63838984435672278466336726994306744777e-1"),
+    (-0.3, 0.5, 2.0, "2.347636108949546913570874331364322603709e-3"),
+    (-0.3, 1.25, 5.0, "4.748564322723735811308737442589739812914e-10"),
+    (-0.3, 3.3, 3.3, "1.188826340190616109131023905366756473156e-9"),
+    (-0.3, 8.0, 6.0, "3.015533341606904659543498543318380185082e-34"),
+    (-0.3, 8.0, 8.0, "2.461353984230998352741018382427935816725e-43"),
+    (-0.6, 8.0, 8.0, "1.603960665285043110163595317284986907398e-73"),
+    (-0.9, 0.1, 0.1, "3.876796546377346827470608977340213417047e-2"),
+    (-0.9, 0.5, 2.0, "2.607111320523776178256157821903437973661e-10"),
+    (-0.9, 1.25, 5.0, "2.245613839449049317441047373336105715426e-47"),
+    (-0.9, 3.3, 3.3, "1.677861229062443905860227941239998415284e-51"),
+    (-0.9, 8.0, 6.0, "6.887340197008434238603368606701101861369e-218"),
+    (-0.9, 8.0, 8.0, "6.408583860248017358148387517723269681412e-283"),
+]
 
-    def test_matches_scipy_on_a_dense_grid(self):
-        # Measured maximum of |owens_t - scipy| / |scipy| (numpy 2.4.6, scipy
-        # 1.17.1): 2.1e-14 on the coarse grid; 1.6e-13 on the dense strip
-        # around the cells where T3's series runs (h past 3.36, a from 0.36
-        # to 1, and 1/a there for a > 1), at h = 3.37, a = 0.8875, where an
-        # mpmath quadrature puts both sides about 1e-13 off.  3.6e-15 at the
-        # cancellation corner h ~ 8, a ~ 1.05 of the a > 1 identity.  Bound:
-        # OWENS_T_RTOL.
-        from scipy import special
 
-        grids = [
-            np.meshgrid(np.linspace(0.05, 8.0, 160), np.linspace(-20.0, 20.0, 401)),
-            np.meshgrid(np.linspace(3.3, 4.9, 161), np.linspace(0.45, 2.2, 461)),
-            np.meshgrid(np.linspace(7.5, 8.0, 21), np.linspace(1.0, 1.1, 41)),
-        ]
-        h = np.concatenate([g[0].ravel() for g in grids])
-        a = np.concatenate([g[1].ravel() for g in grids])
-        ref = special.owens_t(h, a)
-        got = np.array([owens_t(x, y) for x, y in zip(h.tolist(), a.tolist())])
-        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
-        nonzero = ref != 0.0
-        assert (np.abs(got - ref)[nonzero] / np.abs(ref[nonzero])).max() <= OWENS_T_RTOL
+class TestSheppardOrthant:
+    def test_matches_the_40_digit_table(self):
+        # Measured worst case (numpy 2.4.6): on this table 3.4e-15 relative
+        # for rho > 0 and 1.4e-14 sf(h) sf(k) for rho < 0, where the result
+        # is the difference of sf(h) sf(k) and the integral; on 2,020 points
+        # with h, k in [0.1, 8] at 24 values of rho, 1.1e-14 (sf(8) alone is
+        # 5.7e-15 off) and 2.2e-14.  exp of an argument near h k = 64
+        # carries about 64 ulp.  The row at rho = -0.6, h = k = 8 read
+        # 3.3e-12 with panels wider than 16 / (h^2 + k^2).  Bound:
+        # ORTHANT_RTOL.
+        for rho, h, k, value in ORTHANT_TABLE:
+            got, exact = upper_orthant(h, k, rho), float(value)
+            if rho > 0:
+                assert abs(got - exact) <= ORTHANT_RTOL * exact, (rho, h, k)
+            else:
+                scale = std_normal_sf(h) * std_normal_sf(k)
+                assert abs(got - exact) <= ORTHANT_RTOL * scale, (rho, h, k)
 
-    def test_symmetries_and_closed_forms(self):
-        for h in (0.3, 1.7, 5.0):
-            for a in (0.2, 0.99, 3.0):
-                assert owens_t(-h, a) == owens_t(h, a)
-                assert owens_t(h, -a) == -owens_t(h, a)
-            assert owens_t(h, 0.0) == 0.0
-        for h in (0.3, 1.7, 3.5):  # inside the series oracle's range
-            tail = 1.0 - series_normal_cdf(h)
-            assert abs(owens_t(h, 1.0) - 0.5 * tail * (1.0 - tail)) <= 1e-13
-        for a in (0.5, 1.0, 7.0):
-            assert abs(owens_t(0.0, a) - math.atan(a) / (2.0 * math.pi)) <= 1e-16
+    def test_symmetric_in_the_thresholds(self):
+        for rho, h, k, _ in ORTHANT_TABLE:
+            assert upper_orthant(k, h, rho) == upper_orthant(h, k, rho)
 
-    def test_rejects_non_finite(self):
-        for h, a in ((math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)):
-            with pytest.raises(DomainError):
-                owens_t(h, a)
+    def test_infinite_threshold_raises(self):
+        for h, k in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+            for rho in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                with pytest.raises(DomainError):
+                    upper_orthant(h, k, rho)
 
-    def test_series_and_quadrature_constants(self):
-        # T3's polynomial stands for 1/(1 + x^2) on [0, 1]; T5 is the
-        # 26-point Gauss-Legendre rule folded onto [0, 1].
-        x = np.linspace(0.0, 1.0, 10_001)
-        poly = np.polynomial.polynomial.polyval(x * x, gauss._OWEN_T3)
-        assert np.abs(poly - 1.0 / (1.0 + x * x)).max() <= 1e-15
-        nodes, weights = np.polynomial.legendre.leggauss(26)
-        np.testing.assert_allclose(gauss._OWEN_T5_X2, nodes[13:] ** 2, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(gauss._OWEN_T5_W, weights[13:] / (2.0 * math.pi), rtol=0, atol=1e-16)
+    def test_between_zero_and_the_smaller_tail(self):
+        # Unclamped, rounding puts some of these below 0 (rho = -0.99) or a
+        # few ulp above the smaller tail (rho near 1).
+        for rho in (-0.99, 0.999, 0.999999):
+            for h in (0.1, 0.5, 1.25, 3.3):
+                for k in (0.1, 0.5, 1.25, 3.3, h + 2e-7):
+                    p = upper_orthant(h, k, rho)
+                    assert 0.0 <= p <= min(std_normal_sf(h), std_normal_sf(k)), (rho, h, k)
+
+    def test_zero_past_the_underflow_of_sf(self):
+        for h, k, rho in ((40.0, 1.0, 0.5), (1e8, 1e8, 0.99), (2.0, 1e300, -0.5)):
+            assert upper_orthant(h, k, rho) == 0.0
+
+    def test_gauss_legendre_constants(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_allclose(gauss._GL16_X, nodes[8:], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss._GL16_W, weights[8:], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(gauss._GL16_NODES, -gauss._GL16_NODES[::-1])
+        np.testing.assert_array_equal(gauss._GL16_WEIGHTS, gauss._GL16_WEIGHTS[::-1])
 
 
 class TestUpperOrthant:

@@ -24,7 +24,7 @@ from convexlab.testers import (
     certificate_valid,
     family_oracle,
     in_convex_hull,
-    rejection_rate,
+    rate_report,
     rejections,
     run_one_sided,
 )
@@ -691,28 +691,32 @@ class TestLeafVerdict:
 
 class TestRejectionRate:
     def test_ptf_yes_never_rejects(self):
-        report = rejection_rate("hull-sampling", "ptf-yes", 16, 12, 40, RngStream(71))
+        count = rejections("hull-sampling", "ptf-yes", 16, 12, 40, RngStream(71))
+        report = rate_report(Cell("hull-sampling", "ptf-yes", 16, 12, 40), count, 71)
         assert report.value("rejection_rate") == 0.0
 
     def test_tolerant_yes_rate_recorded_not_asserted(self, calibration_small):
-        report = rejection_rate(
-            "hull-sampling", "tolerant-yes", 16, 12, 30, RngStream(72),
-            calibration=calibration_small,
-        )
+        count = rejections("hull-sampling", "tolerant-yes", 16, 12, 30, RngStream(72), calibration_small)
+        report = rate_report(Cell("hull-sampling", "tolerant-yes", 16, 12, 30), count, 72)
         assert 0.0 <= report.value("rejection_rate") <= 1.0
         assert not report.assertions  # measured only
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
-            rejection_rate("hull-sampling", "mystery", 8, 6, 5, RngStream(0))
-        with pytest.raises(DomainError):
             rejections("hull-sampling", "mystery", 8, 6, 5, RngStream(0))
+        with pytest.raises(DomainError):
+            cell_rejections([Cell("hull-sampling", "mystery", 8, 6, 5)], RngStream(0))
 
     def test_rate_is_the_rejection_count_over_trials(self):
         count = rejections("line-segment", "adaptive", 4, 60, 40, RngStream(73))
-        report = rejection_rate("line-segment", "adaptive", 4, 60, 40, RngStream(73))
+        report = rate_report(Cell("line-segment", "adaptive", 4, 60, 40), count, 73)
         assert 0 < count < 40
         assert report.value("rejection_rate") == count / 40
+        assert report.parameters == {
+            "strategy": "line-segment", "family": "adaptive", "n": 4, "budget": 60, "trials": 40,
+        }
+        lo, hi = report.value("wilson_lower_99"), report.value("wilson_upper_99")
+        assert lo <= count / 40 <= hi
 
     @pytest.mark.parametrize("family", CONVEX_FAMILIES)
     def test_convex_families_never_rejected(self, family):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import OWENS_T_RTOL, homogeneity_pvalue, two_proportion_z
+from conftest import ORTHANT_RTOL, homogeneity_pvalue, two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
-from convexlab.gauss import owens_t, sample_haar_frame, std_normal_cdf, std_normal_sf, upper_orthant
+from convexlab.gauss import sample_haar_frame, std_normal_cdf, upper_orthant
 from convexlab.nazarov import NazarovBody
 from convexlab.rng import RngStream
 from convexlab.tolerant import (
@@ -494,24 +494,16 @@ class TestBivariateTail:
         assert abs(bivariate_upper_bound(0.4, 1.5, 1.5) - bivariate_upper_bound(0.4, 1.5, 1.5)) == 0.0
 
     def test_bound_dominates_the_exact_tail(self):
-        # bivariate_upper_bound >= upper_orthant to within the latter's error.
-        # Each Owen's T term is within OWENS_T_RTOL of its value and the form
-        # sf(h)/2 + sf(k)/2 - T(h, a_h) - T(k, a_k) cancels, so the relative
-        # error is at most (OWENS_T_RTOL + 4 ulp) scale / value, scale the sum
-        # of the parts' magnitudes.  Where rho h >> k both sides equal sf(h)
-        # to 1e-30 or closer; there the float margin measured -1.6e-11 (rho
-        # 0.86, h 5, k 1.25), 1.7e-4 of that allowance.
+        # bivariate_upper_bound >= upper_orthant to within the latter's
+        # relative error ORTHANT_RTOL.  Where rho h >> k both sides equal
+        # sf(h) to 1e-30 or closer; at rho 0.86, h 5, k 1.25 the exact tail
+        # sits 9.0e-12 relative below the bound.
         for rho in np.linspace(0.05, 0.95, 11):
-            s = math.sqrt(1.0 - rho * rho)
             for h in np.linspace(0.25, 5.0, 20):
                 for k in np.linspace(0.25, 5.0, 20):
                     exact = upper_orthant(h, k, rho)
-                    t_h = owens_t(h, (k - rho * h) / (h * s))
-                    t_k = owens_t(k, (h - rho * k) / (k * s))
-                    scale = 0.5 * (std_normal_sf(h) + std_normal_sf(k)) + abs(t_h) + abs(t_k)
-                    delta = (OWENS_T_RTOL + 4 * np.finfo(float).eps) * scale / exact
                     bound = bivariate_upper_bound(rho, h, k)
-                    assert bound >= exact * (1.0 - delta), (rho, h, k)
+                    assert bound >= exact * (1.0 - ORTHANT_RTOL), (rho, h, k)
 
     def test_domain(self):
         with pytest.raises(DomainError):
