@@ -13,11 +13,9 @@ import dataclasses
 import sys
 
 from .errors import LabError
-from .experiments import REGISTRY, ExperimentConfig, run_experiment
+from .experiments import FORMATS, REGISTRY, ExperimentConfig, run_experiment
 from .report import fmt12
 from .storage import KINDS, load_calibration, load_instance, save_instance
-
-FORMATS = ("json", "csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,40 +153,10 @@ def _cmd_run_config(args) -> int:
     unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise LabError(f"unknown config fields: {sorted(unknown)}")
-    for key in ("experiment", "output_path", "calibration_path"):
-        value = raw.get(key)
-        if (value is not None or key == "experiment") and not isinstance(value, str):
-            raise LabError(f"config field {key!r} must be a string, got {value!r}")
-    for key in ("seed", "n", "N", "q", "trials"):
-        value = raw.get(key)
-        if (value is not None or key == "seed") and not _is_int(value):
-            raise LabError(f"config field {key!r} must be an integer, got {value!r}")
-    fmt = raw.get("fmt", "json")
-    if fmt not in FORMATS:
-        raise LabError(f"config field 'fmt' must be one of {FORMATS}, got {fmt!r}")
-    overrides = raw.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise LabError("overrides must be a mapping of constants to numbers")
-    for key, value in overrides.items():
-        if not (_is_int(value) or isinstance(value, float)):
-            raise LabError(f"override {key!r} must be a number, got {value!r}")
-    config = ExperimentConfig(
-        experiment=raw["experiment"],
-        seed=raw["seed"],
-        n=raw.get("n"),
-        N=raw.get("N"),
-        q=raw.get("q"),
-        trials=raw.get("trials"),
-        overrides={k: float(v) for k, v in overrides.items()},
-        output_path=raw.get("output_path"),
-        fmt=fmt,
-        calibration_path=raw.get("calibration_path"),
-    )
+    config = ExperimentConfig(**raw)
+    # JSON numbers are recorded as floats, as `--set` parses them.
+    config = dataclasses.replace(config, overrides={k: float(v) for k, v in config.overrides.items()})
     return _execute(config)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_make_instance(args) -> int:

@@ -23,8 +23,20 @@ from .storage import load_calibration, save_calibration
 LN2 = math.log(2.0)
 
 
-@dataclass
+FORMATS = ("json", "csv")
+
+
+def _plain(value, types) -> bool:
+    """isinstance(value, types), with bool, a subclass of int, excluded."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's inputs.  Every entry point (the CLI, run-config, the Python
+    API) builds one, and construction is the only place they are checked:
+    values are rejected, never converted."""
+
     experiment: str
     seed: int
     n: int | None = None
@@ -37,10 +49,35 @@ class ExperimentConfig:
     calibration_path: str | None = None
 
     def __post_init__(self):
+        if self.experiment not in (*REGISTRY, "all-lemmas"):
+            raise DomainError(
+                f"config field 'experiment': unknown experiment {self.experiment!r}; "
+                "run the manifest command for the list"
+            )
+        if not _plain(self.seed, int):
+            raise DomainError(f"config field 'seed' must be an integer, got {self.seed!r}")
         for key in ("n", "N", "q", "trials"):
             value = getattr(self, key)
-            if value is not None and value < 1:
-                raise DomainError(f"{key} must be at least 1, got {value}")
+            if value is not None and not (_plain(value, int) and value >= 1):
+                raise DomainError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+        if self.fmt not in FORMATS:
+            raise DomainError(f"config field 'fmt' must be one of {FORMATS}, got {self.fmt!r}")
+        for key in ("output_path", "calibration_path"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise DomainError(f"config field {key!r} must be a string, got {value!r}")
+        if not isinstance(self.overrides, dict):
+            raise DomainError("config field 'overrides' must be a mapping of constants to numbers")
+        if self.experiment == "all-lemmas":
+            known = {key for _, _, keys in REGISTRY.values() for key in keys}
+        else:
+            known = set(REGISTRY[self.experiment][2])
+        unknown = sorted(set(self.overrides) - known, key=str)
+        if unknown:
+            raise DomainError(f"{self.experiment} reads no override {unknown}; it reads {sorted(known)}")
+        for key, value in self.overrides.items():
+            if not _plain(value, (int, float)):
+                raise DomainError(f"override {key!r} must be a number, got {value!r}")
 
     def dim(self, default: int = 100) -> int:
         return self.n if self.n is not None else default
@@ -61,24 +98,19 @@ class ExperimentConfig:
     def override(self, key: str, default: float) -> float:
         return float(self.overrides.get(key, default))
 
+    def c0_hat(self) -> float:
+        """The measured constant: the c0_hat override, else the calibration record's."""
+        if "c0_hat" in self.overrides:
+            return float(self.overrides["c0_hat"])
+        if self.calibration_path:
+            return load_calibration(self.calibration_path).c0_hat
+        raise CalibrationMissingError(
+            "experiment needs the measured constant: run calibrate-c0 and pass --calibration, "
+            "or set --set c0_hat=<value>"
+        )
+
     def rng(self) -> RngStream:
         return RngStream(self.seed)
-
-
-def _calibration(config: ExperimentConfig) -> tolerant.CalibrationRecord | float:
-    if "c0_hat" in config.overrides:
-        return float(config.overrides["c0_hat"])
-    if config.calibration_path:
-        return load_calibration(config.calibration_path)
-    raise CalibrationMissingError(
-        "experiment needs the measured constant: run calibrate-c0 and pass --calibration, "
-        "or set --set c0_hat=<value>"
-    )
-
-
-def _echo(report: ExperimentReport, config: ExperimentConfig):
-    for key, value in sorted(config.overrides.items()):
-        report.parameters[f"override.{key}"] = value
 
 
 # -- gauss-core ---------------------------------------------------------------
@@ -237,13 +269,9 @@ def run_moment_matching(config: ExperimentConfig) -> ExperimentReport:
     for l in (1, 3, 5):
         mu, law = ptf.match_moments_nonneg(l)
         report.add_estimate(f"mu[l={l}]", mu)
-        worst = 0.0
-        for k in range(1, l + 1):
-            target = ptf.gaussian_raw_moment(mu, k)
-            worst = max(worst, abs(law.moment(k) - target) / max(1.0, abs(target)))
         report.assert_leq(
             f"nonnegative law moments 1..{l} match within relative 1e-9",
-            worst,
+            ptf.moment_error(law, mu, l),
             1e-9,
             source="closed-form",
         )
@@ -262,13 +290,9 @@ def run_moment_matching(config: ExperimentConfig) -> ExperimentReport:
             1e-12,
             source="closed-form",
         )
-        worst_neg = 0.0
-        for k in range(1, l + 1):
-            target = ptf.gaussian_raw_moment(mu, k)
-            worst_neg = max(worst_neg, abs(neg.moment(k) - target) / max(1.0, abs(target)))
         report.assert_leq(
             f"negative-atom law moments 1..{l} match within relative 1e-9",
-            worst_neg,
+            ptf.moment_error(neg, mu, l),
             1e-9,
             source="closed-form",
         )
@@ -329,18 +353,18 @@ def run_rejection_rates(config: ExperimentConfig) -> ExperimentReport:
     specs = {f"adaptive budget={budget}": ("hull-sampling", "adaptive", budget) for budget in budgets}
     specs["ptf-no line-segment"] = ("line-segment", "ptf-no", 30)
     specs["ptf-yes hull-sampling"] = ("hull-sampling", "ptf-yes", 30)
-    calibration = None
+    c0_hat = None
     if "c0_hat" in config.overrides or config.calibration_path:
         # Near-convex yes-realizations carry no acceptance guarantee; the
         # rates are recorded, never asserted.
-        calibration = _calibration(config)
+        c0_hat = config.c0_hat()
         for family in ("tolerant-yes", "tolerant-no"):
             specs[f"{family} hull-sampling"] = ("hull-sampling", family, 30)
     cells = [
         testers.Cell(kind, family, n, budget, trials, (index,))
         for index, (kind, family, budget) in enumerate(specs.values())
     ]
-    counts = testers.cell_rejections(cells, config.rng(), calibration)
+    counts = testers.cell_rejections(cells, config.rng(), c0_hat)
     for prefix, cell, count in zip(specs, cells, counts):
         report.merge(testers.rate_report(cell, count, config.seed), prefix=prefix)
     rates = [report.estimate(f"adaptive budget={budget}: rejection_rate") for budget in budgets]
@@ -436,12 +460,12 @@ def run_view_tv(config: ExperimentConfig) -> ExperimentReport:
     n = config.dim()
     trials = config.samples(10_000)
     q = config.budget(5)
-    calibration = _calibration(config)
-    tau = tolerant.c2_from(calibration)
+    c0_hat = config.c0_hat()
+    tau = tolerant.c2_from(c0_hat)
     rng = config.rng()
     queries = _shell_queries(n, q, tau, rng.child(0))
     return tolerant.view_experiment(
-        queries, n, trials, rng.child(1), calibration, N_override=config.N
+        queries, n, trials, rng.child(1), c0_hat, N_override=config.N
     )
 
 
@@ -451,15 +475,15 @@ def run_eps_gap(config: ExperimentConfig) -> ExperimentReport:
     draws = config.samples(200)
     points = int(config.override("points_per_draw", 1000))
     return tolerant.estimate_eps_bounds(
-        n, N, draws, points, config.rng(), _calibration(config)
+        n, N, draws, points, config.rng(), config.c0_hat()
     )
 
 
 def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
     q_trials = config.samples(200_000)
     grid = config.grid()
-    calibration = _calibration(config)
-    c2 = tolerant.c2_from(calibration)
+    c0_hat = config.c0_hat()
+    c2 = tolerant.c2_from(c0_hat)
     c3 = config.override("c3", 0.1)
     report = ExperimentReport(
         "xy-pair", {"grid": list(grid), "trials": q_trials, "c3": c3}, config.seed
@@ -481,7 +505,7 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
         far[0] = s * 0.5
         far[1] = s * math.sqrt(3.0) / 2.0
         sub_near = tolerant.xy_pair_experiment(
-            n, x, near, q_trials, rng.child(2 * index), calibration
+            n, x, near, q_trials, rng.child(2 * index), c0_hat
         )
         sep = sub_near.estimate("action_separation_rate")
         near_rates.append(sep)
@@ -495,7 +519,7 @@ def run_xy_pair(config: ExperimentConfig) -> ExperimentReport:
             se=sep.ci_halfwidth,
         )
         sub_far = tolerant.xy_pair_experiment(
-            n, x, far, q_trials, rng.child(2 * index + 1), calibration
+            n, x, far, q_trials, rng.child(2 * index + 1), c0_hat
         )
         star_rates.append(sub_far.value("same_unique_rate"))
         report.merge(sub_far, prefix=f"far n={n}")
@@ -593,12 +617,6 @@ def _suite_seed(seed: int, index: int) -> int:
     return int(RngStream(seed, index).generator().integers(2**63))
 
 
-def _check_overrides(experiment: str, overrides: dict, known):
-    unknown = sorted(set(overrides) - set(known))
-    if unknown:
-        raise DomainError(f"{experiment} reads no override {unknown}; it reads {sorted(known)}")
-
-
 def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
     """The full verification suite at desk parameters, one sub-report each.
 
@@ -606,22 +624,19 @@ def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
     experiments that read its constant.  Each experiment gets only the
     overrides it reads, and the measured c0_hat unless one is set.
     """
-    read = {key for _, _, keys in REGISTRY.values() for key in keys}
-    _check_overrides("all-lemmas", config.overrides, read)
     report = ExperimentReport("all-lemmas", {"n": config.dim(), "N": config.halfspaces(config.dim())}, config.seed)
     c0_hat: float | None = None
     for index, (name, (fn, _, keys)) in enumerate(REGISTRY.items()):
+        overrides = {k: v for k, v in config.overrides.items() if k in keys}
+        if "c0_hat" in keys and c0_hat is not None:
+            overrides.setdefault("c0_hat", c0_hat)
         sub_config = ExperimentConfig(
             experiment=name,
             seed=_suite_seed(config.seed, index),
             n=config.n,
             N=config.N,
-            overrides={k: v for k, v in config.overrides.items() if k in keys},
+            overrides=overrides,
         )
-        if "c0_hat" in keys and "c0_hat" not in sub_config.overrides:
-            if c0_hat is None:
-                raise CalibrationMissingError("suite ordering bug: calibration not yet run")
-            sub_config.overrides["c0_hat"] = c0_hat
         started = time.perf_counter()
         sub = fn(sub_config)
         report.timings[name] = time.perf_counter() - started
@@ -636,14 +651,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.experiment == "all-lemmas":
         report = run_all_lemmas(config)
     else:
-        try:
-            fn, _, keys = REGISTRY[config.experiment]
-        except KeyError:
-            raise DomainError(
-                f"unknown experiment {config.experiment!r}; run the manifest command for the list"
-            ) from None
-        _check_overrides(config.experiment, config.overrides, keys)
-        report = fn(config)
-        _echo(report, config)
+        report = REGISTRY[config.experiment][0](config)
+        for key, value in sorted(config.overrides.items()):  # echo each override
+            report.parameters[f"override.{key}"] = value
     report.wall_time = time.perf_counter() - started
     return report

@@ -26,8 +26,10 @@ sphere_coords draws X u as R^T w / sqrt(|w|^2 + chi^2_{d-k}), k + 1 draws
 per trial instead of d.  xy-pair reads (u.(x - y), u.x) this way, and
 strip-crossing the cosine of a direction with a uniform unit vector.
 
-The cdf goes through erfc in double precision (max error well under the
-1e-13 budget).  The quantile and inverse survival function use bisection on
+The cdf goes through erfc in double precision.  Rounding x/sqrt(2) before
+erfc costs relative accuracy in the far tail: against 40-digit values the
+error of std_normal_sf is 5.7e-15 at x = 8, 3.5e-14 at 20 and 1.2e-13 at
+30.  The quantile and inverse survival function use bisection on
 the monotone cdf/sf followed by one Newton refinement step: slower than a
 rational approximation but deterministic to the last bit on every platform,
 which the reproducibility contract values more than speed.  The inverse
@@ -70,7 +72,8 @@ def std_normal_cdf(x: float) -> float:
 
 
 def std_normal_sf(x: float) -> float:
-    """Upper tail P[g > x]; accurate down to the underflow threshold."""
+    """Upper tail P[g > x].  The relative error grows with x, as x/sqrt(2) is
+    rounded before erfc: 5.7e-15 at x = 8, 3.5e-14 at 20, 1.2e-13 at 30."""
     if not math.isfinite(x):
         raise DomainError(f"sf argument must be finite, got {x}")
     return 0.5 * math.erfc(x / _SQRT2)
@@ -216,6 +219,11 @@ def upper_orthant(h: float, k: float, rho: float) -> float:
     h = k = 8, and 1.8e-14 of the value at rho = 1 - 1e-6, h = 1.25, k = 8.
     At rho = +-1 the pair is degenerate: Y = X gives sf(max(h, k)) and Y = -X
     gives 0.
+
+    For rho > 0 the error is relative to the value.  For rho < 0 the integral
+    is subtracted from sf(h) sf(k), and the two cancel, so the error is
+    absolute, in units of sf(h) sf(k): (3.3, 3.3, -0.9) returns 4.8e-22 where
+    the exact tail is 1.7e-51.
     """
     if not (h > 0 and k > 0):
         raise DomainError(f"need h, k > 0, got h={h}, k={k}")

@@ -185,14 +185,20 @@ def match_moments_with_negative(
     return dist
 
 
-def _check_moments(dist: DiscreteDistribution, mu: float, l: int):
+def moment_error(dist: DiscreteDistribution, mu: float, l: int) -> float:
+    """The largest error of moments 1..l of `dist` against those of N(mu, 1),
+    relative to max(1, |target|)."""
+    worst = 0.0
     for k in range(1, l + 1):
         target = gaussian_raw_moment(mu, k)
-        err = abs(dist.moment(k) - target)
-        if err > MOMENT_RTOL * max(1.0, abs(target)):
-            raise SolverError(
-                f"moment {k} mismatch: {dist.moment(k)} vs {target} (err {err:.3g})"
-            )
+        worst = max(worst, abs(dist.moment(k) - target) / max(1.0, abs(target)))
+    return worst
+
+
+def _check_moments(dist: DiscreteDistribution, mu: float, l: int):
+    err = moment_error(dist, mu, l)
+    if err > MOMENT_RTOL:
+        raise SolverError(f"moments 1..{l} mismatch: relative error {err:.3g}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
@@ -89,7 +90,7 @@ KINDS = {
     ),
     "tolerant": Kind(
         tolerant.TolerantInstance,
-        lambda rng, n, N, c0_hat: tolerant.sample_tolerant_instance(n, N, rng, float(c0_hat)),
+        lambda rng, n, N, c0_hat: tolerant.sample_tolerant_instance(n, N, rng, c0_hat),
         {"c1": 1e-15, "c2": 1e-15, "tau": 1e-15}, "body.normals",
     ),
     "ptf": Kind(
@@ -153,6 +154,16 @@ def load_calibration(path: str) -> tolerant.CalibrationRecord:
     payload = _load_payload(path)
     if payload.get("kind") != "calibration":
         raise FormatError(f"{path} is not a calibration record")
-    return tolerant.CalibrationRecord(
-        **{f.name: payload[f.name] for f in fields(tolerant.CalibrationRecord)}
-    )
+    values = {}
+    for f in fields(tolerant.CalibrationRecord):
+        value = values[f.name] = payload.get(f.name)
+        if f.name in ("n", "N", "produced_by_seed"):
+            ok, kind = isinstance(value, int), "an integer"
+        else:  # c1, v_u_mean, v_u_ci
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+            kind = "a finite number"
+        if not ok or isinstance(value, bool):
+            raise FormatError(f"calibration field {f.name!r} in {path} must be {kind}, got {value!r}")
+    if values["c1"] <= 0:
+        raise FormatError(f"calibration field 'c1' in {path} must be positive, got {values['c1']!r}")
+    return tolerant.CalibrationRecord(**values)

@@ -335,7 +335,7 @@ INSTANCE_FAMILIES = ("adaptive", "tolerant-yes", "tolerant-no", "ptf-yes", "ptf-
 CONVEX_FAMILIES = ("halfspace", "ball", "ellipsoid", "ptf-yes")
 
 
-def family_oracle(family: str, n: int, rng: RngStream, calibration=None) -> Oracle:
+def family_oracle(family: str, n: int, rng: RngStream, c0_hat: float | None = None) -> Oracle:
     """One draw of a named family, as the oracle the tester queries.
 
     An instance family answers one batch, from that batch's view in an
@@ -351,7 +351,7 @@ def family_oracle(family: str, n: int, rng: RngStream, calibration=None) -> Orac
         realization = family.removeprefix("tolerant-")
         return ViewOracle(
             n + 1,
-            lambda pts: getattr(tolerant.sample_tolerant_view(pts, n, None, rng, calibration), realization)(),
+            lambda pts: getattr(tolerant.sample_tolerant_view(pts, n, None, rng, c0_hat), realization)(),
         )
     if family in ("ptf-yes", "ptf-no"):
         flavor = family.removeprefix("ptf-")
@@ -383,20 +383,20 @@ class Cell:
     path: tuple[int, ...] = ()
 
 
-def cell_rejections(cells, rng: RngStream, calibration=None) -> list[int]:
+def cell_rejections(cells, rng: RngStream, c0_hat: float | None = None) -> list[int]:
     """How many runs of each cell reject, every cell's runs in one map_units
     call (so a pool starts once per call, not once per cell).
 
     Run t of a cell draws its oracle from s.child(2t) and its queries from
-    s.child(2t + 1), where s is the cell's stream.  The calibration reaches
-    the tolerant families only.
+    s.child(2t + 1), where s is the cell's stream.  The measured constant
+    c0_hat reaches the tolerant families only.
     """
     cells = tuple(cells)
     for cell in cells:
         if cell.family not in INSTANCE_FAMILIES + CONVEX_FAMILIES:
             raise DomainError(f"unknown instance family {cell.family!r}")
     starts = tuple(accumulate((cell.trials for cell in cells), initial=0))
-    outcomes = map_units(_rejects, starts[-1], rng, cells, starts, calibration)
+    outcomes = map_units(_rejects, starts[-1], rng, cells, starts, c0_hat)
     return [sum(outcomes[a:b]) for a, b in zip(starts, starts[1:])]
 
 
@@ -407,11 +407,11 @@ def rejections(
     budget: int,
     trials: int,
     rng: RngStream,
-    calibration=None,
+    c0_hat: float | None = None,
 ) -> int:
     """How many of `trials` runs of a baseline strategy reject a family:
     the one cell whose stream is rng."""
-    return cell_rejections([Cell(strategy_kind, family, n, budget, trials)], rng, calibration)[0]
+    return cell_rejections([Cell(strategy_kind, family, n, budget, trials)], rng, c0_hat)[0]
 
 
 def rate_report(cell: Cell, rejects: int, seed: int) -> ExperimentReport:
@@ -434,11 +434,11 @@ def rate_report(cell: Cell, rejects: int, seed: int) -> ExperimentReport:
     return report
 
 
-def _rejects(rng: RngStream, i: int, cells, starts, calibration) -> bool:
+def _rejects(rng: RngStream, i: int, cells, starts, c0_hat) -> bool:
     c = bisect_right(starts, i) - 1
     cell, t = cells[c], i - starts[c]
     for index in cell.path:
         rng = rng.child(index)
-    oracle = family_oracle(cell.family, cell.n, rng.child(2 * t), calibration)
+    oracle = family_oracle(cell.family, cell.n, rng.child(2 * t), c0_hat)
     strategy = baseline_strategy(cell.strategy_kind, cell.budget, oracle.ambient_dim, rng.child(2 * t + 1))
     return run_one_sided(strategy, oracle, cell.budget)[0].outcome == "reject"

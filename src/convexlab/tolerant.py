@@ -13,7 +13,9 @@ The constant c0_hat (the measured ratio of expected uniquely-violated volume
 to c1) comes from a calibration run and fixes c2 = tau = c0_hat * c1 / 100.
 The expectation is over the body as well as the point, so calibrate-c0
 estimates it over point-body pairs, a fresh body for each point, by drawing
-violation counts (nazarov.unique_multi_hits); no body is built.
+violation counts (nazarov.unique_multi_hits); no body is built.  Every
+sampler and experiment here takes c0_hat as one number, not the record
+(CalibrationRecord.c0_hat reads it off one), and c2_from is its only check.
 
 Labels depend on an instance only through a TolerantView of the rows: their
 norms, |x_C|^2, the action coordinates, the violation matrix of the rows in
@@ -157,9 +159,7 @@ class TolerantInstance:
     body: NazarovBody         # normals in control coordinates
     p_set: np.ndarray         # boolean (N,), the random subset
     c0_hat: float
-    c1: float
     c2: float
-    tau: float
     stream: RngStream
 
     def __post_init__(self):
@@ -172,11 +172,8 @@ class TolerantInstance:
             raise DomainError("action_dir must be a unit vector")
         if np.abs(self.control.vectors @ action).max() > 1e-8:
             raise DomainError("action_dir must be orthogonal to the control frame")
-        if abs(self.c1 - C1_DEFAULT) > 1e-15:
-            raise DomainError("the construction fixes c1 = 1/100")
-        expected = self.c0_hat * self.c1 / 100.0
-        if abs(self.c2 - expected) > 1e-15 or abs(self.tau - expected) > 1e-15:
-            raise DomainError("c2 and tau must both equal c0_hat * c1 / 100")
+        if abs(self.c2 - self.c0_hat * self.c1 / 100.0) > 1e-15:
+            raise DomainError("c2 must equal c0_hat * c1 / 100")
         if abs(std_normal_cdf(self.r / math.sqrt(self.n)) - (1.0 - self.c1 / self.N)) > 1e-9:
             raise DomainError("r does not match the tail convention for c1")
         p_set = np.asarray(self.p_set, dtype=bool)
@@ -186,6 +183,16 @@ class TolerantInstance:
         p_set.flags.writeable = False
         object.__setattr__(self, "action_dir", action)
         object.__setattr__(self, "p_set", p_set)
+
+    @property
+    def c1(self) -> float:
+        """The construction fixes c1 = 1/100."""
+        return C1_DEFAULT
+
+    @property
+    def tau(self) -> float:
+        """The construction sets tau = c2."""
+        return self.c2
 
     @property
     def ambient_dim(self) -> int:
@@ -216,26 +223,22 @@ class TolerantInstance:
         )
 
 
-def _constants(n: int, N_override: int | None, calibration) -> tuple[float, int, float, float]:
-    """(c0_hat, N, c2, r) of an instance; the construction sets tau = c2."""
+def _constants(n: int, N_override: int | None, c0_hat: float) -> tuple[int, float, float]:
+    """(N, c2, r) of an instance; the construction sets tau = c2."""
     if n < 4:
         raise DomainError("need n >= 4")
     N = N_override if N_override is not None else default_halfspace_count(n)
-    return _c0_from(calibration), N, c2_from(calibration), solve_r(n, N, C1_DEFAULT)
+    return N, c2_from(c0_hat), solve_r(n, N, C1_DEFAULT)
 
 
 def sample_tolerant_instance(
     n: int,
     N_override: int | None,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
 ) -> TolerantInstance:
-    """Draw one yes/no instance pair carrier.
-
-    `calibration` is the record produced by the calibrate-c0 experiment, or
-    the measured constant itself.
-    """
-    c0_hat, N, c2, r = _constants(n, N_override, calibration)
+    """Draw one yes/no instance pair carrier for the measured constant c0_hat."""
+    N, c2, r = _constants(n, N_override, c0_hat)
     full = sample_haar_frame(n + 1, n + 1, rng.child(0))
     action_dir = full.vectors[0]
     control = Frame(ambient_dim=n + 1, vectors=full.vectors[1:])
@@ -249,10 +252,8 @@ def sample_tolerant_instance(
         action_dir=action_dir,
         body=body,
         p_set=p_set,
-        c0_hat=c0_hat,
-        c1=C1_DEFAULT,
+        c0_hat=float(c0_hat),
         c2=c2,
-        tau=c2,
         stream=rng,
     )
 
@@ -263,16 +264,16 @@ def sample_tolerant_views(
     N_override: int | None,
     trials: int,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
 ) -> list[TolerantView]:
     """The views of `queries` in `trials` fresh instances, drawn without them.
 
     Each is equal in law to sample_tolerant_instance(n, N_override, s,
-    calibration).view(queries) for its own stream s, and the views are
+    c0_hat).view(queries) for its own stream s, and the views are
     independent (module docstring).  A trial draws q x (n + 1) and at most
     N x q normals instead of the (n + 1) x (n + 1) frame and the N x n body.
     """
-    _, N, c2, r = _constants(n, N_override, calibration)
+    N, c2, r = _constants(n, N_override, c0_hat)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != n + 1:
         raise DimensionMismatchError(f"queries must have dimension {n + 1}")
@@ -292,12 +293,12 @@ def sample_tolerant_view(
     n: int,
     N_override: int | None,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
 ) -> TolerantView:
     """The view of `queries` in a fresh instance: sample_tolerant_views at
     one trial, equal in law to sample_tolerant_instance(n, N_override, rng,
-    calibration).view(queries)."""
-    return sample_tolerant_views(queries, n, N_override, 1, rng, calibration)[0]
+    c0_hat).view(queries)."""
+    return sample_tolerant_views(queries, n, N_override, 1, rng, c0_hat)[0]
 
 
 # -- labeling -----------------------------------------------------------------
@@ -423,7 +424,7 @@ def view_experiment(
     n: int,
     trials: int,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
     N_override: int | None = None,
 ) -> ExperimentReport:
     """Compare yes- and no-view response distributions over shared instances.
@@ -442,7 +443,7 @@ def view_experiment(
         "view-tv", {"n": n, "q": q, "trials": trials}, rng.seed
     )
     blocks = map_units(
-        _view_block, -(-trials // BLOCK), rng, trials, queries, n, N_override, calibration
+        _view_block, -(-trials // BLOCK), rng, trials, queries, n, N_override, c0_hat
     )
     yes_rows, no_rows, starred, bad = (
         np.array(column) for column in zip(*(row for block in blocks for row in block))
@@ -485,11 +486,11 @@ def view_experiment(
     return report
 
 
-def _view_block(rng: RngStream, b: int, trials, queries, n, N_override, calibration):
+def _view_block(rng: RngStream, b: int, trials, queries, n, N_override, c0_hat):
     """[(yes labels, no labels, starred rows, bad)] of the trials of block b
     of view_experiment."""
     size = min(BLOCK, trials - b * BLOCK)
-    views = sample_tolerant_views(queries, n, N_override, size, rng.child(b), calibration)
+    views = sample_tolerant_views(queries, n, N_override, size, rng.child(b), c0_hat)
     return [(v.yes(), v.no(), v.codes >= _EXT_ZERO_STAR, v.bad()[0]) for v in views]
 
 
@@ -503,24 +504,16 @@ def eps_from_volumes(v_unique: float, v_multi: float, c2: float, tau: float):
     return eps1, eps2
 
 
-def _c0_from(calibration: "CalibrationRecord | float | None") -> float:
-    """The measured constant c0_hat of a calibration record, or the number itself."""
-    if calibration is None:
+def c2_from(c0_hat: float) -> float:
+    """The construction's c2 = tau = c0_hat * c1 / 100, which must lie in (0, 1/2);
+    the one check of c0_hat, which refuses anything but a real number."""
+    if c0_hat is None:
         raise CalibrationMissingError(
             "no calibration record: run the calibrate-c0 experiment (or pass c0_hat) first"
         )
-    if isinstance(calibration, CalibrationRecord):
-        return calibration.c0_hat
-    if isinstance(calibration, numbers.Real) and not isinstance(calibration, bool):
-        return float(calibration)
-    raise DomainError(
-        f"calibration must be a CalibrationRecord or a number, got {type(calibration).__name__}"
-    )
-
-
-def c2_from(calibration: "CalibrationRecord | float | None") -> float:
-    """The construction's c2 = tau = c0_hat * c1 / 100, which must lie in (0, 1/2)."""
-    c2 = _c0_from(calibration) * C1_DEFAULT / 100.0
+    if not isinstance(c0_hat, numbers.Real) or isinstance(c0_hat, bool):
+        raise DomainError(f"c0_hat must be a number, got {type(c0_hat).__name__}")
+    c2 = c0_hat * C1_DEFAULT / 100.0
     if not 0.0 < c2 < 0.5:  # NaN fails too
         raise DomainError(f"calibrated c2 = c0_hat * c1 / 100 must lie in (0, 1/2), got {c2}")
     return c2
@@ -532,13 +525,13 @@ def estimate_eps_bounds(
     instance_draws: int,
     points_per_draw: int,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
 ) -> ExperimentReport:
     """Monte Carlo estimates of the two volume expectations and the implied
     closeness/farness constants, asserting a positive gap at 99% confidence.
     """
     c1 = C1_DEFAULT
-    c2 = tau = c2_from(calibration)
+    c2 = tau = c2_from(c0_hat)
     r = solve_r(n, N, c1)
     report = ExperimentReport(
         "eps-gap",
@@ -547,7 +540,7 @@ def estimate_eps_bounds(
             "N": N,
             "instance_draws": instance_draws,
             "points_per_draw": points_per_draw,
-            "c0_hat": _c0_from(calibration),
+            "c0_hat": float(c0_hat),
             "c1": c1,
             "c2": c2,
             "tau": tau,
@@ -648,7 +641,7 @@ def xy_pair_experiment(
     y: np.ndarray,
     trials: int,
     rng: RngStream,
-    calibration: CalibrationRecord | float | None,
+    c0_hat: float,
     N_override: int | None = None,
 ) -> ExperimentReport:
     """Pairwise distinguishing probabilities for two fixed shell points.
@@ -675,7 +668,7 @@ def xy_pair_experiment(
     if x.shape != (n + 1,) or y.shape != (n + 1,):
         raise DimensionMismatchError("x and y must live in R^{n+1}")
     c1 = C1_DEFAULT
-    c2 = tau = c2_from(calibration)
+    c2 = tau = c2_from(c0_hat)
     N = N_override if N_override is not None else default_halfspace_count(n)
     r = solve_r(n, N, c1)
     lo, hi = shell_interval(n, tau)

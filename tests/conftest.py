@@ -9,8 +9,8 @@ from convexlab.storage import load_calibration
 
 @pytest.fixture(scope="session")
 def calibration_small(tmp_path_factory):
-    """Calibration record at test scale (n=64, N=256), measured once by the
-    lab's own calibrate-c0 and read back from its file."""
+    """The measured constant c0_hat at test scale (n=64, N=256), measured once
+    by the lab's own calibrate-c0 and read back from its record file."""
     path = tmp_path_factory.mktemp("calibration") / "small.json"
     run_experiment(
         ExperimentConfig(
@@ -18,7 +18,7 @@ def calibration_small(tmp_path_factory):
             overrides={"points_per_body": 1000}, output_path=str(path),
         )
     )
-    return load_calibration(str(path))
+    return load_calibration(str(path)).c0_hat
 
 
 # Accuracy of gauss.upper_orthant against 40-digit values: relative for

@@ -7,7 +7,7 @@ import pytest
 
 from convexlab import experiments, parallel, ptf, testers, tolerant
 from convexlab.cli import main
-from convexlab.errors import DomainError
+from convexlab.errors import DomainError, LabError
 from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment
 from convexlab.report import ExperimentReport
 from convexlab.rng import RngStream
@@ -476,6 +476,24 @@ def test_main_entry_returns_int():
     assert main(["manifest"]) == 0
 
 
+# Config fields of the wrong type; run-config and the Python API reject each.
+COERCIBLE = [
+    ("seed", 7.9),
+    ("seed", True),
+    ("seed", None),
+    ("fmt", "xml"),
+    ("overrides", {"c1": True}),
+    ("overrides", {"c1": "abc"}),
+    ("n", 64.5),
+    ("N", "256"),
+    ("q", True),
+    ("trials", 1e5),
+    ("experiment", ["r-estimate"]),
+    ("output_path", 7),
+    ("calibration_path", 1.5),
+]
+
+
 class TestRunConfig:
     def test_config_file_mirror(self, tmp_path):
         cfg = {
@@ -501,24 +519,7 @@ class TestRunConfig:
         result = run_cli(["run-config", str(path)])
         assert result.returncode == 2
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("seed", 7.9),
-            ("seed", True),
-            ("seed", None),
-            ("fmt", "xml"),
-            ("overrides", {"c1": True}),
-            ("overrides", {"c1": "abc"}),
-            ("n", 64.5),
-            ("N", "256"),
-            ("q", True),
-            ("trials", 1e5),
-            ("experiment", ["r-estimate"]),
-            ("output_path", 7),
-            ("calibration_path", 1.5),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", COERCIBLE)
     def test_coercible_field_rejected(self, tmp_path, capsys, field, value):
         cfg = {"experiment": "r-estimate", "seed": 6, "n": 64, "N": 256, field: value}
         path = tmp_path / "cfg.json"
@@ -527,6 +528,17 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert repr("c1" if field == "overrides" else field) in err
+
+    @pytest.mark.parametrize(
+        "experiment, field, value",
+        [("r-estimate", field, value) for field, value in COERCIBLE]
+        + [("eps-gap", "overrides", {"c0_hat": True})],
+    )
+    def test_python_api_rejects_the_same_fields(self, experiment, field, value):
+        cfg = {"experiment": experiment, "seed": 6, "n": 64, "N": 256, field: value}
+        with pytest.raises(LabError) as excinfo:
+            ExperimentConfig(**cfg)
+        assert repr(next(iter(value)) if field == "overrides" else field) in str(excinfo.value)
 
 
 class TestShorthand:

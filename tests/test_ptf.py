@@ -10,6 +10,7 @@ from convexlab.gauss import Frame, haar_coords, sample_haar_frame
 from convexlab.ptf import (
     BLOCK,
     DEFAULT_CLIP,
+    MOMENT_RTOL,
     DiscreteDistribution,
     PTFInstance,
     estimate_no_distance,
@@ -18,6 +19,7 @@ from convexlab.ptf import (
     gaussian_raw_moment,
     match_moments_nonneg,
     match_moments_with_negative,
+    moment_error,
     response_tv_experiment,
     sample_ptf_instance,
     _response_block,
@@ -102,6 +104,12 @@ class TestMomentMatching:
         # moment sequence.
         with pytest.raises(SolverError):
             match_moments_with_negative(1.0, 3, neg_atom=-50.0, neg_prob=0.5)
+
+    def test_moment_error(self):
+        mu, law = match_moments_nonneg(3)
+        assert moment_error(law, mu, 3) <= 1e-12
+        shifted = DiscreteDistribution(law.atoms + 1e-6, law.probs)
+        assert moment_error(shifted, mu, 3) > MOMENT_RTOL
 
     def test_distribution_invariants(self):
         with pytest.raises(DomainError):

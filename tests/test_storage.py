@@ -205,3 +205,22 @@ class TestCalibration:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_calibration(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize(
+        "key, value", [("v_u_mean", "0.002"), ("v_u_mean", None), ("c1", True)]
+    )
+    def test_field_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        from convexlab.cli import main
+
+        path = tmp_path / "calibration.json"
+        save_calibration(CalibrationRecord(16, 32, 0.01, 0.002, 1e-4, 7), str(path))
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        payload[key] = value
+        payload["checksum"] = _checksum(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=repr(key)):
+            load_calibration(str(path))
+        args = ["run", "eps-gap", "--seed", "1", "--n", "16", "--N", "32", "--trials", "10"]
+        assert main([*args, "--calibration", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

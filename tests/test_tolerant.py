@@ -12,6 +12,7 @@ from convexlab.rng import RngStream
 from convexlab.tolerant import (
     BLOCK,
     C1_DEFAULT,
+    CalibrationRecord,
     TolerantView,
     bivariate_tail_check,
     bivariate_upper_bound,
@@ -72,17 +73,17 @@ class TestInstance:
         with pytest.raises(CalibrationMissingError):
             sample_tolerant_instance(64, None, RngStream(0), None)
 
-    @pytest.mark.parametrize("bad", ["0.35", [0.35], True, {"c0_hat": 0.35}])
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.35", [0.35], True, {"c0_hat": 0.35}, CalibrationRecord(64, 256, 0.01, 0.003, 1e-4, 1)],
+    )
     def test_calibration_of_wrong_type_rejected(self, bad):
         with pytest.raises(DomainError):
             sample_tolerant_instance(16, None, RngStream(0), bad)
         with pytest.raises(DomainError):
             estimate_eps_bounds(16, 16, 10, 100, RngStream(0), bad)
 
-    def test_calibration_record_and_number_agree(self, calibration_small):
-        from_record = sample_tolerant_instance(16, None, RngStream(5), calibration_small)
-        from_number = sample_tolerant_instance(16, None, RngStream(5), calibration_small.c0_hat)
-        assert from_record.c0_hat == from_number.c0_hat == calibration_small.c0_hat
+    def test_integer_constant_stored_as_float(self):
         from_int = sample_tolerant_instance(16, None, RngStream(5), 1)
         assert from_int.c0_hat == 1.0 and isinstance(from_int.c0_hat, float)
 
@@ -315,7 +316,7 @@ class TestViewExperiment:
     def test_conditioned_views_match_within_noise(self, calibration_small):
         from convexlab.experiments import _shell_queries
 
-        tau = calibration_small.c0_hat * C1_DEFAULT / 100.0
+        tau = calibration_small * C1_DEFAULT / 100.0
         queries = _shell_queries(64, 4, tau, RngStream(410))
         report = view_experiment(queries, 64, 800, RngStream(411), calibration_small)
         assert report.all_passed()
