@@ -10,15 +10,18 @@ the action direction of a uniquely violated halfspace crosses the strip
 boundary and produces collinear labels (1, 0, 1): a certificate of
 non-convexity that is hard to find but covers constant measure.
 
-The labels of a fixed batch see an instance only through the batch's
-coordinates in the Haar frame [control; action] (gauss.haar_coords) and, per
-block, their products with the N body normals and the N action directions
-(nazarov.normal_products).  One rule (adaptive_labels) maps those to labels;
-an instance feeds it from its frame and matrices (eval_adaptive_batch), and
-sample_adaptive_labels draws them in law, on the instance's three streams,
-without the 2n x 2n frame and the two N x n matrices.  The testers label
-their one batch that way.  The event rate (detect-events), the triple
-samplers and persistence still draw whole instances.
+An instance holds one Haar frame of R^{2n}, the control subspace in rows
+0..n-1 and the action subspace in rows n..2n-1.  The labels of a fixed batch
+see an instance only through the batch's coordinates c in that frame (c[:, :n]
+control, c[:, n:] action) and, per block, their products with the N body
+normals and the N action directions (nazarov.normal_products).  One rule
+(adaptive_labels) maps those to labels; an instance feeds it from
+c = frame.coords(points) and its matrices (eval_adaptive_batch), and
+sample_adaptive_labels draws c as gauss.haar_coords and the products in law,
+on the instance's three streams, without the 2n x 2n frame and the two
+N x n matrices.  The testers label their one batch that way.  The event rate
+(detect-events), the triple samplers and persistence still draw whole
+instances.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
 from .testers import BatchOracle
 
-ORTHO_TOL = 1e-8
 R_CONVENTION_TOL = 1e-9
 DEFAULT_A_CONST = 1.0
 BLOCK = 32  # detect-events instances per map_units unit
@@ -58,20 +60,14 @@ class AdaptiveInstance:
     n: int
     N: int
     r: float
-    control: Frame          # n rows in R^{2n}
-    action: Frame           # n rows in R^{2n}, orthogonal to control
+    frame: Frame            # 2n rows in R^{2n}: n control rows, then n action rows
     body: NazarovBody       # normals in control coordinates
-    action_dirs: np.ndarray  # (N, n) coordinates of the v^i in the action frame
+    action_dirs: np.ndarray  # (N, n) coordinates of the v^i along the action rows
     stream: RngStream
 
     def __post_init__(self):
-        if self.control.ambient_dim != 2 * self.n or self.action.ambient_dim != 2 * self.n:
-            raise DimensionMismatchError("frames must live in R^{2n}")
-        if self.control.k != self.n or self.action.k != self.n:
-            raise DomainError("control and action frames must each hold n vectors")
-        cross = self.control.vectors @ self.action.vectors.T
-        if np.abs(cross).max() > ORTHO_TOL:
-            raise DomainError("control and action subspaces are not orthogonal")
+        if self.frame.ambient_dim != 2 * self.n or self.frame.k != 2 * self.n:
+            raise DimensionMismatchError("frame must hold 2n vectors in R^{2n}")
         if self.body.n != self.n or self.body.N != self.N:
             raise DomainError("body shape inconsistent with the instance")
         if abs(std_normal_cdf(self.r / math.sqrt(self.n)) ** self.N - 0.5) > R_CONVENTION_TOL:
@@ -105,13 +101,11 @@ class ViolatingTriple:
 def sample_adaptive_instance(
     n: int, N_override: int | None, rng: RngStream
 ) -> AdaptiveInstance:
-    """Draw control/action subspaces, the hidden body, and action directions."""
+    """Draw the [control; action] frame, the hidden body, and action directions."""
     if n < 4:
         raise DomainError("need n >= 4")
     N = N_override if N_override is not None else default_halfspace_count(n)
-    full = sample_haar_frame(2 * n, 2 * n, rng.child(0))
-    control = Frame(ambient_dim=2 * n, vectors=full.vectors[:n])
-    action = Frame(ambient_dim=2 * n, vectors=full.vectors[n:])
+    frame = sample_haar_frame(2 * n, 2 * n, rng.child(0))
     r = solve_r_half(n, N)
     body = sample_body(n, N, r, rng.child(1))
     action_dirs = rng.child(2).generator().standard_normal((N, n))
@@ -119,8 +113,7 @@ def sample_adaptive_instance(
         n=n,
         N=N,
         r=r,
-        control=control,
-        action=action,
+        frame=frame,
         body=body,
         action_dirs=action_dirs,
         stream=rng,
@@ -152,13 +145,13 @@ def sample_adaptive_labels(points: np.ndarray, n: int, rng: RngStream) -> np.nda
 
 
 def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarray:
-    """Oracle labels for a batch of rows in R^{2n}."""
+    """Oracle labels for a batch of rows in R^{2n}, from their frame
+    coordinates sliced as sample_adaptive_labels slices haar_coords."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != inst.ambient_dim:
-        raise DimensionMismatchError(f"points must have dimension {inst.ambient_dim}")
+    coords = inst.frame.coords(points)
     return adaptive_labels(
-        inst.n, points, inst.control.coords(points), inst.body.violated,
-        lambda rows: inst.action.coords(points[rows]) @ inst.action_dirs.T,
+        inst.n, points, coords[:, :inst.n], inst.body.violated,
+        lambda rows: coords[rows, inst.n:] @ inst.action_dirs.T,
     )
 
 
@@ -195,7 +188,7 @@ def convexified_oracle(inst: AdaptiveInstance) -> BatchOracle:
 
     def rule(points: np.ndarray) -> np.ndarray:
         in_ball = np.einsum("ij,ij->i", points, points) <= 2.0 * inst.n
-        return in_ball & (inst.body.labels(inst.control.coords(points)) == 1)
+        return in_ball & (inst.body.labels(inst.frame.coords(points)[:, :inst.n]) == 1)
 
     return BatchOracle(inst.ambient_dim, rule)
 
@@ -225,7 +218,7 @@ def _triple_seed_scan(inst, points, a_const, oracle=None):
     if not mask.any():
         return (np.empty((0, inst.ambient_dim)), np.empty(0, int)) + (None, None)
     pts = points[mask]
-    xc = inst.control.coords(pts)
+    xc = inst.frame.coords(pts)[:, :inst.n]
     xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
     root_n = math.sqrt(inst.n)
     mask2 = (xc_norm >= root_n - a_const) & (xc_norm <= root_n)
@@ -239,8 +232,7 @@ def _triple_seed_scan(inst, points, a_const, oracle=None):
     if pts.shape[0] == 0:
         return (np.empty((0, inst.ambient_dim)), np.empty(0, int)) + (None, None)
     flaps = np.argmax(viol[unique], axis=1)
-    dirs = inst.action_dirs[flaps]                       # (m, n) action coords
-    steps = inst.action.embed(dirs)                      # ambient unit-scale embed
+    steps = inst.action_dirs[flaps] @ inst.frame.vectors[inst.n:]  # into R^{2n}
     steps /= np.linalg.norm(steps, axis=1, keepdims=True)
     plus = pts + steps
     minus = pts - steps
@@ -347,10 +339,9 @@ def detect_events(inst: AdaptiveInstance, points: np.ndarray, q: int) -> dict:
     points = np.atleast_2d(points)
     if points.size == 0:
         return {"E1": True, "E2": True}
-    if points.shape[1] != inst.ambient_dim:
-        raise DimensionMismatchError(f"query points must have dimension {inst.ambient_dim}")
 
-    xc = inst.control.coords(points)
+    coords = inst.frame.coords(points)
+    xc = coords[:, :inst.n]
     xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
     restricted = xc_norm <= math.sqrt(inst.n)
     rest_idx = np.nonzero(restricted)[0]
@@ -367,8 +358,7 @@ def detect_events(inst: AdaptiveInstance, points: np.ndarray, q: int) -> dict:
     e2 = True
     shared = np.nonzero(viol[rest_idx].any(axis=0))[0] if rest_idx.size else []
     if rest_idx.size:
-        xa = inst.action.coords(points)
-        proj = xa @ inst.action_dirs.T                     # (m, N)
+        proj = coords[:, inst.n:] @ inst.action_dirs.T    # (m, N)
         out = np.abs(proj) > inst.strip_halfwidth
         for i in shared:
             members = rest_idx[viol[rest_idx, i]]
@@ -424,7 +414,7 @@ def event_rate_experiment(n: int, q: int, instances: int, rng: RngStream) -> Exp
 def strip_crossing_experiment(
     n: int,
     q: int,
-    cluster_radius: float | None,
+    cluster_radius: float,
     trials: int,
     rng: RngStream,
     ratio_limit: float = 1.0,
@@ -434,10 +424,11 @@ def strip_crossing_experiment(
     A cluster of q action-space points sits on the sphere of radius sqrt(n);
     the extra point y is displaced orthogonally by the cluster radius.  Over
     a Gaussian action direction v, conditioned on the cluster agreeing on the
-    strip indicator, we measure how often y disagrees.  The default radius
-    1000 sqrt(q) n^{1/4} exceeds the geometry of Ball(sqrt(2n)) at desk
-    dimensions, so displacements are clamped to sqrt(n), which keeps every
-    constructed projection realizable by a point of the ball.
+    strip indicator, we measure how often y disagrees.  The strip-crossing
+    experiment's default radius is sqrt(q) n^{1/4} (6.3 at n = 100, q = 4);
+    a larger radius, as the cluster_radius override may set, is clamped to
+    sqrt(n), which keeps every constructed projection realizable by a point
+    of the ball.
 
     Only the projections of v are read, and they need no n-vector.  Rotate
     the base point to sqrt(n) e1: v.base = sqrt(n) g0.  Each displacement
@@ -451,16 +442,15 @@ def strip_crossing_experiment(
         raise DomainError("need n >= 2")
     if q < 1:
         raise DomainError("need q >= 1")
-    requested = cluster_radius if cluster_radius is not None else 1000.0 * math.sqrt(q) * n**0.25
-    if requested < 0:
-        raise DomainError("cluster radius must be nonnegative")
-    effective = min(requested, math.sqrt(n))
+    if not cluster_radius >= 0:  # NaN fails too
+        raise DomainError(f"cluster radius must be a nonnegative number, got {cluster_radius}")
+    effective = min(cluster_radius, math.sqrt(n))
     report = ExperimentReport(
         "strip-crossing",
         {
             "n": n,
             "q": q,
-            "cluster_radius": requested,
+            "cluster_radius": cluster_radius,
             "effective_radius": effective,
             "trials": trials,
         },

@@ -56,10 +56,17 @@ class ExperimentConfig:
             )
         if not _plain(self.seed, int):
             raise DomainError(f"config field 'seed' must be an integer, got {self.seed!r}")
-        for key in ("n", "N", "q", "trials"):
+        reads = SUITE_SIZES if self.experiment == "all-lemmas" else REGISTRY[self.experiment][2]
+        for key in SIZES:
             value = getattr(self, key)
-            if value is not None and not (_plain(value, int) and value >= 1):
+            if value is None:
+                continue
+            if not (_plain(value, int) and value >= 1):
                 raise DomainError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+            if key not in reads:
+                raise DomainError(
+                    f"{self.experiment} reads no config field {key!r}; it reads {list(reads)}"
+                )
         if self.fmt not in FORMATS:
             raise DomainError(f"config field 'fmt' must be one of {FORMATS}, got {self.fmt!r}")
         for key in ("output_path", "calibration_path"):
@@ -69,15 +76,17 @@ class ExperimentConfig:
         if not isinstance(self.overrides, dict):
             raise DomainError("config field 'overrides' must be a mapping of constants to numbers")
         if self.experiment == "all-lemmas":
-            known = {key for _, _, keys in REGISTRY.values() for key in keys}
+            known = {key for *_, keys in REGISTRY.values() for key in keys}
         else:
-            known = set(REGISTRY[self.experiment][2])
+            known = set(REGISTRY[self.experiment][3])
         unknown = sorted(set(self.overrides) - known, key=str)
         if unknown:
             raise DomainError(f"{self.experiment} reads no override {unknown}; it reads {sorted(known)}")
         for key, value in self.overrides.items():
-            if not _plain(value, (int, float)):
-                raise DomainError(f"override {key!r} must be a number, got {value!r}")
+            if not (_plain(value, (int, float)) and -math.inf < value < math.inf):
+                raise DomainError(f"override {key!r} must be a finite number, got {value!r}")
+            if key in INTEGER_OVERRIDES and value != int(value):
+                raise DomainError(f"override {key!r} must be an integer, got {value!r}")
 
     def dim(self, default: int = 100) -> int:
         return self.n if self.n is not None else default
@@ -589,27 +598,34 @@ def run_response_tv(config: ExperimentConfig) -> ExperimentReport:
 
 # -- registry -------------------------------------------------------------------------
 
-# name -> (function, description, the override keys it reads)
+# The config fields that size a run; an experiment refuses those it does not read.
+SIZES = ("n", "N", "q", "trials")
+# all-lemmas reads n and N and passes each experiment those it reads.
+SUITE_SIZES = ("n", "N")
+# The override keys that count something, so must be integers.
+INTEGER_OVERRIDES = frozenset({"points_per_body", "points_per_draw", "l", "points_per_line"})
+
+# name -> (function, description, the SIZES it reads, the override keys it reads)
 REGISTRY = {
-    "verify-tail-bounds": (run_verify_tail_bounds, "spherical-cap and chi-square tail inequalities, empirically", ()),
-    "r-estimate": (run_r_estimate, "threshold solver against its closed-form estimate", ("c1",)),
-    "shell-membership": (run_shell_membership, "half-membership threshold: closed form and Monte Carlo", ()),
-    "high-degree-bound": (run_high_degree_bound, "multiply-violated point probability <= c1^q/q!", ()),
-    "flap-dogear-ratio": (run_flap_dogear_ratio, "uniquely- vs multiply-violated volume ratio >= 2/c1 - 2", ()),
-    "unique-volume": (run_unique_volume, "uniquely-violated volume: mean, floor, concentration", ("points_per_body", "c1")),
-    "calibrate-c0": (run_calibrate_c0, "measure the unique-volume constant and persist the record", ("points_per_body",)),
-    "moment-matching": (run_moment_matching, "discrete laws matching Gaussian raw moments", ()),
-    "soundness": (run_soundness, "built-in testers never reject convex oracles", ()),
-    "rejection-rates": (run_rejection_rates, "baseline tester rejection rates per instance family", ("c0_hat",)),
-    "distance-lb": (run_distance_lb, "violating-triple seed probability on adaptive instances", ("a_const",)),
-    "detect-events": (run_detect_events, "transcript event frequencies on random query sets", ()),
-    "strip-crossing": (run_strip_crossing, "conditional strip-boundary crossing for clustered queries", ("ratio_limit", "cluster_radius")),
-    "view-tv": (run_view_tv, "yes/no response-view agreement conditioned on no distinguishing pair", ("c0_hat",)),
-    "eps-gap": (run_eps_gap, "closeness/farness constants and their gap", ("points_per_draw", "c0_hat")),
-    "xy-pair": (run_xy_pair, "pairwise distinguishing probabilities for fixed shell points", ("c3", "c0_hat")),
-    "bivariate-tail": (run_bivariate_tail, "joint Gaussian tail against the closed-form bound", ()),
-    "no-distance": (run_no_distance, "collinear (1,0,1) witness frequency on no-instances", ("l", "points_per_line")),
-    "response-tv": (run_response_tv, "coupled response-vector total variation for the two laws", ()),
+    "verify-tail-bounds": (run_verify_tail_bounds, "spherical-cap and chi-square tail inequalities, empirically", ("n", "trials"), ()),
+    "r-estimate": (run_r_estimate, "threshold solver against its closed-form estimate", ("n", "N"), ("c1",)),
+    "shell-membership": (run_shell_membership, "half-membership threshold: closed form and Monte Carlo", ("n", "N", "trials"), ()),
+    "high-degree-bound": (run_high_degree_bound, "multiply-violated point probability <= c1^q/q!", ("n", "N", "trials"), ()),
+    "flap-dogear-ratio": (run_flap_dogear_ratio, "uniquely- vs multiply-violated volume ratio >= 2/c1 - 2", ("n", "N", "trials"), ()),
+    "unique-volume": (run_unique_volume, "uniquely-violated volume: mean, floor, concentration", ("n", "N", "trials"), ("points_per_body", "c1")),
+    "calibrate-c0": (run_calibrate_c0, "measure the unique-volume constant and persist the record", ("n", "N", "trials"), ("points_per_body",)),
+    "moment-matching": (run_moment_matching, "discrete laws matching Gaussian raw moments", (), ()),
+    "soundness": (run_soundness, "built-in testers never reject convex oracles", ("n", "q", "trials"), ()),
+    "rejection-rates": (run_rejection_rates, "baseline tester rejection rates per instance family", ("n", "trials"), ("c0_hat",)),
+    "distance-lb": (run_distance_lb, "violating-triple seed probability on adaptive instances", ("n", "N", "trials"), ("a_const",)),
+    "detect-events": (run_detect_events, "transcript event frequencies on random query sets", ("n", "q", "trials"), ()),
+    "strip-crossing": (run_strip_crossing, "conditional strip-boundary crossing for clustered queries", ("n", "q", "trials"), ("ratio_limit", "cluster_radius")),
+    "view-tv": (run_view_tv, "yes/no response-view agreement conditioned on no distinguishing pair", ("n", "N", "q", "trials"), ("c0_hat",)),
+    "eps-gap": (run_eps_gap, "closeness/farness constants and their gap", ("n", "N", "trials"), ("points_per_draw", "c0_hat")),
+    "xy-pair": (run_xy_pair, "pairwise distinguishing probabilities for fixed shell points", ("n", "trials"), ("c3", "c0_hat")),
+    "bivariate-tail": (run_bivariate_tail, "joint Gaussian tail against the closed-form bound", ("trials",), ()),
+    "no-distance": (run_no_distance, "collinear (1,0,1) witness frequency on no-instances", ("n", "trials"), ("l", "points_per_line")),
+    "response-tv": (run_response_tv, "coupled response-vector total variation for the two laws", ("n", "q", "trials"), ()),
 }
 
 def _suite_seed(seed: int, index: int) -> int:
@@ -622,20 +638,20 @@ def run_all_lemmas(config: ExperimentConfig) -> ExperimentReport:
 
     The suite runs REGISTRY in its order; calibrate-c0 comes before the
     experiments that read its constant.  Each experiment gets only the
-    overrides it reads, and the measured c0_hat unless one is set.
+    sizes (n, N) and overrides it reads, and the measured c0_hat unless one
+    is set.
     """
     report = ExperimentReport("all-lemmas", {"n": config.dim(), "N": config.halfspaces(config.dim())}, config.seed)
     c0_hat: float | None = None
-    for index, (name, (fn, _, keys)) in enumerate(REGISTRY.items()):
+    for index, (name, (fn, _, sizes, keys)) in enumerate(REGISTRY.items()):
         overrides = {k: v for k, v in config.overrides.items() if k in keys}
         if "c0_hat" in keys and c0_hat is not None:
             overrides.setdefault("c0_hat", c0_hat)
         sub_config = ExperimentConfig(
             experiment=name,
             seed=_suite_seed(config.seed, index),
-            n=config.n,
-            N=config.N,
             overrides=overrides,
+            **{key: getattr(config, key) for key in sizes},
         )
         started = time.perf_counter()
         sub = fn(sub_config)

@@ -9,8 +9,10 @@ X F^T has the law of R^T W^T, which haar_coords draws with O(d k^2) work.
 The identity is exact, also for rank-deficient X; it holds for one draw of F
 against one fixed X, not for queries chosen after seeing answers, so the
 testers draw it once per run, for their one batch.  Instances that must
-exist as objects (persistence, the adaptive event-rate experiment) still
-draw the full frame with sample_haar_frame.
+exist as objects (persistence, the adaptive event-rate experiment) draw the
+full frame F with sample_haar_frame and keep it whole; Frame.coords gives a
+batch X F^T in the column layout of haar_coords, so a materialized instance
+and its view slice the same columns and differ only in where they come from.
 
 haar_coords also draws a stack of independent frames for one X: one
 (trials, d, k) Gaussian from one stream and one stacked QR, with the sign
@@ -293,15 +295,14 @@ FRAME_ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Frame:
-    """k orthonormal vectors in R^d with a uniform scale factor.
+    """k orthonormal vectors in R^d, the rows of `vectors`.
 
-    `vectors` holds the unscaled rows; `scale` applies uniformly to all of
-    them.  Projection coordinates are taken against the unscaled rows.
+    Each instance keeps the one frame it draws and labels a batch from
+    coords, whose columns are laid out as those of haar_coords.
     """
 
     ambient_dim: int
     vectors: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=np.float64)
@@ -311,8 +312,6 @@ class Frame:
             )
         if vecs.shape[0] > self.ambient_dim:
             raise DomainError(f"k={vecs.shape[0]} exceeds ambient dimension {self.ambient_dim}")
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
         gram = vecs @ vecs.T
         if np.abs(gram - np.eye(vecs.shape[0])).max() > FRAME_ORTHO_TOL:
             raise DomainError("frame vectors are not orthonormal within 1e-10")
@@ -324,17 +323,13 @@ class Frame:
         return self.vectors.shape[0]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Unscaled coordinates of x (or a batch of rows) in this frame."""
+        """Coordinates x F^T of x (or a batch of rows): column j along row j of F."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"point dimension {x.shape[-1]} != ambient {self.ambient_dim}"
             )
         return x @ self.vectors.T
-
-    def embed(self, coords: np.ndarray) -> np.ndarray:
-        """Map unscaled frame coordinates back into the ambient space."""
-        return np.asarray(coords, dtype=np.float64) @ self.vectors
 
 
 def _stiefel(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
@@ -354,9 +349,9 @@ def _stiefel(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
     return q * signs[:, None, :]
 
 
-def sample_haar_frame(d: int, k: int, rng: RngStream, scale: float = 1.0) -> Frame:
+def sample_haar_frame(d: int, k: int, rng: RngStream) -> Frame:
     """Rotation-invariant frame: orthonormalized iid Gaussian vectors."""
-    return Frame(ambient_dim=d, vectors=_stiefel(d, k, 1, rng)[0].T, scale=scale)
+    return Frame(ambient_dim=d, vectors=_stiefel(d, k, 1, rng)[0].T)
 
 
 def haar_coords(points: np.ndarray, rng: RngStream, trials: int | None = None) -> np.ndarray:

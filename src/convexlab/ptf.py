@@ -2,9 +2,10 @@
 
 The yes-law is a discrete distribution on nonnegative atoms matching the
 first l raw moments of N(mu, 1); the no-law additionally carries a fixed
-negative atom.  Instances weight the squared projections of a random
-orthonormal basis (scaled by 1/sqrt(n)) by iid coefficient draws and
-threshold the sum at mu, intersected with a ball of radius sqrt(n) + C.
+negative atom.  An instance holds one Haar basis U of R^n (a Frame); it
+weights the squared projections x U^T / sqrt(n) by iid coefficient draws
+and thresholds the sum at mu, intersected with a ball of radius sqrt(n) + C.
+The factor 1/sqrt(n) follows from n, so the basis carries no scale.
 Yes-instances are convex (ellipsoid cap); no-instances with a negative
 coordinate are non-convex along lines in the span of the negative-coefficient
 basis vectors.
@@ -13,7 +14,7 @@ A fixed batch of q queries sees the basis only through its projections
 X U^T, which gauss.haar_coords draws exactly in law (R^T W^T for
 X = R^T Q^T and a uniform q-frame W) instead of the n x n basis.  One rule
 (ptf_labels) labels a batch from its squared projections and the
-coefficients: an instance feeds it from its basis (eval_ptf_batch), and
+coefficients: an instance feeds it from basis.coords (eval_ptf_batch), and
 sample_ptf_labels from haar_coords, on the instance's two streams.  The
 testers label their one batch that way; no-distance and persistence draw the
 full basis with sample_haar_frame.
@@ -205,7 +206,7 @@ def _check_moments(dist: DiscreteDistribution, mu: float, l: int):
 class PTFInstance:
     n: int
     l: int
-    basis: Frame              # n rows in R^n, scale 1/sqrt(n)
+    basis: Frame              # n rows in R^n
     coeffs: np.ndarray
     mu: float
     clip_c: float
@@ -221,8 +222,6 @@ class PTFInstance:
             raise DomainError("clip_c must be positive")
         if self.basis.ambient_dim != self.n or self.basis.k != self.n:
             raise DimensionMismatchError("basis must be a full frame in R^n")
-        if abs(self.basis.scale - 1.0 / math.sqrt(self.n)) > 1e-12:
-            raise DomainError("basis scale must be 1/sqrt(n)")
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if coeffs.shape != (self.n,):
             raise DimensionMismatchError("coeffs must have length n")
@@ -255,7 +254,7 @@ def sample_ptf_instance(
     if n < 1:
         raise DomainError("need n >= 1")
     mu, law = coefficient_law(l, flavor, neg_atom, neg_prob)
-    basis = sample_haar_frame(n, n, rng.child(0), scale=1.0 / math.sqrt(n))
+    basis = sample_haar_frame(n, n, rng.child(0))
     coeffs = law.sample(n, rng.child(1))
     return PTFInstance(
         n=n,
@@ -297,19 +296,17 @@ def sample_ptf_labels(points: np.ndarray, n: int, l: int, flavor: str, rng: RngS
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != n:
         raise DimensionMismatchError(f"points must have dimension {n}")
-    proj_sq = haar_coords(points, rng.child(0)) ** 2 / n  # basis scale 1/sqrt(n)
+    proj_sq = haar_coords(points, rng.child(0)) ** 2 / n  # (x . u_i / sqrt(n))^2
     return ptf_labels(points, proj_sq, law.sample(n, rng.child(1)), mu, math.sqrt(n) + DEFAULT_CLIP)
 
 
 def eval_ptf_batch(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
     """Labels 1{ sum_i c_i (a_i . x)^2 <= mu and |x| <= sqrt(n) + C }.
 
-    Evaluated with the scaled basis vectors a_i (norm 1/sqrt(n)) against mu.
+    The a_i = u_i / sqrt(n) are the basis rows scaled by 1/sqrt(n).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != inst.n:
-        raise DimensionMismatchError(f"points must have dimension {inst.n}")
-    proj = (points @ inst.basis.vectors.T) * inst.basis.scale
+    proj = inst.basis.coords(points) * (1.0 / math.sqrt(inst.n))
     return ptf_labels(points, proj**2, inst.coeffs, inst.mu, inst.clip_radius)
 
 
@@ -330,7 +327,7 @@ def eval_ptf_rescaled(inst: PTFInstance, points: np.ndarray) -> np.ndarray:
     proj = points @ inst.basis.vectors.T
     quad = (proj**2) @ inst.coeffs
     norms_sq = np.einsum("ij,ij->i", points, points)
-    scaled_mu = inst.mu / inst.basis.scale**2
+    scaled_mu = inst.mu * inst.n
     return ((quad <= scaled_mu) & (norms_sq <= inst.clip_radius**2)).astype(np.int8)
 
 
@@ -391,7 +388,7 @@ def estimate_no_distance(
     # Witness family: random directions within the negative-coefficient span.
     witness_hits = 0
     if neg_idx.size:
-        span = inst.basis.vectors[neg_idx]  # unscaled rows
+        span = inst.basis.vectors[neg_idx]
         coefs = gen.standard_normal((lines, neg_idx.size))
         dirs = coefs @ span
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -20,15 +20,17 @@ sampler and experiment here takes c0_hat as one number, not the record
 Labels depend on an instance only through a TolerantView of the rows: their
 norms, |x_C|^2, the action coordinates, the violation matrix of the rows in
 the shell and the ball, and the subset P.  One rule (TolerantView.codes /
-yes / no / bad) maps a view to labels and to the distinguishing event.  A
-materialized instance builds the view from its frame and normals
-(inst.view); persistence and the per-instance checks use that path.  For a
-fixed query batch, sample_tolerant_views draws a block of views in law
-without the instances, by two exact identities; view-tv draws BLOCK views
-per parallel.map_units unit, and the testers one (sample_tolerant_view).
-The full frame [action_dir; control] is Haar, so the coordinates of the
-queries are gauss.haar_coords (column 0 is the action line, columns 1..n
-the control subspace), one stack per block on rng.child(0).  The control
+yes / no / bad) maps a view to labels and to the distinguishing event.  An
+instance holds one Haar frame of R^{n+1}, the action line in row 0 and the
+control subspace in rows 1..n, so the coordinates c = frame.coords(points)
+of a batch hold the action coordinate in column 0 and the control
+coordinates in columns 1..n.  A materialized instance builds the view from c
+and its normals (inst.view); persistence and the per-instance checks use
+that path.  For a fixed query batch, sample_tolerant_views draws a block of
+views in law without the instances, by two exact identities; view-tv draws
+BLOCK views per parallel.map_units unit, and the testers one
+(sample_tolerant_view).  The frame is Haar, so c is gauss.haar_coords,
+sliced the same way, one stack per block on rng.child(0).  The control
 block meets the N x n normals only through nazarov.normal_products, drawn
 trial after trial from one generator on child(1).  P stays N Bernoulli(1/2)
 draws per trial, one (trials, N) uniform draw on child(2).  The trials of a
@@ -154,35 +156,27 @@ class TolerantInstance:
     n: int
     N: int
     r: float
-    control: Frame            # n rows in R^{n+1}
-    action_dir: np.ndarray    # unit vector spanning the action line
+    frame: Frame              # n + 1 rows in R^{n+1}: the action line, then n control rows
     body: NazarovBody         # normals in control coordinates
     p_set: np.ndarray         # boolean (N,), the random subset
     c0_hat: float
-    c2: float
     stream: RngStream
 
     def __post_init__(self):
-        if self.control.ambient_dim != self.n + 1 or self.control.k != self.n:
-            raise DimensionMismatchError("control frame must hold n vectors in R^{n+1}")
-        action = np.asarray(self.action_dir, dtype=np.float64)
-        if action.shape != (self.n + 1,):
-            raise DimensionMismatchError("action_dir must live in R^{n+1}")
-        if abs(float(action @ action) - 1.0) > 1e-10:
-            raise DomainError("action_dir must be a unit vector")
-        if np.abs(self.control.vectors @ action).max() > 1e-8:
-            raise DomainError("action_dir must be orthogonal to the control frame")
-        if abs(self.c2 - self.c0_hat * self.c1 / 100.0) > 1e-15:
-            raise DomainError("c2 must equal c0_hat * c1 / 100")
+        if self.frame.ambient_dim != self.n + 1 or self.frame.k != self.n + 1:
+            raise DimensionMismatchError("frame must hold n + 1 vectors in R^{n+1}")
         if abs(std_normal_cdf(self.r / math.sqrt(self.n)) - (1.0 - self.c1 / self.N)) > 1e-9:
             raise DomainError("r does not match the tail convention for c1")
         p_set = np.asarray(self.p_set, dtype=bool)
         if p_set.shape != (self.N,):
             raise DimensionMismatchError("p_set must have length N")
-        action.flags.writeable = False
         p_set.flags.writeable = False
-        object.__setattr__(self, "action_dir", action)
         object.__setattr__(self, "p_set", p_set)
+
+    @property
+    def c2(self) -> float:
+        """c2 = c0_hat * c1 / 100 (c2_from)."""
+        return c2_from(self.c0_hat)
 
     @property
     def c1(self) -> float:
@@ -213,13 +207,12 @@ class TolerantInstance:
         return BatchOracle(self.ambient_dim, lambda points: eval_no_batch(self, points))
 
     def view(self, points: np.ndarray) -> TolerantView:
-        """The statistics of this instance that label `points`."""
+        """The statistics of this instance that label `points`, from their
+        frame coordinates sliced as sample_tolerant_views slices haar_coords."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.ambient_dim:
-            raise DimensionMismatchError(f"points must have dimension {self.ambient_dim}")
+        c = self.frame.coords(points)
         return TolerantView.of(
-            self.n, self.c2, points, self.control.coords(points), points @ self.action_dir,
-            self.body.violated, self.p_set,
+            self.n, self.c2, points, c[:, 1:], c[:, 0], self.body.violated, self.p_set
         )
 
 
@@ -238,22 +231,18 @@ def sample_tolerant_instance(
     c0_hat: float,
 ) -> TolerantInstance:
     """Draw one yes/no instance pair carrier for the measured constant c0_hat."""
-    N, c2, r = _constants(n, N_override, c0_hat)
-    full = sample_haar_frame(n + 1, n + 1, rng.child(0))
-    action_dir = full.vectors[0]
-    control = Frame(ambient_dim=n + 1, vectors=full.vectors[1:])
+    N, _, r = _constants(n, N_override, c0_hat)
+    frame = sample_haar_frame(n + 1, n + 1, rng.child(0))
     body = sample_body(n, N, r, rng.child(1))
     p_set = rng.child(2).generator().random(N) < 0.5
     return TolerantInstance(
         n=n,
         N=N,
         r=r,
-        control=control,
-        action_dir=action_dir,
+        frame=frame,
         body=body,
         p_set=p_set,
         c0_hat=float(c0_hat),
-        c2=c2,
         stream=rng,
     )
 
@@ -318,7 +307,7 @@ class TolerantView:
     c2: float             # also tau
     norms: np.ndarray     # |x|
     xc_norm: np.ndarray   # |x_C|
-    action: np.ndarray    # x . action_dir
+    action: np.ndarray    # the coordinate on the action line
     probed: np.ndarray    # indices of the rows in the shell with |x_C| <= sqrt(n)
     viol: np.ndarray      # (probed.size, N) bool
     p_set: np.ndarray     # (N,) bool

@@ -38,8 +38,22 @@ class TestInstance:
         assert inst16.N == 16
 
     def test_frames_orthogonal(self, inst16):
-        cross = inst16.control.vectors @ inst16.action.vectors.T
+        rows = inst16.frame.vectors
+        cross = rows[:16] @ rows[16:].T
         assert np.abs(cross).max() <= 1e-8
+
+    @pytest.mark.parametrize("rows, dim", [(16, 32), (32, 33)], ids=["control-only", "wrong-ambient"])
+    def test_frame_of_wrong_size_rejected(self, inst16, rows, dim):
+        with pytest.raises(DimensionMismatchError, match="2n vectors"):
+            AdaptiveInstance(
+                n=16,
+                N=inst16.N,
+                r=inst16.r,
+                frame=Frame(ambient_dim=dim, vectors=np.eye(dim)[:rows]),
+                body=inst16.body,
+                action_dirs=inst16.action_dirs,
+                stream=inst16.stream,
+            )
 
     def test_half_membership_convention(self, inst100):
         value = std_normal_cdf(inst100.r / 10.0) ** inst100.N
@@ -65,10 +79,11 @@ class TestOracle:
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(303))
         assert trip is not None
         v = inst100.action_dirs[trip.flap_index]
-        v_ambient = inst100.action.embed(v)
-        proj = float(inst100.action.coords(trip.x) @ v)
+        action = inst100.frame.vectors[inst100.n:]
+        v_ambient = v @ action
+        proj = float(action @ trip.x @ v)
         shifted = trip.x - proj * v_ambient / float(v @ v)
-        assert abs(float(inst100.action.coords(shifted) @ v)) <= 1e-6
+        assert abs(float(action @ shifted @ v)) <= 1e-6
         assert np.linalg.norm(shifted) <= math.sqrt(200)
         assert inst100.labels(shifted[None, :])[0] == 0
 
@@ -83,8 +98,7 @@ class TestOracle:
             n=inst16.n,
             N=inst16.N,
             r=inst16.r,
-            control=Frame(ambient_dim=d, vectors=inst16.control.vectors @ rot.T),
-            action=Frame(ambient_dim=d, vectors=inst16.action.vectors @ rot.T),
+            frame=Frame(ambient_dim=d, vectors=inst16.frame.vectors @ rot.T),
             body=inst16.body,
             action_dirs=inst16.action_dirs,
             stream=inst16.stream,
@@ -97,7 +111,8 @@ class TestOracle:
 
 class TestLabelRule:
     def test_batch_rule_matches_per_row_spec(self):
-        # The labelling rule read row by row from the instance's own fields.
+        # The labelling rule read row by row from the instance's own fields:
+        # the control rows of its frame, then the action rows.
         flap_labels = set()
         for n in (4, 8):
             for seed in range(10):
@@ -105,8 +120,9 @@ class TestLabelRule:
                 gen = RngStream(341, seed).generator()
                 pts = gen.standard_normal((40, 2 * n)) * gen.uniform(0.3, 1.1, (40, 1))
                 expected = []
+                control, action = inst.frame.vectors[:n], inst.frame.vectors[n:]
                 for x in pts:
-                    xc, xa = inst.control.coords(x), inst.action.coords(x)
+                    xc, xa = control @ x, action @ x
                     if x @ x > 2 * n or math.sqrt(xc @ xc) > math.sqrt(n):
                         expected.append(0)
                         continue
@@ -128,8 +144,7 @@ class TestLabelRule:
             n=n,
             N=2,
             r=r,
-            control=Frame(ambient_dim=2 * n, vectors=eye[:n]),
-            action=Frame(ambient_dim=2 * n, vectors=eye[n:]),
+            frame=Frame(ambient_dim=2 * n, vectors=eye),
             body=NazarovBody(n=n, N=2, r=r, normals=np.eye(n)[1:3]),
             action_dirs=np.eye(n)[:2],
             stream=RngStream(0),
@@ -155,9 +170,10 @@ class TestViolatingTriples:
     def test_control_class_unchanged_along_action(self, inst100):
         trip = sample_violating_triple(inst100, 200_000, rng=RngStream(307))
         assert trip is not None
-        base = classify(inst100.body, inst100.control.coords(trip.x))
-        plus = classify(inst100.body, inst100.control.coords(trip.x_plus))
-        minus = classify(inst100.body, inst100.control.coords(trip.x_minus))
+        control = inst100.frame.vectors[:inst100.n]
+        base = classify(inst100.body, control @ trip.x)
+        plus = classify(inst100.body, control @ trip.x_plus)
+        minus = classify(inst100.body, control @ trip.x_minus)
         assert base == plus == minus
 
     def test_triple_is_hull_certificate(self, inst100):
@@ -189,7 +205,8 @@ class TestZeroLabelAnatomy:
         pts = RngStream(320).generator().standard_normal((4000, 200))
         labels = eval_adaptive_batch(inst100, pts)
         norms_sq = np.einsum("ij,ij->i", pts, pts)
-        xc = inst100.control.coords(pts)
+        control, action = inst100.frame.vectors[:100], inst100.frame.vectors[100:]
+        xc = pts @ control.T
         xc_sq = np.einsum("ij,ij->i", xc, xc)
         inner_zero = (labels == 0) & (norms_sq <= 200.0) & (xc_sq <= 100.0)
         rows = np.nonzero(inner_zero)[0]
@@ -197,7 +214,7 @@ class TestZeroLabelAnatomy:
         for i in rows:
             viol = np.nonzero(inst100.body.normals @ xc[i] > inst100.r)[0]
             assert viol.size >= 1
-            xa = inst100.action.coords(pts[i])
+            xa = action @ pts[i]
             in_strip = [
                 abs(float(inst100.action_dirs[j] @ xa)) <= strip_halfwidth(inst100.n)
                 for j in viol
@@ -307,14 +324,21 @@ class TestStripCrossing:
 
     def test_rejects_n_below_two(self):
         with pytest.raises(DomainError):
-            strip_crossing_experiment(1, 4, None, 100, RngStream(318))
+            strip_crossing_experiment(1, 4, 1000.0 * math.sqrt(4) * 1**0.25, 100, RngStream(318))
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_rejects_radius_that_is_not_a_nonnegative_number(self, radius):
+        with pytest.raises(DomainError, match="cluster radius"):
+            strip_crossing_experiment(64, 4, radius, 100, RngStream(318))
 
     def test_large_n_allocates_no_n_wide_batch(self):
         import tracemalloc
 
         tracemalloc.start()
         try:
-            report = strip_crossing_experiment(4096, 4, None, 20_000, RngStream(319))
+            report = strip_crossing_experiment(
+                4096, 4, 1000.0 * math.sqrt(4) * 4096**0.25, 20_000, RngStream(319)
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

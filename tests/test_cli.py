@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,81 @@ def test_every_experiment_runs_with_scipy_blocked():
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# Each experiment at small sizes: exactly the size fields it reads, and the
+# overrides it needs to run.  view-tv records no N in its parameters, and at
+# 40 trials no query meets a flap, so N shows in its body only at 500.
+SMALL = {
+    "verify-tail-bounds": (dict(n=16, trials=10_000), {}),
+    "r-estimate": (dict(n=16, N=32), {}),
+    "shell-membership": (dict(n=16, N=32, trials=200), {}),
+    "high-degree-bound": (dict(n=16, N=32, trials=200), {}),
+    "flap-dogear-ratio": (dict(n=16, N=32, trials=100_000), {}),
+    "unique-volume": (dict(n=16, N=32, trials=100), {"points_per_body": 1000}),
+    "calibrate-c0": (dict(n=16, N=32, trials=100), {"points_per_body": 1000}),
+    "moment-matching": (dict(), {}),
+    "soundness": (dict(n=8, q=10, trials=5), {}),
+    "rejection-rates": (dict(n=8, trials=5), {"c0_hat": 0.35}),
+    "distance-lb": (dict(n=16, N=32, trials=100_000), {}),
+    "detect-events": (dict(n=16, q=3, trials=20), {}),
+    "strip-crossing": (dict(n=16, q=4, trials=3000), {}),
+    "view-tv": (dict(n=32, N=128, q=5, trials=500), {"c0_hat": 0.35}),
+    "eps-gap": (dict(n=16, N=32, trials=50), {"c0_hat": 0.35}),
+    "xy-pair": (dict(n=64, trials=500), {"c0_hat": 0.35}),
+    "bivariate-tail": (dict(trials=10_000), {}),
+    "no-distance": (dict(n=16, trials=50), {}),
+    "response-tv": (dict(n=16, q=4, trials=40), {}),
+}
+
+
+class TestSizeFields:
+    def test_every_experiment_listed(self):
+        assert set(SMALL) == set(REGISTRY)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY) + ["all-lemmas"])
+    def test_unread_sizes_refused(self, name):
+        reads = experiments.SUITE_SIZES if name == "all-lemmas" else REGISTRY[name][2]
+        for key in set(experiments.SIZES) - set(reads):
+            with pytest.raises(DomainError, match=f"reads no config field {key!r}"):
+                ExperimentConfig(name, seed=1, **{key: 4})
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_declared_sizes_read(self, name):
+        # Each size the experiment declares changes its body when it changes.
+        sizes, overrides = SMALL[name]
+        assert tuple(sizes) == REGISTRY[name][2]
+
+        def body(**changed):
+            config = ExperimentConfig(name, seed=1, overrides=overrides, **{**sizes, **changed})
+            return run_experiment(config).body_bytes()
+
+        base = body()
+        for key, value in sizes.items():
+            assert body(**{key: value + 1}) != base, key
+
+    @pytest.mark.parametrize("key", sorted(experiments.INTEGER_OVERRIDES))
+    def test_count_overrides_must_be_integral(self, key):
+        name = next(name for name, (*_, keys) in REGISTRY.items() if key in keys)
+        with pytest.raises(DomainError, match=f"override {key!r} must be an integer"):
+            ExperimentConfig(name, seed=1, overrides={key: 100.5})
+        ExperimentConfig(name, seed=1, overrides={key: 100.0})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_overrides_must_be_finite(self, value):
+        for name, (*_, keys) in REGISTRY.items():
+            for key in keys:
+                with pytest.raises(DomainError, match=f"override {key!r} must be a finite number"):
+                    ExperimentConfig(name, seed=1, overrides={key: value})
+
+    def test_integral_count_override_runs_and_is_echoed(self):
+        config = ExperimentConfig(
+            "eps-gap", seed=1, n=16, N=32, trials=10,
+            overrides={"c0_hat": 0.35, "points_per_draw": 100.0},
+        )
+        report = run_experiment(config)
+        assert report.parameters["points_per_draw"] == 100
+        assert report.parameters["override.points_per_draw"] == 100.0
 
 
 class TestRun:
@@ -234,6 +310,35 @@ class TestRun:
         assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["eps-gap", "--n", "16", "--N", "32", "--trials", "10", "--set", "c0_hat=0.35",
+              "--set", "points_per_draw=100.7"], "override 'points_per_draw'"),
+            (["eps-gap", "--n", "16", "--N", "32", "--trials", "10", "--set", "c0_hat=0.35",
+              "--set", "points_per_draw=inf"], "override 'points_per_draw'"),
+            (["strip-crossing", "--n", "64", "--trials", "500", "--set", "cluster_radius=nan"],
+             "override 'cluster_radius'"),
+            (["xy-pair", "--n", "64", "--N", "4096", "--q", "9", "--trials", "500",
+              "--set", "c0_hat=0.35"], "reads no config field 'N'"),
+            (["detect-events", "--n", "16", "--N", "4", "--trials", "20"], "reads no config field 'N'"),
+            (["moment-matching", "--n", "5", "--trials", "3"], "reads no config field 'n'"),
+            (["all-lemmas", "--q", "3"], "reads no config field 'q'"),
+        ],
+        ids=[
+            "non-integral-count", "infinite-count", "nan-radius",
+            "xy-pair-N", "detect-events-N", "moment-matching-n", "all-lemmas-q",
+        ],
+    )
+    def test_bad_override_or_unread_size_rejected(self, tmp_path, args, message):
+        out = tmp_path / "out.json"
+        result = run_cli(["run", args[0], "--seed", "1", *args[1:], "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+        assert message in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_missing_calibration_fails_cleanly(self):
         result = run_cli(
             ["run", "eps-gap", "--seed", "5", "--n", "64", "--N", "256", "--trials", "10"]
@@ -328,7 +433,7 @@ class TestDeterminism:
             return report
 
         monkeypatch.setattr(
-            experiments, "REGISTRY", {name: (stub, "", ()) for name in experiments.REGISTRY}
+            experiments, "REGISTRY", {name: (stub, "", (), ()) for name in experiments.REGISTRY}
         )
 
         def sub_seeds(seed):
@@ -387,18 +492,38 @@ class TestDeterminism:
         monkeypatch.setattr(
             experiments,
             "REGISTRY",
-            {name: (stub, "", keys) for name, (_, _, keys) in experiments.REGISTRY.items()},
+            {name: (stub, "", (), keys) for name, (*_, keys) in experiments.REGISTRY.items()},
         )
         overrides = {"c1": 0.02, "c3": 0.2}
         experiments.run_all_lemmas(
             ExperimentConfig(experiment="all-lemmas", seed=3, overrides=overrides)
         )
-        for name, (_, _, keys) in experiments.REGISTRY.items():
+        for name, (*_, keys) in experiments.REGISTRY.items():
             expected = {k: v for k, v in overrides.items() if k in keys}
             if "c0_hat" in keys:
                 expected["c0_hat"] = 0.5
             assert seen[name] == expected, name
         assert seen["r-estimate"] == {"c1": 0.02} and seen["xy-pair"]["c3"] == 0.2
+
+    def test_suite_passes_each_experiment_the_sizes_it_reads(self, monkeypatch):
+        seen = {}
+
+        def stub(config):
+            seen[config.experiment] = {key: getattr(config, key) for key in experiments.SIZES}
+            report = ExperimentReport(config.experiment, {}, config.seed)
+            report.add_estimate("c0_hat", 0.5)
+            return report
+
+        monkeypatch.setattr(
+            experiments,
+            "REGISTRY",
+            {name: (stub, "", sizes, keys) for name, (_, _, sizes, keys) in experiments.REGISTRY.items()},
+        )
+        experiments.run_all_lemmas(ExperimentConfig(experiment="all-lemmas", seed=3, n=20, N=64))
+        for name, (_, _, sizes, _) in experiments.REGISTRY.items():
+            expected = {"n": 20 if "n" in sizes else None, "N": 64 if "N" in sizes else None}
+            assert seen[name] == dict(expected, q=None, trials=None), name
+        assert seen["xy-pair"]["N"] is None and seen["eps-gap"]["N"] == 64
 
     def test_suite_timings_kept_outside_body(self, monkeypatch):
         def stub(config):
@@ -407,7 +532,7 @@ class TestDeterminism:
             return report
 
         monkeypatch.setattr(
-            experiments, "REGISTRY", {name: (stub, "", ()) for name in experiments.REGISTRY}
+            experiments, "REGISTRY", {name: (stub, "", (), ()) for name in experiments.REGISTRY}
         )
         config = ExperimentConfig(experiment="all-lemmas", seed=3)
         report = experiments.run_all_lemmas(config)

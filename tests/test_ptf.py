@@ -134,9 +134,9 @@ class TestInstance:
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
         np.testing.assert_array_equal(a.basis.vectors, b.basis.vectors)
 
-    def test_basis_scale_enforced(self):
-        frame = sample_haar_frame(4, 4, RngStream(604), scale=1.0)
-        with pytest.raises(DomainError):
+    def test_basis_of_wrong_size_rejected(self):
+        frame = sample_haar_frame(4, 3, RngStream(604))
+        with pytest.raises(DimensionMismatchError, match="full frame"):
             PTFInstance(
                 n=4, l=3, basis=frame, coeffs=np.ones(4), mu=1.0, clip_c=1.0,
                 flavor="yes", neg_atom=-1.0, neg_prob=0.01, stream=RngStream(0),
@@ -175,7 +175,7 @@ class TestEval:
         rot = sample_haar_frame(16, 16, RngStream(612)).vectors
         rotated = PTFInstance(
             n=16, l=3,
-            basis=Frame(ambient_dim=16, vectors=inst.basis.vectors @ rot.T, scale=inst.basis.scale),
+            basis=Frame(ambient_dim=16, vectors=inst.basis.vectors @ rot.T),
             coeffs=inst.coeffs, mu=inst.mu, clip_c=inst.clip_c, flavor=inst.flavor,
             neg_atom=inst.neg_atom, neg_prob=inst.neg_prob, stream=inst.stream,
         )
@@ -192,7 +192,7 @@ class TestEval:
 
 def _toy_all_negative_instance():
     """A 2-D instance whose sublevel set is the clipped complement of a disk."""
-    basis = Frame(ambient_dim=2, vectors=np.eye(2), scale=1.0 / math.sqrt(2.0))
+    basis = Frame(ambient_dim=2, vectors=np.eye(2))
     return PTFInstance(
         n=2, l=1, basis=basis, coeffs=np.array([-1.0, -1.0]), mu=-1.0, clip_c=100.0,
         flavor="no", neg_atom=-1.0, neg_prob=0.5, stream=RngStream(0),

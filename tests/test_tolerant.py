@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 
 from conftest import ORTHANT_RTOL, homogeneity_pvalue, two_proportion_z
 from convexlab.errors import CalibrationMissingError, DimensionMismatchError, DomainError
-from convexlab.gauss import sample_haar_frame, std_normal_cdf, upper_orthant
+from convexlab.gauss import Frame, sample_haar_frame, std_normal_cdf, upper_orthant
 from convexlab.nazarov import NazarovBody
 from convexlab.rng import RngStream
 from convexlab.tolerant import (
     BLOCK,
     C1_DEFAULT,
     CalibrationRecord,
+    TolerantInstance,
     TolerantView,
     bivariate_tail_check,
     bivariate_upper_bound,
@@ -92,8 +93,23 @@ class TestInstance:
         assert inst.c2 == inst.tau == inst.c0_hat * inst.c1 / 100.0
 
     def test_action_direction_unit_and_orthogonal(self, inst):
-        assert abs(float(inst.action_dir @ inst.action_dir) - 1.0) <= 1e-12
-        assert np.abs(inst.control.vectors @ inst.action_dir).max() <= 1e-8
+        action, control = inst.frame.vectors[0], inst.frame.vectors[1:]
+        assert abs(float(action @ action) - 1.0) <= 1e-12
+        assert np.abs(control @ action).max() <= 1e-8
+
+    @pytest.mark.parametrize("rows, dim", [(64, 65), (66, 66)], ids=["control-only", "wrong-ambient"])
+    def test_frame_of_wrong_size_rejected(self, inst, rows, dim):
+        with pytest.raises(DimensionMismatchError, match="n \\+ 1 vectors"):
+            TolerantInstance(
+                n=inst.n,
+                N=inst.N,
+                r=inst.r,
+                frame=Frame(ambient_dim=dim, vectors=np.eye(dim)[:rows]),
+                body=inst.body,
+                p_set=inst.p_set,
+                c0_hat=inst.c0_hat,
+                stream=inst.stream,
+            )
 
     def test_r_convention(self, inst):
         lhs = std_normal_cdf(inst.r / math.sqrt(inst.n))
@@ -119,7 +135,7 @@ class TestInstance:
 class TestLabels:
     def test_control_norm_overflow_is_zero(self, inst):
         # Control projection larger than sqrt(n) forces label 0.
-        x = inst.control.vectors[0] * (1.2 * math.sqrt(inst.n))
+        x = inst.frame.vectors[1] * (1.2 * math.sqrt(inst.n))  # the first control row
         assert inst.view(x[None, :]).codes[0] == 0
 
     @pytest.mark.parametrize("n", [8, 32, 50])
@@ -137,7 +153,7 @@ class TestLabels:
 
     def test_shell_body_point_is_one(self, inst):
         lo, _ = inst.shell
-        x = inst.action_dir * (lo + 0.5)  # control part zero, inside the body
+        x = inst.frame.vectors[0] * (lo + 0.5)  # on the action line: control part zero, inside the body
         assert inst.view(x[None, :]).codes[0] == 1
         assert inst.yes.labels(x[None, :])[0] == inst.no.labels(x[None, :])[0] == 1
 
@@ -166,7 +182,7 @@ class TestLabels:
             pytest.skip("no starred samples at this seed")
         from convexlab.tolerant import region_codes
 
-        a = pts[starred] @ inst.action_dir
+        a = pts[starred] @ inst.frame.vectors[0]
         regions = region_codes(a, inst.c2)
         yes = eval_yes_batch(inst, pts[starred])
         no = eval_no_batch(inst, pts[starred])
@@ -198,9 +214,9 @@ class TestBadEvent:
         lo, hi = inst.shell
         found = False
         for idx in np.nonzero(codes >= 2)[0]:
-            x = pts[idx]
-            xc_part = x - float(x @ inst.action_dir) * inst.action_dir
-            pair = np.vstack([xc_part - 3.0 * inst.action_dir, xc_part + 3.0 * inst.action_dir])
+            x, action = pts[idx], inst.frame.vectors[0]
+            xc_part = x - float(x @ action) * action
+            pair = np.vstack([xc_part - 3.0 * action, xc_part + 3.0 * action])
             norms = np.linalg.norm(pair, axis=1)
             if not ((norms >= lo) & (norms <= hi)).all():
                 continue
