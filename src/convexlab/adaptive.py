@@ -19,7 +19,8 @@ normals and the N action directions (nazarov.normal_products).  One rule
 c = frame.coords(points) and its matrices (eval_adaptive_batch), and
 sample_adaptive_labels draws c as gauss.haar_coords and the products in law,
 on the instance's three streams, without the 2n x 2n frame and the two
-N x n matrices.  The testers label their one batch that way.  The event rate
+N x n matrices, for a stack of batches at once, one instance each.  The
+testers label a block of runs that way.  The event rate
 (detect-events), the triple samplers and persistence still draw whole
 instances.
 """
@@ -121,27 +122,35 @@ def sample_adaptive_instance(
 
 
 def sample_adaptive_labels(points: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
-    """Labels of a batch of rows in a fresh instance, drawn without the instance.
+    """(runs, m) labels of a (runs, m, 2n) stack of batches, run k's batch in
+    its own fresh instance, drawn without the instances.
 
-    Equal in law to sample_adaptive_instance(n, None, rng).labels(points):
-    the frame coordinates come from haar_coords on stream child(0), the body
-    and action products from normal_products on child(1) and child(2).
-    Drawn for one batch; a later batch would need them conditioned on this one.
+    Run k's labels are equal in law to sample_adaptive_instance(n, None,
+    s).labels(points[k]) for a stream s of its own, and the runs are
+    independent: the frame coordinates of every batch come from one
+    haar_coords stack on stream child(0), and each run's body and action
+    products from normal_products, run after run, on one generator each
+    from child(1) and child(2).  A one-run stack reads its streams as a
+    single instance's view always has.  Drawn for one batch per run; a later
+    batch would need them conditioned on this one.
     """
     if n < 4:
         raise DomainError("need n >= 4")
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != 2 * n:
-        raise DimensionMismatchError(f"points must have dimension {2 * n}")
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[2] != 2 * n:
+        raise DimensionMismatchError(f"points must be a (runs, m, {2 * n}) stack")
     N = default_halfspace_count(n)
     r = solve_r_half(n, N)
     coords = haar_coords(points, rng.child(0))
     normals, dirs = rng.child(1).generator(), rng.child(2).generator()
-    return adaptive_labels(
-        n, points, coords[:, :n],
-        lambda xc: normal_products(xc, N, normals) > r,
-        lambda rows: normal_products(coords[rows, n:], N, dirs),
-    )
+    return np.array([
+        adaptive_labels(
+            n, batch, c[:, :n],
+            lambda xc: normal_products(xc, N, normals) > r,
+            lambda rows: normal_products(c[rows, n:], N, dirs),
+        )
+        for batch, c in zip(points, coords)
+    ])
 
 
 def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ k-frame of R^d: in law, the sign-fixed Q factor W of a d x k Gaussian.  So
 X F^T has the law of R^T W^T, which haar_coords draws with O(d k^2) work.
 The identity is exact, also for rank-deficient X; it holds for one draw of F
 against one fixed X, not for queries chosen after seeing answers, so the
-testers draw it once per run, for their one batch.  Instances that must
+testers draw it once per run, for that run's one batch.  Instances that must
 exist as objects (persistence, the adaptive event-rate experiment) draw the
 full frame F with sample_haar_frame and keep it whole; Frame.coords gives a
 batch X F^T in the column layout of haar_coords, so a materialized instance
@@ -17,9 +17,11 @@ and its view slice the same columns and differ only in where they come from.
 haar_coords also draws a stack of independent frames for one X: one
 (trials, d, k) Gaussian from one stream and one stacked QR, with the sign
 fix applied per frame.  The fixed-query experiments draw a block of trials
-that way.  A one-frame stack gives the same bits as the two-dimensional QR,
-so the single draws (sample_haar_frame, the testers' views) go through the
-same routine and read their streams as before.
+that way.  A (runs, q, d) stack of query sets X_1, ..., X_runs takes one
+independent frame each the same way, after one stacked QR of the X_j^T; the
+testers draw a block of runs so.  A one-frame stack gives the same bits as
+the two-dimensional QR, so the single draws (sample_haar_frame, a one-run
+tester view) go through the same routine and read their streams as before.
 
 The same split serves one uniform direction u = g/|g| of R^d per trial:
 X g = R^T Q^T g, where w = Q^T g ~ N(0, I_k) is independent of the part of
@@ -332,7 +334,7 @@ class Frame:
         return x @ self.vectors.T
 
 
-def _stiefel(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
+def haar_frames(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
     """(trials, d, k) stack of d x k matrices with uniformly random orthonormal
     columns, independent across the stack.
 
@@ -351,7 +353,7 @@ def _stiefel(d: int, k: int, trials: int, rng: RngStream) -> np.ndarray:
 
 def sample_haar_frame(d: int, k: int, rng: RngStream) -> Frame:
     """Rotation-invariant frame: orthonormalized iid Gaussian vectors."""
-    return Frame(ambient_dim=d, vectors=_stiefel(d, k, 1, rng)[0].T)
+    return Frame(ambient_dim=d, vectors=haar_frames(d, k, 1, rng)[0].T)
 
 
 def haar_coords(points: np.ndarray, rng: RngStream, trials: int | None = None) -> np.ndarray:
@@ -359,15 +361,23 @@ def haar_coords(points: np.ndarray, rng: RngStream, trials: int | None = None) -
 
     Draws R^T W^T (module docstring) from the stream instead of F.  Column
     j holds the coordinates along the frame's j-th vector, and the rows keep
-    the Gram matrix X X^T up to rounding.  As numpy's `size`: with `trials`
-    None one (q, d) draw, else a (trials, q, d) stack over independent
-    frames; a one-frame stack holds the same bits as the single draw.
+    the Gram matrix X X^T up to rounding.  A (q, d) X gives, as numpy's
+    `size`: with `trials` None one (q, d) draw, else a (trials, q, d) stack
+    over independent frames; a one-frame stack holds the same bits as the
+    single draw.  A (runs, q, d) stack of query sets gives the (runs, q, d)
+    coordinates of each set in its own independent frame, from one stacked
+    QR of the sets; `trials` must then be None.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    r = np.linalg.qr(points.T, mode="r")
-    frames = _stiefel(points.shape[1], r.shape[0], 1 if trials is None else trials, rng)
-    coords = r.T @ np.swapaxes(frames, 1, 2)
-    return coords[0] if trials is None else coords
+    points = np.asarray(points, dtype=np.float64)
+    sets = points.ndim == 3
+    if sets and trials is not None:
+        raise DomainError("a stack of query sets draws one frame per set; trials must be None")
+    stack = points if sets else np.atleast_2d(points)[None]
+    r = np.linalg.qr(np.swapaxes(stack, 1, 2), mode="r")
+    count = len(stack) if sets else 1 if trials is None else trials
+    frames = haar_frames(stack.shape[2], r.shape[1], count, rng)
+    coords = np.swapaxes(r, 1, 2) @ np.swapaxes(frames, 1, 2)
+    return coords[0] if not sets and trials is None else coords
 
 
 def sphere_coords(points: np.ndarray, trials: int, gen: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ with the QR factorization of A^T.  Then A G^T = R^T (G Q)^T, and G Q is
 N x min(q, k) iid normal because Q has orthonormal columns; normal_products
 draws R^T Z^T with that Z, so at most N x q normals stand in for N x k.
 The views of the adaptive and tolerant instances, which the testers label
-their batch with, draw their products this way.  Instances kept as objects
+their batches with, draw their products this way.  Instances kept as objects
 (persistence, the adaptive event rate, per-body estimators) still draw G
 with sample_body.
 """

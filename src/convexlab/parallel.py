@@ -4,11 +4,15 @@ The per-trial loops of shell-membership, unique-volume, soundness,
 rejection-rates, view-tv, response-tv and detect-events go through
 map_units; the others (verify-tail-bounds, bivariate-tail, distance-lb,
 strip-crossing and the count estimators) draw sequential chunks from one
-stream.  A unit is one trial or a fixed-size block of trials: response-tv,
-view-tv and detect-events give each unit BLOCK trials (the last unit may be
-shorter), a module constant of theirs that does not depend on the worker
-count.  Unit i derives each stream it draws from the run stream and its own
-index alone (rng.child(i), rng.child(2 * i + 1), rng.child(i).child(0), ...),
+stream.  A unit is one trial or a block of trials: response-tv, view-tv and
+detect-events give each unit BLOCK trials (the last unit may be shorter), a
+module constant of theirs; soundness and rejection-rates give it a block of
+runs of one tester cell, testers.Cell.block runs, worked out from the cell
+alone: at most 32 runs and 2^15 query coordinates (budget x dimension per
+run), or one run when a single run exceeds that.  No block size depends on
+the worker count.  Unit i derives each stream it draws from the run stream
+and its own index alone (rng.child(i), rng.child(2 * i + 1),
+rng.child(i).child(0), ...),
 results come back in unit order, and cross-unit aggregation is plain
 summation, so the numbers an experiment reports never depend on how many
 workers ran it.  Worker count comes only from the CONVEXLAB_WORKERS

@@ -15,9 +15,10 @@ X U^T, which gauss.haar_coords draws exactly in law (R^T W^T for
 X = R^T Q^T and a uniform q-frame W) instead of the n x n basis.  One rule
 (ptf_labels) labels a batch from its squared projections and the
 coefficients: an instance feeds it from basis.coords (eval_ptf_batch), and
-sample_ptf_labels from haar_coords, on the instance's two streams.  The
-testers label their one batch that way; no-distance and persistence draw the
-full basis with sample_haar_frame.
+sample_ptf_labels from haar_coords, on the instance's two streams, for a
+stack of batches at once, one instance each.  The testers label a block of
+runs that way; no-distance and persistence draw the full basis with
+sample_haar_frame.
 
 The response-vector experiment runs its trials in blocks of BLOCK, one
 parallel.map_units unit each.  Block b draws the projections of all its
@@ -283,21 +284,26 @@ def coefficient_law(
 
 
 def sample_ptf_labels(points: np.ndarray, n: int, l: int, flavor: str, rng: RngStream) -> np.ndarray:
-    """Labels of a batch of rows in a fresh instance, drawn without the basis.
+    """(runs, m) labels of a (runs, m, n) stack of batches, run k's batch in
+    its own fresh instance, drawn without the bases.
 
-    Equal in law to sample_ptf_instance(n, l, DEFAULT_CLIP, flavor,
-    rng).labels(points): the projections come from haar_coords on stream
-    child(0), the coefficients from child(1).  Drawn for one batch; a later
-    batch would need the projections conditioned on this one.
+    Run k's labels are equal in law to sample_ptf_instance(n, l,
+    DEFAULT_CLIP, flavor, s).labels(points[k]) for a stream s of its own,
+    and the runs are independent: the projections of every batch come from
+    one haar_coords stack on stream child(0), the (runs, n) coefficients
+    from one draw on child(1).  Drawn for one batch per run; a later batch
+    would need the projections conditioned on this one.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     mu, law = coefficient_law(l, flavor, DEFAULT_NEG_ATOM, DEFAULT_NEG_PROB)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != n:
-        raise DimensionMismatchError(f"points must have dimension {n}")
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[2] != n:
+        raise DimensionMismatchError(f"points must be a (runs, m, {n}) stack")
     proj_sq = haar_coords(points, rng.child(0)) ** 2 / n  # (x . u_i / sqrt(n))^2
-    return ptf_labels(points, proj_sq, law.sample(n, rng.child(1)), mu, math.sqrt(n) + DEFAULT_CLIP)
+    coeffs = law.sample((len(points), n), rng.child(1))
+    clip = math.sqrt(n) + DEFAULT_CLIP
+    return np.array([ptf_labels(*run, mu, clip) for run in zip(points, proj_sq, coeffs)])
 
 
 def eval_ptf_batch(inst: PTFInstance, points: np.ndarray) -> np.ndarray:

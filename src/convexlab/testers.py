@@ -28,12 +28,23 @@ array of rows to an int8 array of m labels in {0, 1} and raises
 DimensionMismatchError on rows of another dimension.  The instance families
 implement it themselves (AdaptiveInstance, PTFInstance, NazarovBody, and the
 `yes` / `no` realizations of a TolerantInstance); any other oracle is a
-BatchOracle built from a rule on checked rows.  `family_oracle` names each
-family a tester runs against: the instance families and the convex families
-that soundness checks.  It answers for an instance family with a ViewOracle:
-the labels of a fixed batch depend on an instance only through that batch's
+BatchOracle built from a rule on checked rows.  `family_labels` draws the
+families a tester runs against, the instance families and the convex
+families that soundness checks, a stack of independent members at a time,
+and labels a stack of batches, one per member; `family_oracle` is its
+one-run case.  It answers for an instance family with a ViewOracle: the
+labels of a fixed batch depend on an instance only through that batch's
 view, so the oracle draws the view of the batch it is asked about, exactly
 in law, and answers that one batch.
+
+The rejection counts of the built-in strategies (cell_rejections) run in
+blocks: a map_units unit is up to Cell.block runs of one cell, whose queries
+are one stacked draw (baseline_queries) and whose labels are one stacked
+draw of the family (family_labels), and each run then takes the leaf rule
+(leaf_verdict) that run_one_sided applies.  Block j of a cell draws its
+family from s.child(j).child(0) and its queries from s.child(j).child(1),
+s the cell's stream.  run_one_sided stays the runner of any Strategy, the
+adaptive ones included, and the reference a block's runs are tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import numpy as np
 
 from . import ptf
 from .errors import BudgetExceededError, DimensionMismatchError, DomainError, SolverError
-from .gauss import sample_haar_frame
+from .gauss import haar_frames
 from .parallel import map_units
 from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
@@ -272,10 +283,11 @@ def run_one_sided(
 
     The strategy is asked for one batch at a time, given the rows and labels
     so far; each batch is checked against the budget q and the oracle's
-    dimension, then labelled in one oracle call.  At the leaf each 0-query is
-    tested once against the hull of all the 1-queries; the first certificate
-    rejects.  By monotonicity this is the verdict of checking after every
-    query.  Returns the verdict, the (m, d) queries and their labels.
+    dimension, then labelled in one oracle call.  At the leaf, leaf_verdict
+    tests each 0-query once against the hull of all the 1-queries; the first
+    certificate rejects.  By monotonicity this is the verdict of checking
+    after every query.  Returns the verdict, the (m, d) queries and their
+    labels.
     """
     d = oracle.ambient_dim
     points = np.empty((0, d))
@@ -292,23 +304,29 @@ def run_one_sided(
             raise DomainError("tester produced a non-finite query")
         points = np.concatenate([points, batch])
         labels = np.concatenate([labels, oracle.labels(batch)])
+    return leaf_verdict(points, labels), points, labels
+
+
+def leaf_verdict(points: np.ndarray, labels: np.ndarray) -> TesterVerdict:
+    """The one-sided rule at the leaf: each 0-query is tested once against
+    the hull of all the 1-queries, the separation pass first and then the
+    exact stage; the first certificate rejects."""
     support = points[labels == 1]
     if len(support):
         zeros = points[labels == 0]
         zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
         for y in zeros:
             if (lam := in_convex_hull(y, support, HULL_TOL)) is not None:
-                cert = Certificate(point=y, support=support, coefficients=lam)
-                return TesterVerdict("reject", cert), points, labels
-    return TesterVerdict("accept"), points, labels
+                return TesterVerdict("reject", Certificate(point=y, support=support, coefficients=lam))
+    return TesterVerdict("accept")
 
 
 # -- baseline strategies ------------------------------------------------------
 
 
-def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
-    """A built-in strategy: Gaussian queries in R^d drawn in advance from rng
-    and asked as one batch, whatever the answers.
+def baseline_queries(kind: str, budget: int, d: int, runs: int, rng: RngStream) -> np.ndarray:
+    """The (runs, m, d) queries of `runs` runs of a built-in strategy:
+    Gaussian rows of R^d, all drawn in one call from rng.
 
     line-segment: budget // 3 pairs (x, y), each followed by its midpoint.
     hull-sampling: budget iid points; rejection is left to the runner's rule.
@@ -316,15 +334,20 @@ def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strateg
     if kind == "line-segment":
         if budget < 3:
             raise DomainError("line-segment strategy needs a budget of at least 3")
-        ends = rng.generator().standard_normal((budget // 3, 2, d))
-        mids = 0.5 * (ends[:, 0] + ends[:, 1])
-        queries = np.concatenate([ends, mids[:, None]], axis=1).reshape(-1, d)
-    elif kind == "hull-sampling":
+        ends = rng.generator().standard_normal((runs, budget // 3, 2, d))
+        mids = 0.5 * (ends[:, :, 0] + ends[:, :, 1])
+        return np.concatenate([ends, mids[:, :, None]], axis=2).reshape(runs, -1, d)
+    if kind == "hull-sampling":
         if budget < 1:
             raise DomainError("hull-sampling strategy needs a budget of at least 1")
-        queries = rng.generator().standard_normal((budget, d))
-    else:
-        raise DomainError(f"unknown strategy kind {kind!r}")
+        return rng.generator().standard_normal((runs, budget, d))
+    raise DomainError(f"unknown strategy kind {kind!r}")
+
+
+def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
+    """A built-in strategy: the queries of one run (baseline_queries), drawn
+    in advance and asked as one batch, whatever the answers."""
+    queries = baseline_queries(kind, budget, d, 1, rng)[0]
     return lambda points, labels: None if len(points) else queries
 
 
@@ -335,45 +358,81 @@ INSTANCE_FAMILIES = ("adaptive", "tolerant-yes", "tolerant-no", "ptf-yes", "ptf-
 CONVEX_FAMILIES = ("halfspace", "ball", "ellipsoid", "ptf-yes")
 
 
-def family_oracle(family: str, n: int, rng: RngStream, c0_hat: float | None = None) -> Oracle:
-    """One draw of a named family, as the oracle the tester queries.
+def ambient_dim(family: str, n: int) -> int:
+    """The dimension a family lives in: R^{2n} (adaptive), R^{n+1}
+    (tolerant) or R^n."""
+    if family == "adaptive":
+        return 2 * n
+    return n + 1 if family.startswith("tolerant-") else n
 
-    An instance family answers one batch, from that batch's view in an
-    instance drawn from rng (ViewOracle); it lives in R^{2n} (adaptive),
-    R^{n+1} (tolerant) or R^n (ptf).  The convex families live in R^n and
-    answer any number of batches.
+
+def family_labels(
+    family: str, n: int, runs: int, rng: RngStream, c0_hat: float | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """`runs` independent draws of a named family from rng, as one rule that
+    maps a (runs, m, d) stack of batches to their (runs, m) labels, batch k
+    labelled by draw k.
+
+    An instance family draws, when asked, the views of the stack it is asked
+    about (one stacked draw: adaptive.sample_adaptive_labels,
+    tolerant.sample_tolerant_views, ptf.sample_ptf_labels), so it answers
+    one stack.  A convex family draws its parameters here, stacked, and
+    answers any number.
     """
     from . import adaptive, tolerant
 
     if family == "adaptive":
-        return ViewOracle(2 * n, lambda pts: adaptive.sample_adaptive_labels(pts, n, rng))
+        return lambda pts: adaptive.sample_adaptive_labels(pts, n, rng)
     if family in ("tolerant-yes", "tolerant-no"):
         realization = family.removeprefix("tolerant-")
-        return ViewOracle(
-            n + 1,
-            lambda pts: getattr(tolerant.sample_tolerant_view(pts, n, None, rng, c0_hat), realization)(),
-        )
+        return lambda pts: np.array([
+            getattr(view, realization)()
+            for view in tolerant.sample_tolerant_views(pts, n, None, runs, rng, c0_hat)
+        ])
     if family in ("ptf-yes", "ptf-no"):
         flavor = family.removeprefix("ptf-")
-        return ViewOracle(n, lambda pts: ptf.sample_ptf_labels(pts, n, 3, flavor, rng))
+        return lambda pts: ptf.sample_ptf_labels(pts, n, 3, flavor, rng)
     if family == "halfspace":
-        w = rng.generator().standard_normal(n)
-        w /= np.linalg.norm(w)
-        return BatchOracle(n, lambda pts: pts @ w <= 0.3)
+        w = rng.generator().standard_normal((runs, n))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        return lambda pts: (pts @ w[:, :, None])[:, :, 0] <= 0.3
     if family == "ball":
-        return BatchOracle(n, lambda pts: np.einsum("ij,ij->i", pts, pts) <= n)
+        return lambda pts: np.einsum("kij,kij->ki", pts, pts) <= n
     if family == "ellipsoid":
-        axes = 0.5 + rng.generator().random(n) * 1.5
-        frame = sample_haar_frame(n, n, rng.child(1)).vectors
-        return BatchOracle(n, lambda pts: ((pts @ frame.T) ** 2 * axes).sum(axis=1) <= n)
+        axes = 0.5 + rng.generator().random((runs, n)) * 1.5
+        frames = haar_frames(n, n, runs, rng.child(1))  # columns: the frame vectors
+        return lambda pts: ((pts @ frames) ** 2 * axes[:, None, :]).sum(axis=2) <= n
     raise DomainError(f"unknown instance family {family!r}")
+
+
+def family_oracle(family: str, n: int, rng: RngStream, c0_hat: float | None = None) -> Oracle:
+    """One draw of a named family, as the oracle the tester queries: the
+    one-run case of family_labels.
+
+    An instance family answers one batch, from that batch's view in an
+    instance drawn from rng (ViewOracle); a convex family answers any number
+    of batches (BatchOracle).
+    """
+    rule = family_labels(family, n, 1, rng, c0_hat)
+    oracle = ViewOracle if family in INSTANCE_FAMILIES else BatchOracle
+    return oracle(ambient_dim(family, n), lambda pts: rule(pts[None])[0])
+
+
+# A block, one map_units unit of cell_rejections, holds at most BLOCK_RUNS runs
+# of one cell and at most BLOCK_COORDS query coordinates.  Over the benchmark's
+# tester-loop cells on a 2-core Xeon, the peak RSS above a run-at-a-time pass
+# was 0.6 MB at 2^15 coordinates, 0.1 MB at 2^14 and 10 MB with no cap.
+BLOCK_RUNS = 32
+BLOCK_COORDS = 1 << 15
 
 
 @dataclass(frozen=True)
 class Cell:
     """`trials` runs of a baseline strategy against a family.  The cell's
     stream is the run stream followed down `path`: (k, f) names
-    rng.child(k).child(f), and () the run stream itself."""
+    rng.child(k).child(f), and () the run stream itself.  Its runs go in
+    blocks of `block` runs, block j on the cell stream's child(j)
+    (cell_rejections)."""
 
     strategy_kind: str
     family: str
@@ -382,22 +441,52 @@ class Cell:
     trials: int
     path: tuple[int, ...] = ()
 
+    @property
+    def ambient_dim(self) -> int:
+        return ambient_dim(self.family, self.n)
+
+    @property
+    def block(self) -> int:
+        """Runs per block: BLOCK_RUNS, fewer when their budget x ambient_dim
+        query coordinates would pass BLOCK_COORDS, and one when a single run
+        does."""
+        return max(1, min(BLOCK_RUNS, BLOCK_COORDS // max(1, self.budget * self.ambient_dim)))
+
 
 def cell_rejections(cells, rng: RngStream, c0_hat: float | None = None) -> list[int]:
-    """How many runs of each cell reject, every cell's runs in one map_units
-    call (so a pool starts once per call, not once per cell).
+    """How many runs of each cell reject, every cell's blocks in one
+    map_units call (so a pool starts once per call, not once per cell).
 
-    Run t of a cell draws its oracle from s.child(2t) and its queries from
-    s.child(2t + 1), where s is the cell's stream.  The measured constant
-    c0_hat reaches the tolerant families only.
+    Block j of a cell holds its runs j B, ..., (j + 1) B - 1, B = cell.block
+    (the last block may be shorter), and draws from s.child(j), where s is
+    the cell's stream, whatever the worker count (run_block).  The measured
+    constant c0_hat reaches the tolerant families only.
     """
     cells = tuple(cells)
     for cell in cells:
         if cell.family not in INSTANCE_FAMILIES + CONVEX_FAMILIES:
             raise DomainError(f"unknown instance family {cell.family!r}")
-    starts = tuple(accumulate((cell.trials for cell in cells), initial=0))
-    outcomes = map_units(_rejects, starts[-1], rng, cells, starts, c0_hat)
+    starts = tuple(accumulate((-(-cell.trials // cell.block) for cell in cells), initial=0))
+    outcomes = map_units(_block_rejections, starts[-1], rng, cells, starts, c0_hat)
     return [sum(outcomes[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def run_block(
+    cell: Cell, runs: int, rng: RngStream, c0_hat: float | None = None
+) -> tuple[list[TesterVerdict], np.ndarray, np.ndarray]:
+    """`runs` runs of a cell's strategy against its family, from block
+    stream rng.
+
+    The queries of every run come from one stacked draw on rng.child(1)
+    (baseline_queries), their labels from one stacked draw of the family on
+    rng.child(0), a fresh draw per run (family_labels); each run then takes
+    the leaf rule (leaf_verdict), which is run_one_sided's on that run's
+    queries and labels.  Returns the verdicts, the (runs, m, d) queries and
+    their (runs, m) labels.
+    """
+    queries = baseline_queries(cell.strategy_kind, cell.budget, cell.ambient_dim, runs, rng.child(1))
+    labels = np.asarray(family_labels(cell.family, cell.n, runs, rng.child(0), c0_hat)(queries), dtype=np.int8)
+    return [leaf_verdict(points, ys) for points, ys in zip(queries, labels)], queries, labels
 
 
 def rejections(
@@ -434,11 +523,10 @@ def rate_report(cell: Cell, rejects: int, seed: int) -> ExperimentReport:
     return report
 
 
-def _rejects(rng: RngStream, i: int, cells, starts, c0_hat) -> bool:
+def _block_rejections(rng: RngStream, i: int, cells, starts, c0_hat) -> int:
     c = bisect_right(starts, i) - 1
-    cell, t = cells[c], i - starts[c]
+    cell, j = cells[c], i - starts[c]
     for index in cell.path:
         rng = rng.child(index)
-    oracle = family_oracle(cell.family, cell.n, rng.child(2 * t), c0_hat)
-    strategy = baseline_strategy(cell.strategy_kind, cell.budget, oracle.ambient_dim, rng.child(2 * t + 1))
-    return run_one_sided(strategy, oracle, cell.budget)[0].outcome == "reject"
+    runs = min(cell.block, cell.trials - j * cell.block)
+    return sum(v.outcome == "reject" for v in run_block(cell, runs, rng.child(j), c0_hat)[0])

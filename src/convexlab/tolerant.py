@@ -28,8 +28,9 @@ coordinates in columns 1..n.  A materialized instance builds the view from c
 and its normals (inst.view); persistence and the per-instance checks use
 that path.  For a fixed query batch, sample_tolerant_views draws a block of
 views in law without the instances, by two exact identities; view-tv draws
-BLOCK views per parallel.map_units unit, and the testers one
-(sample_tolerant_view).  The frame is Haar, so c is gauss.haar_coords,
+BLOCK views per parallel.map_units unit.  The testers draw a block of views
+of a stack of query sets, one set per trial, the same way.  The frame is
+Haar, so c is gauss.haar_coords,
 sliced the same way, one stack per block on rng.child(0).  The control
 block meets the N x n normals only through nazarov.normal_products, drawn
 trial after trial from one generator on child(1).  P stays N Bernoulli(1/2)
@@ -257,37 +258,32 @@ def sample_tolerant_views(
 ) -> list[TolerantView]:
     """The views of `queries` in `trials` fresh instances, drawn without them.
 
-    Each is equal in law to sample_tolerant_instance(n, N_override, s,
-    c0_hat).view(queries) for its own stream s, and the views are
-    independent (module docstring).  A trial draws q x (n + 1) and at most
-    N x q normals instead of the (n + 1) x (n + 1) frame and the N x n body.
+    `queries` is one (q, n + 1) batch that every trial views, or a
+    (trials, q, n + 1) stack whose set t trial t views.  Each view is equal
+    in law to sample_tolerant_instance(n, N_override, s, c0_hat).view(its
+    batch) for its own stream s, and the views are independent (module
+    docstring).  A trial draws q x (n + 1) and at most N x q normals instead
+    of the (n + 1) x (n + 1) frame and the N x n body.
     """
     N, c2, r = _constants(n, N_override, c0_hat)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] != n + 1:
+    queries = np.asarray(queries, dtype=np.float64)
+    sets = queries.ndim == 3
+    if not sets:
+        queries = np.atleast_2d(queries)
+    if queries.shape[-1] != n + 1:
         raise DimensionMismatchError(f"queries must have dimension {n + 1}")
-    coords = haar_coords(queries, rng.child(0), trials)
+    if sets and len(queries) != trials:
+        raise DimensionMismatchError(f"a stack of query sets must hold one set per trial, {trials}")
+    coords = haar_coords(queries, rng.child(0), None if sets else trials)
     gen = rng.child(1).generator()
     p_sets = rng.child(2).generator().random((trials, N)) < 0.5
+    batches = queries if sets else [queries] * trials
     return [
         TolerantView.of(
-            n, c2, queries, c[:, 1:], c[:, 0], lambda xc: normal_products(xc, N, gen) > r, p_set
+            n, c2, batch, c[:, 1:], c[:, 0], lambda xc: normal_products(xc, N, gen) > r, p_set
         )
-        for c, p_set in zip(coords, p_sets)
+        for batch, c, p_set in zip(batches, coords, p_sets)
     ]
-
-
-def sample_tolerant_view(
-    queries: np.ndarray,
-    n: int,
-    N_override: int | None,
-    rng: RngStream,
-    c0_hat: float,
-) -> TolerantView:
-    """The view of `queries` in a fresh instance: sample_tolerant_views at
-    one trial, equal in law to sample_tolerant_instance(n, N_override, rng,
-    c0_hat).view(queries)."""
-    return sample_tolerant_views(queries, n, N_override, 1, rng, c0_hat)[0]
 
 
 # -- labeling -----------------------------------------------------------------
@@ -631,7 +627,6 @@ def xy_pair_experiment(
     trials: int,
     rng: RngStream,
     c0_hat: float,
-    N_override: int | None = None,
 ) -> ExperimentReport:
     """Pairwise distinguishing probabilities for two fixed shell points.
 
@@ -658,7 +653,7 @@ def xy_pair_experiment(
         raise DimensionMismatchError("x and y must live in R^{n+1}")
     c1 = C1_DEFAULT
     c2 = tau = c2_from(c0_hat)
-    N = N_override if N_override is not None else default_halfspace_count(n)
+    N = default_halfspace_count(n)
     r = solve_r(n, N, c1)
     lo, hi = shell_interval(n, tau)
     for name, p in (("x", x), ("y", y)):

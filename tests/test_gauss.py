@@ -379,6 +379,34 @@ class TestHaarCoords:
         assert len({coords.tobytes() for coords in stack}) == 5
 
 
+    def test_trials_stack_keeps_its_bits(self):
+        # A trials stack for one query set: the QR of X^T, then R^T W^T over
+        # one (trials, d, k) Gaussian and one stacked, sign-fixed QR.
+        d, k = self.QUERIES.shape[1], self.QUERIES.shape[0]
+        q, r = np.linalg.qr(RngStream(189).generator().standard_normal((5, d, k)))
+        signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        signs[signs == 0] = 1.0
+        reference = np.linalg.qr(self.QUERIES.T, mode="r").T @ np.swapaxes(q * signs[:, None, :], 1, 2)
+        assert haar_coords(self.QUERIES, RngStream(189), 5).tobytes() == reference.tobytes()
+
+    def test_stack_of_query_sets_matches_single_draws_in_law(self):
+        from scipy.stats import ks_2samp
+
+        sets = np.stack([self.QUERIES, self.QUERIES[::-1] * 2.0, self.QUERIES])
+        stacks = np.array([haar_coords(sets, RngStream(190, t)) for t in range(3000)])
+        assert stacks.shape == (3000, *sets.shape)
+        for coords, x in zip(stacks[0], sets):
+            assert np.abs(coords @ coords.T - x @ x.T).max() <= 1e-9
+        single = np.array([haar_coords(sets[1], RngStream(191, t)) for t in range(3000)])
+        for a, b in ((stacks[:, 1, 0, 0], single[:, 0, 0]), (stacks[:, 1, 2, 7], single[:, 2, 7]),
+                     (stacks[:, 1, 0, 0] * stacks[:, 1, 1, 0], single[:, 0, 0] * single[:, 1, 0])):
+            assert ks_2samp(a, b).pvalue > 1e-3
+        # Sets 0 and 2 are equal and their frames independent: uncorrelated.
+        assert abs(np.corrcoef(stacks[:, 0, 0, 0], stacks[:, 2, 0, 0])[0, 1]) < 0.1
+        with pytest.raises(DomainError):
+            haar_coords(sets, RngStream(192), 2)
+
+
 class TestSphereCoords:
     """Coordinates of fixed rows along uniform directions, drawn without the
     directions; xy-pair and strip-crossing pin them against n-wide loops."""

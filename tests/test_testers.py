@@ -15,6 +15,8 @@ from convexlab.testers import (
     CONVEX_FAMILIES,
     HULL_TOL,
     INSTANCE_FAMILIES,
+    BLOCK_COORDS,
+    BLOCK_RUNS,
     BatchOracle,
     Cell,
     _certified_outside,
@@ -22,10 +24,12 @@ from convexlab.testers import (
     baseline_strategy,
     cell_rejections,
     certificate_valid,
+    family_labels,
     family_oracle,
     in_convex_hull,
     rate_report,
     rejections,
+    run_block,
     run_one_sided,
 )
 
@@ -740,8 +744,18 @@ class TestRejectionRate:
         assert cell_rejections(cells, rng) == expected
         assert expected[0] > 0 and expected[2] > 0
 
+    # The tester-loop sizes: soundness has 8 cells at 600 coordinates a run,
+    # so 32-run blocks, 4 per cell.  rejection-rates runs adaptive budgets 4,
+    # 16 and 64 at d = 128 (32, 16 and 4 runs a block), and at budget 30 ptf
+    # (d = 64) at 17 and tolerant (d = 65) at 16 runs a block.
+    BLOCKS = {
+        "soundness": (20, 30, 100, 32),
+        "rejection-rates": (64, None, 60, 2 + 4 + 15 + 4 + 4 + 4 + 4),
+    }
+
     @pytest.mark.parametrize("name", ["soundness", "rejection-rates"])
     def test_one_map_units_call_per_run(self, monkeypatch, name):
+        n, q, trials, blocks = self.BLOCKS[name]
         calls = []
         original = testers.map_units
 
@@ -751,9 +765,9 @@ class TestRejectionRate:
 
         monkeypatch.setattr(testers, "map_units", counting)
         overrides = {"c0_hat": 0.35} if name == "rejection-rates" else {}
-        config = ExperimentConfig(name, seed=3, n=4, trials=5, overrides=overrides)
+        config = ExperimentConfig(name, seed=3, n=n, q=q, trials=trials, overrides=overrides)
         assert run_experiment(config).all_passed()
-        assert calls == [40 if name == "soundness" else 35]
+        assert calls == [blocks]
 
     def test_tester_loop_sizes_leave_the_lp_solver_unloaded(self):
         # The soundness and rejection-rates runs of the benchmark's
@@ -770,6 +784,92 @@ class TestRejectionRate:
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestBlocks:
+    """A unit of cell_rejections is a block of runs of one cell."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            Cell("line-segment", "adaptive", 4, 60, 32),
+            Cell("hull-sampling", "adaptive", 4, 64, 32),
+            Cell("line-segment", "ptf-no", 4, 300, 12),
+            Cell("hull-sampling", "tolerant-no", 16, 30, 8),
+            Cell("line-segment", "ellipsoid", 6, 24, 8),
+            Cell("hull-sampling", "halfspace", 6, 24, 8),
+            Cell("hull-sampling", "ball", 6, 24, 8),
+        ],
+        ids=lambda cell: f"{cell.strategy_kind}-{cell.family}",
+    )
+    def test_each_run_is_run_one_sided_on_its_queries_and_labels(self, cell):
+        rejects = 0
+        for seed in range(4):
+            verdicts, queries, labels = run_block(cell, cell.trials, RngStream(920, seed), 0.35)
+            assert queries.shape == (cell.trials, queries.shape[1], cell.ambient_dim)
+            assert labels.shape == queries.shape[:2] and labels.dtype == np.int8
+            for verdict, points, ys in zip(verdicts, queries, labels):
+                oracle = BatchOracle(cell.ambient_dim, lambda pts, ys=ys: ys)
+                reference = run_one_sided(_batches(points), oracle, cell.budget)[0]
+                assert verdict.outcome == reference.outcome
+                rejects += verdict.outcome == "reject"
+                if verdict.certificate is not None:
+                    for field in ("point", "support", "coefficients"):
+                        np.testing.assert_array_equal(
+                            getattr(verdict.certificate, field), getattr(reference.certificate, field)
+                        )
+        if cell.strategy_kind == "line-segment" and cell.family in ("adaptive", "ptf-no"):
+            assert rejects > 0
+        if cell.family in CONVEX_FAMILIES:
+            assert rejects == 0
+
+    def test_blocks_respect_the_coordinate_cap(self, monkeypatch):
+        monkeypatch.setenv("CONVEXLAB_WORKERS", "1")  # the recorder below runs in this process
+        for family in INSTANCE_FAMILIES + CONVEX_FAMILIES:
+            for n in (4, 20, 64, 300):
+                for budget in (3, 30, 64, 1500):
+                    cell = Cell("hull-sampling", family, n, budget, 1)
+                    coords = budget * cell.ambient_dim
+                    assert 1 <= cell.block <= BLOCK_RUNS
+                    assert cell.block * coords <= BLOCK_COORDS or cell.block == 1
+                    assert cell.block == BLOCK_RUNS or (cell.block + 1) * coords > BLOCK_COORDS
+        seen = []
+        original = testers.run_block
+
+        def recording(cell, runs, rng, c0_hat=None):
+            seen.append((cell, runs))
+            return original(cell, runs, rng, c0_hat)
+
+        monkeypatch.setattr(testers, "run_block", recording)
+        cells = [
+            Cell("hull-sampling", "ball", 8, 30, 200),         # 32 runs a block
+            Cell("hull-sampling", "adaptive", 64, 64, 9),      # 4: the cap binds
+            Cell("line-segment", "halfspace", 40, 1500, 3),    # 1: one run is past the cap
+            Cell("hull-sampling", "ptf-yes", 8, 12, 0),
+        ]
+        cell_rejections(cells, RngStream(921))
+        for cell in cells:
+            runs = [r for c, r in seen if c == cell]
+            assert sum(runs) == cell.trials
+            assert all(r <= cell.block for r in runs) and runs[:-1] == [cell.block] * (len(runs) - 1)
+            assert all(r * cell.budget * cell.ambient_dim <= BLOCK_COORDS or r == 1 for r in runs)
+        assert [r for c, r in seen if c == cells[2]] == [1, 1, 1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_block_j_draws_from_child_j_at_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setenv("CONVEXLAB_WORKERS", workers)
+        rng = RngStream(922)
+        cells = [Cell("line-segment", "adaptive", 4, 60, 69, (1,)), Cell("line-segment", "ptf-no", 4, 300, 48)]
+        expected = []
+        for cell, stream in zip(cells, (rng.child(1), rng)):
+            assert cell.block < cell.trials
+            expected.append(sum(
+                v.outcome == "reject"
+                for j in range(-(-cell.trials // cell.block))
+                for v in run_block(cell, min(cell.block, cell.trials - j * cell.block), stream.child(j))[0]
+            ))
+        assert cell_rejections(cells, rng) == expected
+        assert all(count > 0 for count in expected)
 
 
 # Materialized draws of each instance family: the reference for its view oracle.
@@ -794,20 +894,23 @@ def _mixed_batch(d: int, rng: RngStream) -> np.ndarray:
 
 
 class TestViewOracles:
-    @pytest.mark.parametrize(
-        "family, n",
-        [("adaptive", 4), ("adaptive", 8), ("tolerant-yes", 4), ("tolerant-no", 4),
-         ("ptf-yes", 4), ("ptf-yes", 8), ("ptf-no", 4), ("ptf-no", 8)],
-    )
+    @pytest.mark.parametrize("family, n", [(family, n) for family in INSTANCE_FAMILIES for n in (4, 8)])
     def test_view_labels_match_materialized(self, family, n):
-        # Chi-square homogeneity of the label vectors of one fixed batch.
+        # Chi-square homogeneity of the label vectors of one fixed batch:
+        # answered by a one-run oracle, and as the last run of a three-run
+        # block whose other runs ask batches of their own first.
         trials = 2500
         d = MATERIALIZED[family](n, RngStream(0)).ambient_dim
         batch = _mixed_batch(d, RngStream(910))
         lazy = [tuple(family_oracle(family, n, RngStream(911, t), 0.35).labels(batch)) for t in range(trials)]
+        blocked = []
+        for t in range(trials):
+            stack = np.stack([_mixed_batch(d, RngStream(917, 2 * t)), _mixed_batch(d, RngStream(917, 2 * t + 1)), batch])
+            blocked.append(tuple(family_labels(family, n, 3, RngStream(918, t), 0.35)(stack)[2]))
         dense = [tuple(MATERIALIZED[family](n, RngStream(912, t)).labels(batch)) for t in range(trials)]
         assert len(set(dense)) >= 3
         assert homogeneity_pvalue(lazy, dense) > 1e-3
+        assert homogeneity_pvalue(blocked, dense) > 1e-3
 
     def test_rejections_match_materialized(self):
         trials = 600

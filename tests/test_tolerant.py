@@ -29,7 +29,6 @@ from convexlab.tolerant import (
     region_of,
     same_unique_counts,
     sample_tolerant_instance,
-    sample_tolerant_view,
     sample_tolerant_views,
     view_experiment,
     xy_pair_experiment,
@@ -379,7 +378,7 @@ def pinned_views():
         for t in range(trials)
     ]
     lazy = [
-        _view_keys(sample_tolerant_view(queries, n, None, RngStream(422, t), c0_hat))
+        _view_keys(sample_tolerant_views(queries, n, None, 1, RngStream(422, t), c0_hat)[0])
         for t in range(trials)
     ]
     return dense, lazy
@@ -399,7 +398,7 @@ class TestLazyView:
         queries = RngStream(423, q).generator().standard_normal((q, inst.n + 1))
         for view in (
             inst.view(queries),
-            sample_tolerant_view(queries, inst.n, None, RngStream(424), calibration_small),
+            sample_tolerant_views(queries, inst.n, None, 1, RngStream(424), calibration_small)[0],
         ):
             assert np.abs(view.xc_norm**2 + view.action**2 - view.norms**2).max() <= 1e-10
 
@@ -409,7 +408,7 @@ class TestLazyView:
         queries[:50] *= (hi + 1.0) / np.linalg.norm(queries[:50], axis=1)[:, None]
         for view in (
             inst.view(queries),
-            sample_tolerant_view(queries, inst.n, None, RngStream(426), calibration_small),
+            sample_tolerant_views(queries, inst.n, None, 1, RngStream(426), calibration_small)[0],
         ):
             expected = (view.norms >= lo) & (view.norms <= hi) & (view.xc_norm <= math.sqrt(inst.n))
             np.testing.assert_array_equal(view.probed, np.nonzero(expected)[0])
@@ -418,7 +417,9 @@ class TestLazyView:
 
     def test_query_shape_checked(self, calibration_small):
         with pytest.raises(DimensionMismatchError):
-            sample_tolerant_view(np.zeros((2, 64)), 64, None, RngStream(0), calibration_small)
+            sample_tolerant_views(np.zeros((2, 64)), 64, None, 1, RngStream(0), calibration_small)
+        with pytest.raises(DimensionMismatchError):  # a stack holds one set per trial
+            sample_tolerant_views(np.zeros((3, 2, 65)), 64, None, 2, RngStream(0), calibration_small)
 
 
 BLOCK_PIN_TRIALS = 10_240
