@@ -12,15 +12,19 @@ non-convexity that is hard to find but covers constant measure.
 
 An instance holds one Haar frame of R^{2n}, the control subspace in rows
 0..n-1 and the action subspace in rows n..2n-1.  The labels of a fixed batch
-see an instance only through the batch's coordinates c in that frame (c[:, :n]
-control, c[:, n:] action) and, per block, their products with the N body
-normals and the N action directions (nazarov.normal_products).  One rule
-(adaptive_labels) maps those to labels; an instance feeds it from
-c = frame.coords(points) and its matrices (eval_adaptive_batch), and
-sample_adaptive_labels draws c as gauss.haar_coords and the products in law,
-on the instance's three streams, without the 2n x 2n frame and the two
-N x n matrices, for a stack of batches at once, one instance each.  The
-testers label a block of runs that way.  The event rate
+see an instance only through the coordinates c in that frame (c[:, :n]
+control, c[:, n:] action) of its rows inside Ball(sqrt(2n)), every other row
+being 0, the violations of their control parts against the N body normals,
+and the products of their action parts with the action directions of the
+halfspaces they violate.  One rule (adaptive_labels) maps those to labels;
+an instance feeds it from c = frame.coords(points) and its matrices
+(eval_adaptive_batch).  sample_adaptive_labels draws them in law for a
+stack of batches at once, one instance each, on the instance's three
+streams and without the 2n x 2n frame or the two N x n matrices: c of the
+in-ball rows alone as gauss.haar_coords, the violations of the whole block
+in one nazarov.sample_violations call, which draws only the hit columns
+when a run's tail mass allows, and one fresh action direction per hit
+column.  The testers label a block of runs that way.  The event rate
 (detect-events), the triple samplers and persistence still draw whole
 instances.
 """
@@ -37,14 +41,14 @@ from .gauss import Frame, haar_coords, sample_haar_frame, sphere_coords, std_nor
 from .nazarov import (
     NazarovBody,
     default_halfspace_count,
-    normal_products,
     sample_body,
+    sample_violations,
     solve_r_half,
 )
 from .parallel import map_units
 from .report import ExperimentReport, wilson_interval
 from .rng import RngStream
-from .testers import BatchOracle
+from .testers import BatchOracle, packed_rows
 
 R_CONVENTION_TOL = 1e-9
 DEFAULT_A_CONST = 1.0
@@ -127,30 +131,54 @@ def sample_adaptive_labels(points: np.ndarray, n: int, rng: RngStream) -> np.nda
 
     Run k's labels are equal in law to sample_adaptive_instance(n, None,
     s).labels(points[k]) for a stream s of its own, and the runs are
-    independent: the frame coordinates of every batch come from one
-    haar_coords stack on stream child(0), and each run's body and action
-    products from normal_products, run after run, on one generator each
-    from child(1) and child(2).  A one-run stack reads its streams as a
-    single instance's view always has.  Drawn for one batch per run; a later
-    batch would need them conditioned on this one.
+    independent.  Only the rows inside Ball(sqrt(2n)) are labelled by an
+    instance, so only they get frame coordinates: each run's in-ball rows
+    are packed first and the stack zero-padded to the longest, whose
+    haar_coords on stream child(0) reads the first k columns of each frame
+    for a run of k rows.  The body then meets every run's probed control
+    rows in one nazarov.sample_violations call on a generator from
+    child(1), and the action directions only at the hit columns
+    (_hit_products, on a generator from child(2)).  Drawn for one batch per
+    run; a later batch would need them conditioned on this one.
     """
     if n < 4:
         raise DomainError("need n >= 4")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3 or points.shape[2] != 2 * n:
         raise DimensionMismatchError(f"points must be a (runs, m, {2 * n}) stack")
+    runs, m, d = points.shape
     N = default_halfspace_count(n)
     r = solve_r_half(n, N)
-    coords = haar_coords(points, rng.child(0))
+    labels = np.zeros((runs, m), dtype=np.int8)
+    flat = points.reshape(-1, d)
+    inside = (np.einsum("ij,ij->i", flat, flat) <= 2.0 * n).reshape(runs, m)  # as adaptive_labels
+    packed, order, slot = packed_rows(points, inside)
+    if not slot.size:
+        return labels
+    coords = haar_coords(packed, rng.child(0))[slot]
+    run = np.repeat(np.arange(runs), slot.sum(axis=1))
     normals, dirs = rng.child(1).generator(), rng.child(2).generator()
-    return np.array([
-        adaptive_labels(
-            n, batch, c[:, :n],
-            lambda xc: normal_products(xc, N, normals) > r,
-            lambda rows: normal_products(c[rows, n:], N, dirs),
-        )
-        for batch, c in zip(points, coords)
-    ])
+    labels[run, order[slot]] = adaptive_labels(
+        n, packed[slot], coords[:, :n],
+        lambda rows: sample_violations(
+            coords[rows, :n], np.bincount(run[rows], minlength=runs), N, r, normals
+        ),
+        lambda rows, hits: _hit_products(coords[rows, n:], run[rows], hits, dirs),
+    )
+    return labels
+
+
+def _hit_products(action: np.ndarray, runs: np.ndarray, hits: np.ndarray, gen) -> np.ndarray:
+    """(k, N) products of k rows' action coordinates with the N action
+    directions of their runs' instances, drawn only where `hits` is set
+    (zero elsewhere): one fresh N(0, I_n) direction per run and hit column."""
+    rows, cols = np.nonzero(hits)
+    products = np.zeros(hits.shape)
+    if rows.size:
+        keys, which = np.unique(runs[rows] * hits.shape[1] + cols, return_inverse=True)
+        directions = gen.standard_normal((keys.size, action.shape[1]))
+        products[rows, cols] = np.einsum("ij,ij->i", action[rows], directions[which])
+    return products
 
 
 def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarray:
@@ -159,8 +187,9 @@ def eval_adaptive_batch(inst: AdaptiveInstance, points: np.ndarray) -> np.ndarra
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     coords = inst.frame.coords(points)
     return adaptive_labels(
-        inst.n, points, coords[:, :inst.n], inst.body.violated,
-        lambda rows: coords[rows, inst.n:] @ inst.action_dirs.T,
+        inst.n, points, coords[:, :inst.n],
+        lambda rows: inst.body.violated(coords[rows, :inst.n]),
+        lambda rows, hits: coords[rows, inst.n:] @ inst.action_dirs.T,
     )
 
 
@@ -168,10 +197,11 @@ def adaptive_labels(n, points, xc, violated, action_products) -> np.ndarray:
     """The labelling rule of an instance, from what it shows a batch of rows.
 
     `points` are the (m, 2n) rows and `xc` their control coordinates;
-    `violated` maps k control rows to their (k, N) violation matrix, and
-    `action_products` maps the indices of k rows to their (k, N) products
-    with the action directions.  Only the rows in both balls are probed,
-    and only the probed rows in some flap meet the action directions.
+    `violated` maps the indices of k rows to their (k, N) violation matrix,
+    and `action_products` maps the indices of k rows and that matrix to
+    their (k, N) products with the action directions, which the rule reads
+    only where a row violates.  Only the rows in both balls are probed, and
+    only the probed rows in some flap meet the action directions.
     """
     labels = np.zeros(points.shape[0], dtype=np.int8)
     norms_sq = np.einsum("ij,ij->i", points, points)
@@ -180,13 +210,14 @@ def adaptive_labels(n, points, xc, violated, action_products) -> np.ndarray:
     if not np.any(live):
         return labels
     idx = np.nonzero(live)[0]
-    viol = violated(xc[idx])                                # (m_live, N)
+    viol = violated(idx)                                    # (m_live, N)
     any_viol = viol.any(axis=1)
     labels[idx[~any_viol]] = 1                              # inside the body
     flap_rows = idx[any_viol]
     if flap_rows.size:
-        outside_strip = np.abs(action_products(flap_rows)) > strip_halfwidth(n)
-        ok = np.logical_or(outside_strip, ~viol[any_viol]).all(axis=1)
+        hits = viol[any_viol]
+        outside_strip = np.abs(action_products(flap_rows, hits)) > strip_halfwidth(n)
+        ok = np.logical_or(outside_strip, ~hits).all(axis=1)
         labels[flap_rows[ok]] = 1
     return labels
 

@@ -290,6 +290,40 @@ def std_normal_quantile(p: float) -> float:
     return std_normal_isf(1.0 - p)
 
 
+# Thresholds below this take plain rejection from N(0, 1), which accepts with
+# sf(a) > 0.27; from it on Marsaglia's method accepts with a sf(a)/pdf(a) > 0.49.
+_TAIL_SWITCH = 0.6
+
+
+def normal_tail(a: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One draw of g ~ N(0, 1) conditioned on g > a for each threshold in a,
+    exactly and with no inverse cdf.
+
+    G. Marsaglia's tail method ("Generating a variable from the tail of the
+    normal distribution", Technometrics, 1964): x = sqrt(a^2 - 2 ln U) has
+    density x exp((a^2 - x^2)/2) on x > a, and keeping it with probability
+    a / x leaves the normal density there.  Thresholds below _TAIL_SWITCH
+    draw g until g > a.  Pending thresholds are redrawn together.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    flat = a.ravel()
+    out = np.empty_like(flat)
+    pending = np.arange(flat.size)
+    while pending.size:
+        low = flat[pending]
+        small = low < _TAIL_SWITCH
+        u = gen.random((2, pending.size))
+        x = np.sqrt(low * low - 2.0 * np.log1p(-u[0]))
+        keep = u[1] * x <= low
+        if small.any():
+            g = gen.standard_normal(pending.size)
+            x = np.where(small, g, x)
+            keep = np.where(small, g > low, keep)
+        out[pending[keep]] = x[keep]
+        pending = pending[~keep]
+    return out.reshape(a.shape)
+
+
 # -- frames -------------------------------------------------------------------
 
 FRAME_ORTHO_TOL = 1e-10

@@ -16,12 +16,30 @@ point nor the N x n normals are materialized.  Estimators of per-body
 quantities (volume spread, concentration) materialize real normal matrices.
 
 A third regime serves a fixed batch of q points A (q x k) against one fresh
-body: the products A G^T with the N x k normal matrix G.  Write A = R^T Q^T
-with the QR factorization of A^T.  Then A G^T = R^T (G Q)^T, and G Q is
-N x min(q, k) iid normal because Q has orthonormal columns; normal_products
-draws R^T Z^T with that Z, so at most N x q normals stand in for N x k.
-The views of the adaptive and tolerant instances, which the testers label
-their batches with, draw their products this way.  Instances kept as objects
+body: the products A G^T with the N x k normal matrix G, or only the
+violations A G^T > r.  Write A = R^T Q^T with the QR factorization of A^T.
+Then A G^T = R^T (G Q)^T, and G Q is N x min(q, k) iid normal because Q has
+orthonormal columns; normal_products draws R^T Z^T with that Z, so at most
+N x q normals stand in for N x k.
+
+The violations need less (sample_violations).  The N columns of A G^T > r
+are iid, and a column is nonzero when its normal g violates some row, with
+probability P(union) <= sum_j p_j, p_j = sf(r/|a_j|).  When that tail mass
+is at most 1, Karp-Luby-Madras union sampling (Karp, Luby and Madras,
+J. Algorithms, 1989) draws the nonzero columns alone, exactly: M ~
+Binomial(N, sum p) candidates, each picking row j with probability
+p_j / sum p, its normal t a_j/|a_j| + (the part of a fresh N(0, I_k)
+orthogonal to a_j) with t from the normal tail beyond r/|a_j|
+(gauss.normal_tail), and kept with probability 1/c, c the number of rows it
+violates.  The kept ones number Binomial(N, P(union)) and each is a normal
+conditioned on the union, so they go to distinct uniform columns and the
+rest stay zero.  The cost grows with M, of mean N sum p, not with N q.  A
+batch with more mass takes normal_products: every line-segment run against
+the adaptive family at n = 4 (N = 4), about one in 300 at n = 8 and budget
+30, none at n = 64 or in view-tv.  One call serves a block of batches,
+each against its own body.  The views of the
+adaptive and tolerant instances, which the testers and view-tv label their
+batches with, draw their violations this way.  Instances kept as objects
 (persistence, the adaptive event rate, per-body estimators) still draw G
 with sample_body.
 """
@@ -37,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-from .gauss import sf_array, std_normal_isf, std_normal_sf
+from .gauss import normal_tail, sf_array, std_normal_isf, std_normal_sf
 from .report import Z99, ExperimentReport, mean_se
 from .rng import RngStream
 
@@ -201,6 +219,92 @@ def normal_products(block: np.ndarray, N: int, gen: np.random.Generator) -> np.n
     block = np.atleast_2d(np.asarray(block, dtype=np.float64))
     r = np.linalg.qr(block.T, mode="r")
     return r.T @ gen.standard_normal((N, r.shape[0])).T
+
+
+# Row coordinates that one product pass of sample_violations gathers for its
+# candidates (128 KB).
+CANDIDATE_CHUNK = 1 << 14
+
+
+def sample_violations(
+    rows: np.ndarray, counts: np.ndarray, N: int, r: float, gen: np.random.Generator
+) -> np.ndarray:
+    """(k, N) violations x . g_i > r of k rows in runs, each run's rows
+    against the N normals of a fresh body of its own, in law: a block of
+    runs at once.
+
+    Run j holds the counts[j] rows after those of the runs before it, and
+    r > 0.  A run whose rows carry tail mass sum_j sf(r/|x_j|) <= 1 draws
+    only its hit columns (the third regime, module docstring); a run with
+    more takes normal_products.
+    """
+    x = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    size = np.asarray(counts)
+    k, n = x.shape
+    viol = np.zeros((k, N), dtype=bool)
+    if size.sum() != k:
+        raise DimensionMismatchError(f"run counts sum to {size.sum()}, not to the {k} rows")
+    if not k:
+        return viol
+    start = np.cumsum(size) - size
+    group = np.repeat(np.arange(start.size), size)
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    with np.errstate(divide="ignore"):
+        a = r / norms
+    p = sf_array(a)
+    mass = np.bincount(group, p, minlength=start.size)
+    sparse = mass <= 1.0
+    owner = np.repeat(np.arange(start.size), gen.binomial(N, np.where(sparse, mass, 0.0)))
+    if owner.size:
+        # Runs padded to the longest, so that a candidate meets its own run's
+        # rows only (zero rows violate nothing, as r > 0).
+        slot = np.arange(k) - start[group]
+        width = int(size.max())
+        padded = np.zeros((start.size, width, n))
+        padded[group, slot] = x
+        cum = np.zeros((start.size, width))
+        cum[group, slot] = p
+        np.cumsum(cum, axis=1, out=cum)
+        # Row j of the owner's run with probability p_j / mass: the first
+        # whose cumulative mass passes the draw, so p_j > 0, or the run's last
+        # such row when rounding puts the draw at the total.
+        draw = gen.random(owner.size) * cum[owner, -1]
+        last = (cum < cum[:, -1:]).sum(axis=1)
+        pick = np.minimum((cum[owner] <= draw[:, None]).sum(axis=1), last[owner])
+        row = start[owner] + pick
+        t = normal_tail(a[row], gen)
+        unit = x[row] / norms[row, None]
+        z = gen.standard_normal((owner.size, n))
+        normals = z + (t - np.einsum("ij,ij->i", z, unit))[:, None] * unit
+        accept = gen.random(owner.size)
+        # CANDIDATE_CHUNK row coordinates a pass.
+        hit_rows, hit_of, survivors = [], [], []
+        step = max(1, CANDIDATE_CHUNK // (width * n))
+        for lo in range(0, owner.size, step):
+            cand = np.arange(lo, min(lo + step, owner.size))
+            hit = np.einsum("ckn,cn->ck", padded[owner[cand]], normals[cand]) > r
+            hit[cand - lo, pick[cand]] = True
+            keep = accept[cand] * hit.sum(axis=1) < 1.0
+            which, hit_slot = np.nonzero(hit[keep])
+            hit_rows.append(start[owner[cand[keep]]][which] + hit_slot)
+            hit_of.append(which + sum(c.size for c in survivors))
+            survivors.append(cand[keep])
+        # Distinct uniform columns for each run's kept candidates: a clash
+        # is redrawn until none is left, a law invariant under permuting the
+        # columns and so uniform over the injections.
+        survivors = owner[np.concatenate(survivors)]
+        cols = gen.integers(0, N, survivors.size)
+        while True:
+            again = np.ones(survivors.size, dtype=bool)
+            again[np.unique(survivors * N + cols, return_index=True)[1]] = False
+            if not again.any():
+                break
+            cols[again] = gen.integers(0, N, int(again.sum()))
+        viol[np.concatenate(hit_rows), cols[np.concatenate(hit_of)]] = True
+    for g in np.flatnonzero(~sparse):
+        span = slice(start[g], start[g] + size[g])
+        viol[span] = normal_products(x[span], N, gen) > r
+    return viol
 
 
 def classify(body: NazarovBody, x: np.ndarray) -> PointClass:

@@ -40,8 +40,10 @@ in law, and answers that one batch.
 The rejection counts of the built-in strategies (cell_rejections) run in
 blocks: a map_units unit is up to Cell.block runs of one cell, whose queries
 are one stacked draw (baseline_queries) and whose labels are one stacked
-draw of the family (family_labels), and each run then takes the leaf rule
-(leaf_verdict) that run_one_sided applies.  Block j of a cell draws its
+draw of the family (family_labels), and the leaf rule then decides every
+run (leaf_verdicts: one separation pass over the block, then the exact
+stage run by run; leaf_verdict, which run_one_sided applies, is its one-run
+case).  Block j of a cell draws its
 family from s.child(j).child(0) and its queries from s.child(j).child(1),
 s the cell's stream.  run_one_sided stays the runner of any Strategy, the
 adaptive ones included, and the reference a block's runs are tested against.
@@ -49,6 +51,7 @@ adaptive ones included, and the reference a block's runs are tested against.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -66,6 +69,10 @@ from .rng import RngStream
 HULL_TOL = 1e-8
 # Gilbert steps of the separation pass, per 0-query the centroid leaves.
 FW_STEPS = 8
+# Scores <u, p> that one separation pass of leaf_verdicts holds (4 MB): a
+# block of the benchmark's tester-loop cells takes one pass, and a run of
+# ptf-no at n = 4 and budget 1500 (about 800 x 700) a pass of its own.
+LEAF_SCORES = 1 << 19
 # Major cycles of the minimum-norm-point algorithm per row of the largest
 # active set (min(m, d + 1) rows); past them a hull decision raises SolverError.
 WOLFE_CYCLES = 20
@@ -230,44 +237,91 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
     return bool(residual <= tol * (1.0 + 1e-9))
 
 
-def _outside_mask(zeros, points, tol) -> np.ndarray:
+def _outside_mask(zeros, points, tol, asked=None, support=None) -> np.ndarray:
     """The separation pass: a mask of the rows of `zeros` certainly not
     within tol of the hull of `points`, whose exact decision the leaf skips.
+
+    `zeros` (..., z, d) and `points` (..., m, d) may be stacks with one
+    leading shape, each row of zeros against the hull of its own stack's
+    points.  `asked` masks the rows of zeros to decide (the others stay
+    False) and `support` the rows of points that span the hull; both
+    default to every row.  A row with no support row in its stack is
+    outside.
 
     Each row y keeps a running hull point x and is outside when u = y - x
     separates: <u, y> exceeds max_i <u, p_i> by more than tol * |u|_1, which
     no tol-approximate hull point can, whatever x is.  Iterate 0 is the
-    centroid, tested on the whole (z, d) block; the rows it leaves take up to
-    FW_STEPS Gilbert steps together (E. G. Gilbert, SIAM J. Control, 1966:
-    x moves toward the support row maximising <p, y - x>, with exact line
-    search for the distance to y) and drop out once separated.
+    centroid; the asked rows it leaves take up to FW_STEPS Gilbert steps
+    together (E. G. Gilbert, SIAM J. Control, 1966: x moves toward the
+    support row maximising <p, y - x>, with exact line search for the
+    distance to y) until every one is separated or the steps run out.
     """
-    x = points.mean(axis=0)
+    zeros = np.asarray(zeros, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    shape, (z, d) = zeros.shape[:-1], zeros.shape[-2:]
+    stacked = math.prod(shape[:-1])
+    zeros, points = zeros.reshape(stacked, z, d), points.reshape(stacked, points.shape[-2], d)
+    asked = np.ones(zeros.shape[:2], dtype=bool) if asked is None else np.reshape(asked, zeros.shape[:2])
+    if not points.shape[1]:
+        return asked.reshape(shape)
+    if support is None:
+        centroid, spanned, hidden = points.mean(axis=1), np.ones(stacked, dtype=bool), None
+    else:
+        support = np.reshape(support, points.shape[:2])
+        count = support.sum(axis=1)
+        centroid = np.einsum("sm,smd->sd", support / np.maximum(count, 1)[:, None], points)
+        spanned, hidden = count > 0, None if support.all() else ~support[:, None, :]
+    x = np.broadcast_to(centroid[:, None, :], zeros.shape)
     u = zeros - x
-    scores = u @ points.T
-    margin = np.einsum("ij,ij->i", u, zeros) - scores.max(axis=1)
-    outside = margin > tol * np.abs(u).sum(axis=1)
-    rows = np.flatnonzero(~outside)
-    if not len(rows):
-        return outside
-    u, scores = u[rows], scores[rows]
-    x = np.broadcast_to(x, u.shape)
+    scores = _scores(u, points, hidden)
+    outside = asked & (~spanned[:, None] | _separates(u, zeros, scores, tol))
+    best = scores.argmax(axis=2)
+    # The Gilbert steps run on the rows still asked, packed first in each
+    # stack that has one, the stacks cut to those; a row carries its hull
+    # point and the support row its last scores maximise.
+    stacks, rows, live = np.arange(stacked), np.broadcast_to(np.arange(z), asked.shape), asked & ~outside
     for _ in range(FW_STEPS):
-        step = points[scores.argmax(axis=1)] - x
-        length_sq = np.einsum("ij,ij->i", step, step)
-        gamma = np.einsum("ij,ij->i", u, step) / np.where(length_sq > 0, length_sq, 1.0)
-        x = x + np.clip(gamma, 0.0, 1.0)[:, None] * step
-        y = zeros[rows]
-        u = y - x
-        scores = u @ points.T
-        margin = np.einsum("ij,ij->i", u, y) - scores.max(axis=1)
-        separated = margin > tol * np.abs(u).sum(axis=1)
-        outside[rows[separated]] = True
-        keep = ~separated
-        rows, x, u, scores = rows[keep], x[keep], u[keep], scores[keep]
-        if not len(rows):
+        if not live.any():
             break
-    return outside
+        keep = live.any(axis=1)
+        order = np.argsort(~live, axis=1, kind="stable")[keep, : live.sum(axis=1).max()]
+        stacks = stacks[keep]
+        rows, live, best = (np.take_along_axis(a[keep], order, axis=1) for a in (rows, live, best))
+        x = np.take_along_axis(x[keep], order[..., None], axis=1)
+        hull, mask = points[stacks], None if hidden is None else hidden[stacks]
+        y = np.take_along_axis(zeros[stacks], rows[..., None], axis=1)
+        step = np.take_along_axis(hull, best[..., None], axis=1) - x
+        length_sq = _rowdot(step, step)
+        gamma = _rowdot(y - x, step) / np.where(length_sq > 0, length_sq, 1.0)
+        x = x + np.clip(gamma, 0.0, 1.0)[..., None] * step
+        u = y - x
+        scores = _scores(u, hull, mask)
+        separated = live & _separates(u, y, scores, tol)
+        best = scores.argmax(axis=2)
+        outside[np.broadcast_to(stacks[:, None], rows.shape)[separated], rows[separated]] = True
+        live = live & ~separated
+    return outside.reshape(shape)
+
+
+def _scores(u, points, hidden) -> np.ndarray:
+    """<u, p_i> for each (stacks, rows, d) row of u and (stacks, m, d) row of
+    its stack's points, -inf where `hidden` (None or (stacks, 1, m)) is set."""
+    scores = u @ np.swapaxes(points, 1, 2)
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
+    return scores
+
+
+def _separates(u, y, scores, tol) -> np.ndarray:
+    """The margin test of (stacks, rows, d) rows y along u, given their
+    scores (_scores)."""
+    return _rowdot(u, y) - scores.max(axis=-1) > tol * np.abs(u).sum(axis=-1)
+
+
+def _rowdot(a, b) -> np.ndarray:
+    """<a_i, b_i> for each row of two stacks of rows of one shape."""
+    d = a.shape[-1]
+    return np.einsum("ij,ij->i", a.reshape(-1, d), b.reshape(-1, d)).reshape(a.shape[:-1])
 
 
 def _certified_outside(y, points, tol) -> bool:
@@ -307,18 +361,50 @@ def run_one_sided(
     return leaf_verdict(points, labels), points, labels
 
 
-def leaf_verdict(points: np.ndarray, labels: np.ndarray) -> TesterVerdict:
-    """The one-sided rule at the leaf: each 0-query is tested once against
-    the hull of all the 1-queries, the separation pass first and then the
-    exact stage; the first certificate rejects."""
-    support = points[labels == 1]
-    if len(support):
-        zeros = points[labels == 0]
-        zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
-        for y in zeros:
+def leaf_verdicts(queries: np.ndarray, labels: np.ndarray) -> list[TesterVerdict]:
+    """The one-sided rule at the leaf of each run of a (runs, m, d) stack
+    of queries and their (runs, m) labels: each 0-query is tested once
+    against the hull of its run's 1-queries.  One separation pass covers
+    the runs, each run's 0-queries and 1-queries packed first, or as many
+    runs at a time as keep its scores to LEAF_SCORES; the 0-queries it
+    leaves go to the exact stage run by run, and a run's first certificate
+    rejects it."""
+    hulls, _, spans = packed_rows(queries, labels == 1)
+    zeros, _, asked = packed_rows(queries, labels == 0)
+    step = max(1, LEAF_SCORES // max(1, zeros.shape[1] * hulls.shape[1]))
+    left = asked & ~np.concatenate([
+        _outside_mask(zeros[i : i + step], hulls[i : i + step], HULL_TOL, asked[i : i + step], spans[i : i + step])
+        for i in range(0, len(queries), step)
+    ]).reshape(asked.shape)
+    verdicts = []
+    for hull, span, rows, keep in zip(hulls, spans, zeros, left):
+        verdict, support = TesterVerdict("accept"), hull[span]
+        for y in rows[keep]:
             if (lam := in_convex_hull(y, support, HULL_TOL)) is not None:
-                return TesterVerdict("reject", Certificate(point=y, support=support, coefficients=lam))
-    return TesterVerdict("accept")
+                verdict = TesterVerdict("reject", Certificate(point=y, support=support, coefficients=lam))
+                break
+        verdicts.append(verdict)
+    return verdicts
+
+
+def packed_rows(stack: np.ndarray, mask: np.ndarray):
+    """The rows of a (runs, m, d) stack that a (runs, m) mask selects,
+    packed first in each run in their order, the stack cut to the longest
+    run and zero past each run's rows: the (runs, k, d) rows, their (runs,
+    k) indices in the stack and the (runs, k) mask of the packed rows."""
+    count = mask.sum(axis=1)
+    slot = np.arange(count.max(initial=0)) < count[:, None]
+    order = np.zeros(slot.shape, dtype=np.intp)
+    order[slot] = np.nonzero(mask)[1]
+    rows = stack[np.arange(len(stack))[:, None], order]
+    rows[~slot] = 0.0
+    return rows, order, slot
+
+
+def leaf_verdict(points: np.ndarray, labels: np.ndarray) -> TesterVerdict:
+    """The one-sided rule at the leaf of one run: the one-run case of
+    leaf_verdicts."""
+    return leaf_verdicts(points[None], labels[None])[0]
 
 
 # -- baseline strategies ------------------------------------------------------
@@ -420,8 +506,10 @@ def family_oracle(family: str, n: int, rng: RngStream, c0_hat: float | None = No
 
 # A block, one map_units unit of cell_rejections, holds at most BLOCK_RUNS runs
 # of one cell and at most BLOCK_COORDS query coordinates.  Over the benchmark's
-# tester-loop cells on a 2-core Xeon, the peak RSS above a run-at-a-time pass
-# was 0.6 MB at 2^15 coordinates, 0.1 MB at 2^14 and 10 MB with no cap.
+# tester-loop cells on a 2-core Xeon, with the labels drawn by
+# nazarov.sample_violations and one separation pass per block, the peak RSS
+# above a run-at-a-time pass was 0.4 MB at 2^15 coordinates, 0.0 MB at 2^14
+# and 6.8 MB with no cap; 2^14 made the pass about 10 % slower.
 BLOCK_RUNS = 32
 BLOCK_COORDS = 1 << 15
 
@@ -479,14 +567,14 @@ def run_block(
 
     The queries of every run come from one stacked draw on rng.child(1)
     (baseline_queries), their labels from one stacked draw of the family on
-    rng.child(0), a fresh draw per run (family_labels); each run then takes
-    the leaf rule (leaf_verdict), which is run_one_sided's on that run's
-    queries and labels.  Returns the verdicts, the (runs, m, d) queries and
+    rng.child(0), a fresh draw per run (family_labels); the leaf rule then
+    decides every run (leaf_verdicts), each verdict run_one_sided's on that
+    run's queries and labels.  Returns the verdicts, the (runs, m, d) queries and
     their (runs, m) labels.
     """
     queries = baseline_queries(cell.strategy_kind, cell.budget, cell.ambient_dim, runs, rng.child(1))
     labels = np.asarray(family_labels(cell.family, cell.n, runs, rng.child(0), c0_hat)(queries), dtype=np.int8)
-    return [leaf_verdict(points, ys) for points, ys in zip(queries, labels)], queries, labels
+    return leaf_verdicts(queries, labels), queries, labels
 
 
 def rejections(

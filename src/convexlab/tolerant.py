@@ -30,13 +30,14 @@ that path.  For a fixed query batch, sample_tolerant_views draws a block of
 views in law without the instances, by two exact identities; view-tv draws
 BLOCK views per parallel.map_units unit.  The testers draw a block of views
 of a stack of query sets, one set per trial, the same way.  The frame is
-Haar, so c is gauss.haar_coords,
-sliced the same way, one stack per block on rng.child(0).  The control
-block meets the N x n normals only through nazarov.normal_products, drawn
-trial after trial from one generator on child(1).  P stays N Bernoulli(1/2)
-draws per trial, one (trials, N) uniform draw on child(2).  The trials of a
-block share no draw, so a block of views is exact in law, and a one-view
-block reads its streams as a single view always has.
+Haar, so c is gauss.haar_coords, sliced the same way, one stack per block
+on rng.child(0).  The probed control rows of every trial of the block meet
+their trials' normals in one nazarov.sample_violations call on a generator
+from child(1), which draws only the hit columns of a trial whose tail mass
+allows (at every size the lab runs).  P stays N Bernoulli(1/2) draws per
+trial, one (trials, N) uniform draw on child(2).  The trials of a block
+share no draw, so a block of views is exact in law; TolerantView.stack
+builds them, and TolerantView.of is its one-view case.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .gauss import (
 from .nazarov import (
     NazarovBody,
     default_halfspace_count,
-    normal_products,
     sample_body,
+    sample_violations,
     solve_r,
     unique_multi_hits,
 )
@@ -277,13 +278,11 @@ def sample_tolerant_views(
     coords = haar_coords(queries, rng.child(0), None if sets else trials)
     gen = rng.child(1).generator()
     p_sets = rng.child(2).generator().random((trials, N)) < 0.5
-    batches = queries if sets else [queries] * trials
-    return [
-        TolerantView.of(
-            n, c2, batch, c[:, 1:], c[:, 0], lambda xc: normal_products(xc, N, gen) > r, p_set
-        )
-        for batch, c, p_set in zip(batches, coords, p_sets)
-    ]
+    batches = queries if sets else np.broadcast_to(queries, (trials,) + queries.shape)
+    return TolerantView.stack(
+        n, c2, batches, coords[..., 1:], coords[..., 0],
+        lambda xc, counts: sample_violations(xc, counts, N, r, gen), p_sets,
+    )
 
 
 # -- labeling -----------------------------------------------------------------
@@ -322,13 +321,40 @@ class TolerantView:
     ) -> TolerantView:
         """The view of `points` from their control coordinates `xc`, action
         coordinates and `violated`, which maps k control rows to their (k, N)
-        violation matrix."""
-        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        xc_norm = np.sqrt(np.einsum("ij,ij->i", xc, xc))
+        violation matrix: the one-view case of stack."""
+        return cls.stack(
+            n, c2, points[None], xc[None], action[None], lambda rows, _: violated(rows), p_set[None]
+        )[0]
+
+    @classmethod
+    def stack(
+        cls,
+        n: int,
+        c2: float,
+        points: np.ndarray,
+        xc: np.ndarray,
+        action: np.ndarray,
+        violated: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        p_sets: np.ndarray,
+    ) -> list[TolerantView]:
+        """The views of a (views, m, n + 1) stack of batches, batch t in
+        draw t, from the stacked coordinates and P sets of the draws.
+        `violated` maps k control rows, view after view, and the number of
+        each view's rows to their (k, N) violation matrix, a row against its
+        view's halfspaces; it is called once, on the probed rows of every
+        view."""
+        norms = np.sqrt(np.einsum("tij,tij->ti", points, points))
+        xc_norm = np.sqrt(np.einsum("tij,tij->ti", xc, xc))
         lo, hi = shell_interval(n, c2)
-        probed = np.nonzero((norms >= lo) & (norms <= hi) & (xc_norm <= math.sqrt(n)))[0]
-        viol = violated(xc[probed]) if probed.size else np.zeros((0, p_set.size), dtype=bool)
-        return cls(n, c2, norms, xc_norm, action, probed, viol, p_set)
+        probed = (norms >= lo) & (norms <= hi) & (xc_norm <= math.sqrt(n))
+        view, row = np.nonzero(probed)
+        counts = probed.sum(axis=1)
+        viol = violated(xc[view, row], counts) if row.size else np.zeros((0, p_sets.shape[1]), dtype=bool)
+        bounds = np.cumsum(counts)[:-1]
+        return [
+            cls(n, c2, norms[t], xc_norm[t], action[t], probed, hits, p_sets[t])
+            for t, (probed, hits) in enumerate(zip(np.split(row, bounds), np.split(viol, bounds)))
+        ]
 
     def __post_init__(self):
         object.__setattr__(self, "codes", self._codes())
@@ -424,8 +450,9 @@ def view_experiment(
     q = queries.shape[0]
     if q > 20:
         raise DomainError("response-vector state space limited to 20 queries")
+    N = _constants(n, N_override, c0_hat)[0]
     report = ExperimentReport(
-        "view-tv", {"n": n, "q": q, "trials": trials}, rng.seed
+        "view-tv", {"n": n, "N": N, "q": q, "trials": trials}, rng.seed
     )
     blocks = map_units(
         _view_block, -(-trials // BLOCK), rng, trials, queries, n, N_override, c0_hat

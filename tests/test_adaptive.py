@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import homogeneity_pvalue
 from convexlab.adaptive import (
     AdaptiveInstance,
     convexified_oracle,
@@ -11,6 +12,7 @@ from convexlab.adaptive import (
     eval_adaptive_batch,
     event_rate_experiment,
     sample_adaptive_instance,
+    sample_adaptive_labels,
     sample_violating_triple,
     strip_crossing_experiment,
     strip_halfwidth,
@@ -152,6 +154,49 @@ class TestLabelRule:
         x = eye[:1] * math.sqrt(n)
         assert float(x[0] @ x[0]) > n
         assert inst.labels(x).tolist() == convexified_oracle(inst).labels(x).tolist() == [1]
+
+
+def _rows_at(radii, d, gen) -> np.ndarray:
+    dirs = gen.standard_normal((len(radii), d))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * np.asarray(radii)[:, None]
+
+
+class TestInBallPacking:
+    """sample_adaptive_labels gives frame coordinates only to the rows
+    inside Ball(sqrt(2n)), packed first in each run, the stack zero-padded
+    to the run with the most."""
+
+    def test_block_mostly_outside_the_ball_matches_materialized(self):
+        # Two fixed rows inside the ball among eight; run t adds t % 3 more
+        # in-ball rows, so the runs pad to different widths, and the rest
+        # lie outside.  The fixed rows' labels against materialized
+        # instances, two-sample.
+        n, d, runs, block = 8, 16, 2048, 32
+        gen = RngStream(335).generator()
+        root = math.sqrt(d)
+        fixed = _rows_at([0.5 * root, 0.8 * root], d, gen)
+        stacks, where = [], []
+        for t in range(runs):
+            rows = np.vstack([fixed, _rows_at([0.7 * root] * (t % 3) + [1.3 * root] * (6 - t % 3), d, gen)])
+            order = gen.permutation(8)
+            stacks.append(rows[order])
+            where.append(np.argsort(order)[:2])
+        stacks = np.array(stacks)
+        outside = np.einsum("tij,tij->ti", stacks, stacks) > d
+        lazy = np.vstack([
+            sample_adaptive_labels(stacks[b : b + block], n, RngStream(336, b)) for b in range(0, runs, block)
+        ])
+        assert outside.mean() > 0.6 and not lazy[outside].any()
+        lazy_keys = [tuple(labels[w]) for labels, w in zip(lazy, where)]
+        dense_keys = [tuple(sample_adaptive_instance(n, None, RngStream(337, t)).labels(fixed)) for t in range(runs)]
+        assert len(set(dense_keys)) >= 3
+        assert homogeneity_pvalue(lazy_keys, dense_keys) > 1e-3
+
+    def test_block_with_no_row_inside_the_ball(self):
+        gen = RngStream(338).generator()
+        stack = np.array([_rows_at([1.2 * math.sqrt(16)] * 5, 16, gen) for _ in range(4)])
+        labels = sample_adaptive_labels(stack, 8, RngStream(339))
+        assert labels.shape == (4, 5) and labels.dtype == np.int8 and not labels.any()
 
 
 class TestViolatingTriples:

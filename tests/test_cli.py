@@ -94,8 +94,7 @@ def test_every_experiment_runs_with_scipy_blocked():
 
 
 # Each experiment at small sizes: exactly the size fields it reads, and the
-# overrides it needs to run.  view-tv records no N in its parameters, and at
-# 40 trials no query meets a flap, so N shows in its body only at 500.
+# overrides it needs to run.
 SMALL = {
     "verify-tail-bounds": (dict(n=16, trials=10_000), {}),
     "r-estimate": (dict(n=16, N=32), {}),
@@ -110,7 +109,7 @@ SMALL = {
     "distance-lb": (dict(n=16, N=32, trials=100_000), {}),
     "detect-events": (dict(n=16, q=3, trials=20), {}),
     "strip-crossing": (dict(n=16, q=4, trials=3000), {}),
-    "view-tv": (dict(n=32, N=128, q=5, trials=500), {"c0_hat": 0.35}),
+    "view-tv": (dict(n=32, N=128, q=5, trials=40), {"c0_hat": 0.35}),
     "eps-gap": (dict(n=16, N=32, trials=50), {"c0_hat": 0.35}),
     "xy-pair": (dict(n=64, trials=500), {"c0_hat": 0.35}),
     "bivariate-tail": (dict(trials=10_000), {}),

@@ -10,6 +10,7 @@ from convexlab.errors import DimensionMismatchError, DomainError
 from convexlab.gauss import (
     Frame,
     haar_coords,
+    normal_tail,
     sample_haar_frame,
     sf_array,
     sphere_coords,
@@ -282,6 +283,25 @@ class TestQuantile:
         x = std_normal_isf(q)
         assert abs(std_normal_sf(x) - q) <= 1e-12 * q + 1e-300
         assert 11.0 < x < 12.5
+
+
+class TestNormalTail:
+    """Marsaglia's tail draw (and plain rejection below its switch) against
+    the exact truncated normal."""
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 5.0])
+    def test_matches_the_truncated_normal(self, a):
+        from scipy import stats
+
+        draws = normal_tail(np.full(20_000, a), RngStream(445, int(10 * a)).generator())
+        assert draws.min() > a
+        assert stats.kstest(draws, stats.truncnorm(a, np.inf).cdf).pvalue > 1e-3
+
+    def test_mixed_thresholds_keep_their_shape(self):
+        a = np.array([[0.1, 0.59], [0.6, 7.0], [30.0, 2.0]])
+        draws = normal_tail(a, RngStream(446).generator())
+        assert draws.shape == a.shape and (draws > a).all()
+        assert normal_tail(np.empty(0), RngStream(446).generator()).shape == (0,)
 
 
 class TestFrame:

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import bisect_quantile, two_proportion_z
+from conftest import bisect_quantile, homogeneity_pvalue, two_proportion_z
 from convexlab import experiments, nazarov, parallel
 from convexlab.errors import DimensionMismatchError, DomainError, ResourceLimitError
 from convexlab.experiments import ExperimentConfig, run_experiment
@@ -23,6 +24,7 @@ from convexlab.nazarov import (
     pointwise_flap_dogear_check,
     check_r_estimate,
     sample_body,
+    sample_violations,
     solve_r,
     solve_r_half,
     unique_multi_hits,
@@ -381,6 +383,81 @@ class TestNormalProducts:
         first = normal_products(self.BLOCK, 16, RngStream(79).generator())
         again = normal_products(self.BLOCK, 16, RngStream(79).generator())
         assert first.tobytes() == again.tobytes()
+
+
+# Four rows of R^3 at distinct norms, the first two 0.3 rad apart, so that
+# a fresh normal often violates both and a candidate's 1/c matters.
+VIOLATION_ROWS = np.array(
+    [[2.0, 0.0, 0.0], [2.2 * math.cos(0.3), 2.2 * math.sin(0.3), 0.0], [0.0, 0.0, 1.6], [-1.2, 1.5, 0.4]]
+)
+VIOLATION_RUNS = 20_000
+# (N, r): tail masses sum_j sf(r/|x_j|) of 0.36 and 0.60, drawn sparse, and
+# of 1.06, drawn by normal_products.
+VIOLATION_CASES = [(4, 2.6), (16, 2.0), (3, 1.2)]
+
+
+def _violation_statistics(viol: np.ndarray) -> list:
+    """Per (runs, k, N) stack: each row's violation count capped at 2, each
+    row pair's shared-column flag, and whether row 0 of runs 2t and 2t + 1
+    share a column (independent bodies)."""
+    k = viol.shape[1]
+    counts = np.minimum(viol.sum(axis=2), 2)
+    shared = [(viol[:, i] & viol[:, j]).any(axis=1) for i, j in combinations(range(k), 2)]
+    across = (viol[0::2, 0] & viol[1::2, 0]).any(axis=1)
+    return [c.tolist() for c in counts.T] + [f.tolist() for f in shared] + [across.tolist()]
+
+
+@pytest.fixture(scope="module", params=VIOLATION_CASES, ids=lambda case: f"N{case[0]}-r{case[1]}")
+def violation_draws(request):
+    """One block of VIOLATION_RUNS runs of VIOLATION_ROWS through
+    sample_violations, and as many normal_products draws, one per run."""
+    N, r = request.param
+    k = len(VIOLATION_ROWS)
+    block = sample_violations(
+        np.tile(VIOLATION_ROWS, (VIOLATION_RUNS, 1)), np.full(VIOLATION_RUNS, k), N, r, RngStream(447, N).generator()
+    ).reshape(VIOLATION_RUNS, k, N)
+    gen = RngStream(448, N).generator()
+    dense = np.array([normal_products(VIOLATION_ROWS, N, gen) > r for _ in range(VIOLATION_RUNS)])
+    return N, r, block, dense
+
+
+class TestSampleViolations:
+    """A block's violations: hit columns only (the tail mass at most 1) or
+    normal_products, pinned against normal_products > r."""
+
+    def test_statistics_match_normal_products(self, violation_draws):
+        _, _, block, dense = violation_draws
+        for index, (lazy, reference) in enumerate(zip(_violation_statistics(block), _violation_statistics(dense))):
+            assert homogeneity_pvalue(lazy, reference) > 1e-3, index
+
+    def test_hit_columns_are_uniform(self, violation_draws):
+        from scipy import stats
+
+        N, _, block, _ = violation_draws
+        hits = np.bincount(np.nonzero(block.any(axis=1))[1], minlength=N)
+        assert hits.min() > 0 and stats.chisquare(hits).pvalue > 1e-3
+
+    def test_branch_follows_the_tail_mass(self, monkeypatch):
+        calls = []
+        original = nazarov.normal_products
+        monkeypatch.setattr(nazarov, "normal_products", lambda *a: calls.append(1) or original(*a))
+        counts = np.full(3, len(VIOLATION_ROWS))
+        for N, r in VIOLATION_CASES:
+            mass = nazarov.sf_array(r / np.linalg.norm(VIOLATION_ROWS, axis=1)).sum()
+            calls.clear()
+            sample_violations(np.tile(VIOLATION_ROWS, (3, 1)), counts, N, r, RngStream(449).generator())
+            assert len(calls) == (3 if mass > 1.0 else 0), (N, r)
+
+    def test_runs_of_any_size(self):
+        # Runs of 0, 2 and 1 rows: the empty run takes no row, and the
+        # counts must cover the rows.
+        gen = RngStream(451).generator()
+        rows = 0.5 * VIOLATION_ROWS[:3]
+        viol = sample_violations(rows, np.array([0, 2, 1]), 16, 2.0, gen)
+        assert viol.shape == (3, 16) and viol.dtype == bool
+        with pytest.raises(DimensionMismatchError):
+            sample_violations(rows, np.array([1, 1]), 16, 2.0, gen)
+        assert sample_violations(np.empty((0, 3)), np.zeros(2, int), 16, 2.0, gen).shape == (0, 16)
 
 
 class TestUniqueVolume:

@@ -27,6 +27,8 @@ from convexlab.testers import (
     family_labels,
     family_oracle,
     in_convex_hull,
+    leaf_verdicts,
+    packed_rows,
     rate_report,
     rejections,
     run_block,
@@ -730,13 +732,13 @@ class TestRejectionRate:
     def test_cells_draw_the_streams_of_their_paths(self):
         rng = RngStream(75)
         cells = [
-            Cell("line-segment", "adaptive", 4, 60, 30, (0, 1)),
+            Cell("line-segment", "adaptive", 4, 60, 60, (0, 1)),  # two blocks
             Cell("hull-sampling", "ball", 4, 12, 0, (2,)),
             Cell("line-segment", "adaptive", 4, 60, 25, (3,)),
             Cell("hull-sampling", "adaptive", 4, 60, 20),
         ]
         expected = [
-            rejections("line-segment", "adaptive", 4, 60, 30, rng.child(0).child(1)),
+            rejections("line-segment", "adaptive", 4, 60, 60, rng.child(0).child(1)),
             0,
             rejections("line-segment", "adaptive", 4, 60, 25, rng.child(3)),
             rejections("hull-sampling", "adaptive", 4, 60, 20, rng),
@@ -872,6 +874,69 @@ class TestBlocks:
         assert all(count > 0 for count in expected)
 
 
+def _run_by_run_verdict(points, labels) -> str:
+    """The leaf rule with a separation pass of this run alone: its 0-queries
+    against the hull of its 1-queries, then the exact stage."""
+    support = points[labels == 1]
+    if not len(support):
+        return "accept"
+    zeros = points[labels == 0]
+    zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
+    return "reject" if any(in_convex_hull(y, support) is not None for y in zeros) else "accept"
+
+
+class TestBlockLeaf:
+    """leaf_verdicts: one separation pass over a stack of runs, then the
+    exact stage run by run."""
+
+    @pytest.mark.parametrize(
+        "family, n", [(family, n) for family in dict.fromkeys(INSTANCE_FAMILIES + CONVEX_FAMILIES) for n in (4, 8)]
+    )
+    def test_each_verdict_is_the_runs_own(self, monkeypatch, family, n):
+        # A block of a cell, a run with no 1-query and a run with no 0-query.
+        cell = Cell("line-segment", family, n, 60, 30)
+        _, queries, labels = run_block(cell, cell.trials, RngStream(928, n), 0.35)
+        queries = np.concatenate([queries, queries[:2]])
+        labels = np.concatenate([labels, np.zeros_like(labels[:1]), np.ones_like(labels[:1])])
+        calls = []
+        original = testers.in_convex_hull
+        monkeypatch.setattr(testers, "in_convex_hull", lambda *a: calls.append(1) or original(*a))
+        verdicts = leaf_verdicts(queries, labels)
+        for verdict, points, ys in zip(verdicts, queries, labels):
+            oracle = BatchOracle(cell.ambient_dim, lambda pts, ys=ys: ys)
+            reference = run_one_sided(_batches(points), oracle, cell.budget)[0]
+            assert verdict.outcome == reference.outcome == _run_by_run_verdict(points, ys)
+            if verdict.certificate is not None:
+                for field in ("point", "support", "coefficients"):
+                    np.testing.assert_array_equal(getattr(verdict.certificate, field), getattr(reference.certificate, field))
+        assert verdicts[-2].outcome == verdicts[-1].outcome == "accept"
+        # The stacked pass marks the rows each run's own pass marks.
+        hulls, _, spans = packed_rows(queries, labels == 1)
+        zeros, _, asked = packed_rows(queries, labels == 0)
+        stacked = _outside_mask(zeros, hulls, HULL_TOL, asked, spans)
+        for points, ys, marks, rows in zip(queries, labels, stacked, asked):
+            own = _outside_mask(points[ys == 0], points[ys == 1], HULL_TOL) if (ys == 1).any() else True
+            np.testing.assert_array_equal(marks[rows], own)
+        if family == "adaptive":
+            assert calls  # some 0-queries reach the exact stage
+
+    def test_edge_runs(self, monkeypatch):
+        # Four runs of the unit square's corners and one more row: its
+        # centre labelled 0 (the exact stage rejects), every row labelled 0,
+        # every row labelled 1, and a far 0-row the pass separates.
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        queries = np.stack([np.vstack([square, extra]) for extra in ([0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [5.0, 5.0])])
+        labels = np.array([[1, 1, 1, 1, 0], [0] * 5, [1] * 5, [1, 1, 1, 1, 0]], dtype=np.int8)
+        asked = []
+        original = testers.in_convex_hull
+        monkeypatch.setattr(testers, "in_convex_hull", lambda y, *a: asked.append(tuple(y)) or original(y, *a))
+        verdicts = leaf_verdicts(queries, labels)
+        assert [v.outcome for v in verdicts] == ["reject", "accept", "accept", "accept"]
+        assert asked == [(0.5, 0.5)]
+        np.testing.assert_array_equal(verdicts[0].certificate.support, square)
+        assert [v.outcome for v in leaf_verdicts(np.empty((2, 0, 3)), np.empty((2, 0), np.int8))] == ["accept"] * 2
+
+
 # Materialized draws of each instance family: the reference for its view oracle.
 MATERIALIZED = {
     "adaptive": lambda n, rng: adaptive.sample_adaptive_instance(n, None, rng),
@@ -920,6 +985,27 @@ class TestViewOracles:
             inst = adaptive.sample_adaptive_instance(4, None, RngStream(914, 2 * t))
             strategy = baseline_strategy("line-segment", 60, 8, RngStream(914, 2 * t + 1))
             dense += run_one_sided(strategy, inst, 60)[0].outcome == "reject"
+        assert lazy > 0 and dense > 0
+        assert abs(two_proportion_z(lazy, trials, dense, trials)) < 3.29
+
+    def test_sparse_rejections_match_materialized(self, monkeypatch):
+        # At n = 8 and budget 30 almost every run's tail mass is at most 1
+        # (all 600 here), so each run's body shows only its hit columns: no
+        # normal_products draw.
+        monkeypatch.setenv("CONVEXLAB_WORKERS", "1")
+
+        def dense_draw(*args):
+            raise AssertionError("a run drew normal_products")
+
+        trials = 600
+        with monkeypatch.context() as patch:
+            patch.setattr(nazarov, "normal_products", dense_draw)
+            lazy = rejections("line-segment", "adaptive", 8, 30, trials, RngStream(926))
+        dense = 0
+        for t in range(trials):
+            inst = adaptive.sample_adaptive_instance(8, None, RngStream(927, 2 * t))
+            strategy = baseline_strategy("line-segment", 30, 16, RngStream(927, 2 * t + 1))
+            dense += run_one_sided(strategy, inst, 30)[0].outcome == "reject"
         assert lazy > 0 and dense > 0
         assert abs(two_proportion_z(lazy, trials, dense, trials)) < 3.29
 
