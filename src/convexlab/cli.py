@@ -10,12 +10,34 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .errors import LabError
 from .experiments import FORMATS, REGISTRY, ExperimentConfig, run_experiment
 from .report import fmt12
 from .storage import KINDS, load_calibration, load_instance, save_instance
+
+
+# The numerals the text inputs accept.  int() and float() also read
+# underscores, blanks around the digits, a leading '+' and non-ASCII digits,
+# which would turn a mistyped value into some other number.  inf and nan
+# read as numbers, so that the config's finite checks name the field.
+_NUMBER = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?(inf|infinity|nan)", re.IGNORECASE)
+
+
+def integer(text: str) -> int:
+    """An integer option: an optional '-' followed by ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def number(text: str) -> float:
+    """A numeric option: an ASCII decimal or scientific numeral."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     make = sub.add_parser("make-instance", help="sample an instance and write it to disk")
     make.add_argument("--kind", required=True, choices=tuple(KINDS))
-    make.add_argument("--n", type=int, required=True)
-    make.add_argument("--N", type=int, default=None)
-    make.add_argument("--seed", type=int, required=True)
+    make.add_argument("--n", type=integer, required=True)
+    make.add_argument("--N", type=integer, default=None)
+    make.add_argument("--seed", type=integer, required=True)
     make.add_argument("--out", required=True)
     make.add_argument("--explicit", action="store_true", help="embed arrays, not just the seed")
     make.add_argument("--flavor", default="no", choices=("yes", "no"), help="ptf only")
-    make.add_argument("--l", type=int, default=3, help="ptf only")
-    make.add_argument("--c0-hat", type=float, default=None, help="tolerant only")
+    make.add_argument("--l", type=integer, default=3, help="ptf only")
+    make.add_argument("--c0-hat", type=number, default=None, help="tolerant only")
     make.add_argument("--calibration", default=None, help="tolerant only")
     make.set_defaults(handler=_cmd_make_instance)
 
@@ -60,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_args(run: argparse.ArgumentParser):
-    run.add_argument("--seed", type=int, required=True, help="mandatory; no wall-clock default")
-    run.add_argument("--n", type=int, default=None)
-    run.add_argument("--N", type=int, default=None)
-    run.add_argument("--q", type=int, default=None)
-    run.add_argument("--trials", type=int, default=None)
+    run.add_argument("--seed", type=integer, required=True, help="mandatory; no wall-clock default")
+    run.add_argument("--n", type=integer, default=None)
+    run.add_argument("--N", type=integer, default=None)
+    run.add_argument("--q", type=integer, default=None)
+    run.add_argument("--trials", type=integer, default=None)
     run.add_argument("--out", default=None, help="write the report to this path")
     run.add_argument("--format", dest="fmt", default="json", choices=FORMATS)
     run.add_argument("--calibration", default=None, help="calibration record path")
@@ -85,7 +107,7 @@ def _parse_overrides(pairs) -> dict:
             raise LabError(f"override {pair!r} is not of the form key=value")
         key, _, raw = pair.partition("=")
         try:
-            overrides[key.strip()] = float(raw)
+            overrides[key.strip()] = number(raw)
         except ValueError:
             raise LabError(f"override value {raw!r} is not a number") from None
     return overrides

@@ -16,7 +16,8 @@ rng.child(i).child(0), ...),
 results come back in unit order, and cross-unit aggregation is plain
 summation, so the numbers an experiment reports never depend on how many
 workers ran it.  Worker count comes only from the CONVEXLAB_WORKERS
-environment variable, which must be a positive integer when set.
+environment variable, which must be a positive integer in ASCII digits when
+set.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ ENV_WORKERS = "CONVEXLAB_WORKERS"
 
 def worker_count() -> int:
     raw = os.environ.get(ENV_WORKERS, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
+    # ASCII digits only: int() would also read blanks, '+', '_' and other scripts' digits.
+    count = int(raw) if raw.isascii() and raw.isdigit() else 0
     if count < 1:
         raise DomainError(f"{ENV_WORKERS} must be a positive integer, got {raw!r}")
     return count

@@ -28,32 +28,32 @@ array of rows to an int8 array of m labels in {0, 1} and raises
 DimensionMismatchError on rows of another dimension.  The instance families
 implement it themselves (AdaptiveInstance, PTFInstance, NazarovBody, and the
 `yes` / `no` realizations of a TolerantInstance); any other oracle is a
-BatchOracle built from a rule on checked rows.  `family_labels` draws the
-families a tester runs against, the instance families and the convex
-families that soundness checks, a stack of independent members at a time,
-and labels a stack of batches, one per member; `family_oracle` is its
-one-run case.  It answers for an instance family with a ViewOracle: the
-labels of a fixed batch depend on an instance only through that batch's
-view, so the oracle draws the view of the batch it is asked about, exactly
-in law, and answers that one batch.
+BatchOracle built from a rule on checked rows.  run_one_sided runs any
+Strategy against any Oracle, the adaptive strategies included.
+
+The families the built-in strategies run against, the instance families and
+the convex families that soundness checks, are drawn by `family_labels`, a
+stack of independent members at a time, which labels a stack of batches,
+one per member.  An instance family draws, when asked, only the views of the
+stack it is asked about: the labels of a fixed batch depend on an instance
+only through that batch's view, so the draw is exact in law and answers
+that one stack.
 
 The rejection counts of the built-in strategies (cell_rejections) run in
 blocks: a map_units unit is up to Cell.block runs of one cell, whose queries
 are one stacked draw (baseline_queries) and whose labels are one stacked
 draw of the family (family_labels), and the leaf rule then decides every
 run (leaf_verdicts: one separation pass over the block, then the exact
-stage run by run; leaf_verdict, which run_one_sided applies, is its one-run
-case).  Block j of a cell draws its
-family from s.child(j).child(0) and its queries from s.child(j).child(1),
-s the cell's stream.  run_one_sided stays the runner of any Strategy, the
-adaptive ones included, and the reference a block's runs are tested against.
+stage run by run).  Block j of a cell draws its family from
+s.child(j).child(0) and its queries from s.child(j).child(1), s the cell's
+stream.  run_one_sided applies the same leaf rule to its one run, and is
+the reference a block's runs are tested against.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Protocol
 
@@ -97,28 +97,6 @@ class BatchOracle:
         if points.shape[1] != self.ambient_dim:
             raise DimensionMismatchError(f"points must have dimension {self.ambient_dim}")
         return np.asarray(self.rule(points)).astype(np.int8)
-
-
-@dataclass
-class ViewOracle:
-    """An Oracle that answers one batch, from that batch's view of a fresh draw.
-
-    `view` maps checked (m, ambient_dim) rows to their m labels in one draw
-    of a family, drawn without the draw itself.  A later batch would need
-    the view conditioned on the answers already given, so a second labels
-    call raises DomainError.
-    """
-
-    ambient_dim: int
-    view: Callable[[np.ndarray], np.ndarray]
-    answered: bool = field(default=False, init=False)
-
-    def labels(self, points: np.ndarray) -> np.ndarray:
-        if self.answered:
-            raise DomainError("a view oracle answers one batch; a later batch needs the view conditioned on it")
-        labels = BatchOracle(self.ambient_dim, self.view).labels(points)
-        self.answered = True
-        return labels
 
 
 # A strategy maps the (m, d) rows asked so far and their int8 labels, as the
@@ -237,16 +215,16 @@ def certificate_valid(y, points, lam, tol: float = HULL_TOL) -> bool:
     return bool(residual <= tol * (1.0 + 1e-9))
 
 
-def _outside_mask(zeros, points, tol, asked=None, support=None) -> np.ndarray:
-    """The separation pass: a mask of the rows of `zeros` certainly not
-    within tol of the hull of `points`, whose exact decision the leaf skips.
+def _outside_mask(zeros, points, tol, asked, support) -> np.ndarray:
+    """The separation pass: a (stacks, z) mask of the rows of `zeros`
+    certainly not within tol of the hull of `points`, whose exact decision
+    the leaf skips.
 
-    `zeros` (..., z, d) and `points` (..., m, d) may be stacks with one
-    leading shape, each row of zeros against the hull of its own stack's
-    points.  `asked` masks the rows of zeros to decide (the others stay
-    False) and `support` the rows of points that span the hull; both
-    default to every row.  A row with no support row in its stack is
-    outside.
+    `zeros` (stacks, z, d) and `points` (stacks, m, d) are stacks, each row
+    of zeros against the hull of its own stack's points.  The (stacks, z)
+    mask `asked` selects the rows of zeros to decide (the others stay False)
+    and the (stacks, m) mask `support` the rows of points that span the
+    hull.  A row with no support row in its stack is outside.
 
     Each row y keeps a running hull point x and is outside when u = y - x
     separates: <u, y> exceeds max_i <u, p_i> by more than tol * |u|_1, which
@@ -256,21 +234,12 @@ def _outside_mask(zeros, points, tol, asked=None, support=None) -> np.ndarray:
     support row maximising <p, y - x>, with exact line search for the
     distance to y) until every one is separated or the steps run out.
     """
-    zeros = np.asarray(zeros, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    shape, (z, d) = zeros.shape[:-1], zeros.shape[-2:]
-    stacked = math.prod(shape[:-1])
-    zeros, points = zeros.reshape(stacked, z, d), points.reshape(stacked, points.shape[-2], d)
-    asked = np.ones(zeros.shape[:2], dtype=bool) if asked is None else np.reshape(asked, zeros.shape[:2])
+    stacked, z = asked.shape
     if not points.shape[1]:
-        return asked.reshape(shape)
-    if support is None:
-        centroid, spanned, hidden = points.mean(axis=1), np.ones(stacked, dtype=bool), None
-    else:
-        support = np.reshape(support, points.shape[:2])
-        count = support.sum(axis=1)
-        centroid = np.einsum("sm,smd->sd", support / np.maximum(count, 1)[:, None], points)
-        spanned, hidden = count > 0, None if support.all() else ~support[:, None, :]
+        return asked
+    count = support.sum(axis=1)
+    centroid = np.einsum("sm,smd->sd", support / np.maximum(count, 1)[:, None], points)
+    spanned, hidden = count > 0, None if support.all() else ~support[:, None, :]
     x = np.broadcast_to(centroid[:, None, :], zeros.shape)
     u = zeros - x
     scores = _scores(u, points, hidden)
@@ -300,7 +269,7 @@ def _outside_mask(zeros, points, tol, asked=None, support=None) -> np.ndarray:
         best = scores.argmax(axis=2)
         outside[np.broadcast_to(stacks[:, None], rows.shape)[separated], rows[separated]] = True
         live = live & ~separated
-    return outside.reshape(shape)
+    return outside
 
 
 def _scores(u, points, hidden) -> np.ndarray:
@@ -325,9 +294,11 @@ def _rowdot(a, b) -> np.ndarray:
 
 
 def _certified_outside(y, points, tol) -> bool:
-    """_outside_mask of the single row y: the per-query form that
-    perfbench's tracer wraps by name."""
-    return bool(_outside_mask(y[None, :], points, tol)[0])
+    """_outside_mask of the single row y against the hull of every row of
+    `points`: the per-query form that perfbench's tracer wraps by name."""
+    y, points = np.asarray(y, dtype=np.float64), np.asarray(points, dtype=np.float64)
+    every = np.ones((1, len(points)), dtype=bool)
+    return bool(_outside_mask(y[None, None], points[None], tol, np.ones((1, 1), dtype=bool), every)[0, 0])
 
 
 def run_one_sided(
@@ -337,7 +308,7 @@ def run_one_sided(
 
     The strategy is asked for one batch at a time, given the rows and labels
     so far; each batch is checked against the budget q and the oracle's
-    dimension, then labelled in one oracle call.  At the leaf, leaf_verdict
+    dimension, then labelled in one oracle call.  At the leaf, leaf_verdicts
     tests each 0-query once against the hull of all the 1-queries; the first
     certificate rejects.  By monotonicity this is the verdict of checking
     after every query.  Returns the verdict, the (m, d) queries and their
@@ -358,7 +329,7 @@ def run_one_sided(
             raise DomainError("tester produced a non-finite query")
         points = np.concatenate([points, batch])
         labels = np.concatenate([labels, oracle.labels(batch)])
-    return leaf_verdict(points, labels), points, labels
+    return leaf_verdicts(points[None], labels[None])[0], points, labels
 
 
 def leaf_verdicts(queries: np.ndarray, labels: np.ndarray) -> list[TesterVerdict]:
@@ -375,7 +346,7 @@ def leaf_verdicts(queries: np.ndarray, labels: np.ndarray) -> list[TesterVerdict
     left = asked & ~np.concatenate([
         _outside_mask(zeros[i : i + step], hulls[i : i + step], HULL_TOL, asked[i : i + step], spans[i : i + step])
         for i in range(0, len(queries), step)
-    ]).reshape(asked.shape)
+    ])
     verdicts = []
     for hull, span, rows, keep in zip(hulls, spans, zeros, left):
         verdict, support = TesterVerdict("accept"), hull[span]
@@ -401,12 +372,6 @@ def packed_rows(stack: np.ndarray, mask: np.ndarray):
     return rows, order, slot
 
 
-def leaf_verdict(points: np.ndarray, labels: np.ndarray) -> TesterVerdict:
-    """The one-sided rule at the leaf of one run: the one-run case of
-    leaf_verdicts."""
-    return leaf_verdicts(points[None], labels[None])[0]
-
-
 # -- baseline strategies ------------------------------------------------------
 
 
@@ -428,13 +393,6 @@ def baseline_queries(kind: str, budget: int, d: int, runs: int, rng: RngStream) 
             raise DomainError("hull-sampling strategy needs a budget of at least 1")
         return rng.generator().standard_normal((runs, budget, d))
     raise DomainError(f"unknown strategy kind {kind!r}")
-
-
-def baseline_strategy(kind: str, budget: int, d: int, rng: RngStream) -> Strategy:
-    """A built-in strategy: the queries of one run (baseline_queries), drawn
-    in advance and asked as one batch, whatever the answers."""
-    queries = baseline_queries(kind, budget, d, 1, rng)[0]
-    return lambda points, labels: None if len(points) else queries
 
 
 STRATEGY_KINDS = ("line-segment", "hull-sampling")
@@ -489,19 +447,6 @@ def family_labels(
         frames = haar_frames(n, n, runs, rng.child(1))  # columns: the frame vectors
         return lambda pts: ((pts @ frames) ** 2 * axes[:, None, :]).sum(axis=2) <= n
     raise DomainError(f"unknown instance family {family!r}")
-
-
-def family_oracle(family: str, n: int, rng: RngStream, c0_hat: float | None = None) -> Oracle:
-    """One draw of a named family, as the oracle the tester queries: the
-    one-run case of family_labels.
-
-    An instance family answers one batch, from that batch's view in an
-    instance drawn from rng (ViewOracle); a convex family answers any number
-    of batches (BatchOracle).
-    """
-    rule = family_labels(family, n, 1, rng, c0_hat)
-    oracle = ViewOracle if family in INSTANCE_FAMILIES else BatchOracle
-    return oracle(ambient_dim(family, n), lambda pts: rule(pts[None])[0])
 
 
 # A block, one map_units unit of cell_rejections, holds at most BLOCK_RUNS runs

@@ -36,8 +36,8 @@ their trials' normals in one nazarov.sample_violations call on a generator
 from child(1), which draws only the hit columns of a trial whose tail mass
 allows (at every size the lab runs).  P stays N Bernoulli(1/2) draws per
 trial, one (trials, N) uniform draw on child(2).  The trials of a block
-share no draw, so a block of views is exact in law; TolerantView.stack
-builds them, and TolerantView.of is its one-view case.
+share no draw, so a block of views is exact in law.  TolerantView.stack
+builds every view, a block of them or an instance's one (inst.view).
 """
 
 from __future__ import annotations
@@ -212,10 +212,11 @@ class TolerantInstance:
         """The statistics of this instance that label `points`, from their
         frame coordinates sliced as sample_tolerant_views slices haar_coords."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        c = self.frame.coords(points)
-        return TolerantView.of(
-            self.n, self.c2, points, c[:, 1:], c[:, 0], self.body.violated, self.p_set
-        )
+        c = self.frame.coords(points)[None]
+        return TolerantView.stack(
+            self.n, self.c2, points[None], c[..., 1:], c[..., 0],
+            lambda rows, _: self.body.violated(rows), self.p_set[None],
+        )[0]
 
 
 def _constants(n: int, N_override: int | None, c0_hat: float) -> tuple[int, float, float]:
@@ -307,24 +308,6 @@ class TolerantView:
     viol: np.ndarray      # (probed.size, N) bool
     p_set: np.ndarray     # (N,) bool
     codes: np.ndarray = field(init=False)  # extended codes 0, 1, 0*, 1* (_EXT_*)
-
-    @classmethod
-    def of(
-        cls,
-        n: int,
-        c2: float,
-        points: np.ndarray,
-        xc: np.ndarray,
-        action: np.ndarray,
-        violated: Callable[[np.ndarray], np.ndarray],
-        p_set: np.ndarray,
-    ) -> TolerantView:
-        """The view of `points` from their control coordinates `xc`, action
-        coordinates and `violated`, which maps k control rows to their (k, N)
-        violation matrix: the one-view case of stack."""
-        return cls.stack(
-            n, c2, points[None], xc[None], action[None], lambda rows, _: violated(rows), p_set[None]
-        )[0]
 
     @classmethod
     def stack(

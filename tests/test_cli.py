@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from convexlab import experiments, parallel, ptf, testers, tolerant
-from convexlab.cli import main
+from convexlab.cli import integer, main, number
 from convexlab.errors import DomainError, LabError
 from convexlab.experiments import REGISTRY, ExperimentConfig, run_experiment
 from convexlab.report import ExperimentReport
@@ -338,6 +339,44 @@ class TestRun:
         assert result.stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "r-estimate", "--seed", "1_0"],
+            ["run", "r-estimate", "--seed", "1", "--n", "1_6"],
+            ["run", "r-estimate", "--seed", "+1"],
+            ["run", "r-estimate", "--seed", " 1"],
+            ["run", "r-estimate", "--seed", "\u0661"],
+            ["run", "r-estimate", "--seed", "1", "--set", "c1=0_0_1"],
+            ["run", "r-estimate", "--seed", "1", "--set", "c1= 0.01"],
+            ["run", "r-estimate", "--seed", "1", "--set", "c1=+0.01"],
+            ["run", "r-estimate", "--seed", "1", "--set", "c1=\u0660.01"],
+            ["make-instance", "--kind", "tolerant", "--n", "16", "--seed", "1", "--c0-hat", "0_35"],
+            ["make-instance", "--kind", "ptf", "--n", "16", "--seed", "1", "--l", "0_3"],
+        ],
+        ids=[
+            "seed-underscore", "n-underscore", "seed-plus", "seed-blank", "seed-arabic-indic",
+            "set-underscore", "set-blank", "set-plus", "set-arabic-indic", "c0-hat-underscore", "l-underscore",
+        ],
+    )
+    def test_coerced_numeral_rejected(self, tmp_path, capsys, args):
+        # int() and float() read each of these as a number; the lab does not.
+        out = tmp_path / "out.json"
+        try:
+            code = main([*args, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects an option's value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_plain_numerals_accepted(self):
+        assert [integer(text) for text in ("2", "-5", "0", "017")] == [2, -5, 0, 17]
+        numerals = ("0.01", "1e-2", "-5", "2", ".5", "3.", "1E+2", "-2.5e3")
+        assert [number(text) for text in numerals] == [0.01, 0.01, -5.0, 2.0, 0.5, 3.0, 100.0, -2500.0]
+        assert number("inf") == math.inf and number("-Infinity") == -math.inf and math.isnan(number("nan"))
+
     def test_missing_calibration_fails_cleanly(self):
         result = run_cli(
             ["run", "eps-gap", "--seed", "5", "--n", "64", "--N", "256", "--trials", "10"]
@@ -415,10 +454,10 @@ class TestDeterminism:
         assert counts[0] > 0
         assert counts[0] == counts[1]
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", "", " 2", "+2", "1_0", "\u0662"])
     def test_bad_worker_count_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("CONVEXLAB_WORKERS", raw)
-        with pytest.raises(DomainError, match=f"CONVEXLAB_WORKERS.*{raw!r}"):
+        with pytest.raises(DomainError, match=f"CONVEXLAB_WORKERS.*{re.escape(repr(raw))}"):
             parallel.worker_count()
 
     def test_suite_seed_reaches_sub_experiments(self, monkeypatch):

@@ -27,7 +27,7 @@ def test_no_units(monkeypatch, workers):
     assert map_units(_unit, 0, RngStream(1), 1, 0) == []
 
 
-@pytest.mark.parametrize("raw", ["0", "two"])
+@pytest.mark.parametrize("raw", ["0", "two", " 2", "+2", "1_0", "\u0662"])
 def test_bad_worker_count_raises(monkeypatch, raw):
     monkeypatch.setenv("CONVEXLAB_WORKERS", raw)
     for n_units in (0, 3):

@@ -25,7 +25,7 @@ from convexlab.ptf import (
     _response_block,
 )
 from convexlab.rng import RngStream
-from convexlab.testers import baseline_strategy, run_one_sided
+from convexlab.testers import baseline_queries, run_one_sided
 
 
 class TestRawMoments:
@@ -348,6 +348,6 @@ class TestOneSidedSoundnessOnYes:
     def test_never_certifies_nonconvexity(self):
         inst = sample_ptf_instance(24, 3, DEFAULT_CLIP, "yes", RngStream(622))
         for seed in range(50):
-            strategy = baseline_strategy("hull-sampling", 20, 24, RngStream(623, seed))
-            verdict, _, _ = run_one_sided(strategy, inst, 20)
+            queries = baseline_queries("hull-sampling", 20, 24, 1, RngStream(623, seed))[0]
+            verdict, _, _ = run_one_sided(lambda points, labels: None if len(points) else queries, inst, 20)
             assert verdict.outcome == "accept"

@@ -21,11 +21,11 @@ from convexlab.testers import (
     Cell,
     _certified_outside,
     _outside_mask,
-    baseline_strategy,
+    ambient_dim,
+    baseline_queries,
     cell_rejections,
     certificate_valid,
     family_labels,
-    family_oracle,
     in_convex_hull,
     leaf_verdicts,
     packed_rows,
@@ -105,9 +105,16 @@ def _batches(*batches):
     return lambda points, labels: next(pending, None)
 
 
+def _convex_oracle(family: str, n: int, rng: RngStream) -> BatchOracle:
+    """One draw of a convex family (family_labels), as an oracle that
+    answers any number of batches."""
+    rule = family_labels(family, n, 1, rng)
+    return BatchOracle(ambient_dim(family, n), lambda pts: rule(pts[None])[0])
+
+
 class TestRunOneSided:
     def test_constant_one_oracle_accepts(self):
-        strategy = baseline_strategy("hull-sampling", 10, 4, RngStream(1))
+        strategy = _batches(baseline_queries("hull-sampling", 10, 4, 1, RngStream(1))[0])
         verdict, points, labels = run_one_sided(strategy, _constant(4, 1), 10)
         assert verdict.outcome == "accept"
         assert points.shape == (10, 4) and labels.dtype == np.int8 and labels.tolist() == [1] * 10
@@ -168,7 +175,7 @@ class TestRunOneSided:
 
     def test_reject_is_monotone_under_prefix_replay(self):
         # Rebuilding the verdict on growing prefixes never flips reject->accept.
-        strategy = baseline_strategy("hull-sampling", 40, 2, RngStream(9))
+        strategy = _batches(baseline_queries("hull-sampling", 40, 2, 1, RngStream(9))[0])
         verdict, points, labels = run_one_sided(strategy, _outside_disk(2, 0.5), 40)
         assert verdict.outcome == "reject"
         rejected = False
@@ -183,7 +190,7 @@ class TestRunOneSided:
 
 class TestStrategies:
     def test_line_segment_counts(self):
-        strategy = baseline_strategy("line-segment", 3, 5, RngStream(2))
+        strategy = _batches(baseline_queries("line-segment", 3, 5, 1, RngStream(2))[0])
         verdict, points, labels = run_one_sided(strategy, _constant(5, 1), 3)
         assert len(points) == 3
         x, y, mid = points
@@ -192,12 +199,12 @@ class TestStrategies:
     def test_line_segment_accepts_halfspace(self):
         oracle = BatchOracle(6, lambda pts: pts[:, 0] <= 0.5)
         for seed in range(5):
-            strategy = baseline_strategy("line-segment", 12, 6, RngStream(seed))
+            strategy = _batches(baseline_queries("line-segment", 12, 6, 1, RngStream(seed))[0])
             verdict, _, _ = run_one_sided(strategy, oracle, 12)
             assert verdict.outcome == "accept"
 
     def test_hull_sampling_single_query_accepts(self):
-        strategy = baseline_strategy("hull-sampling", 1, 3, RngStream(3))
+        strategy = _batches(baseline_queries("hull-sampling", 1, 3, 1, RngStream(3))[0])
         verdict, points, labels = run_one_sided(strategy, _constant(3, 0), 1)
         assert verdict.outcome == "accept" and len(points) == 1
 
@@ -206,30 +213,30 @@ class TestStrategies:
         oracle = _outside_disk(2, 1.0)
         rejections = 0
         for seed in range(10):
-            strategy = baseline_strategy("hull-sampling", 50, 2, RngStream(seed, 17))
+            strategy = _batches(baseline_queries("hull-sampling", 50, 2, 1, RngStream(seed, 17))[0])
             verdict, _, _ = run_one_sided(strategy, oracle, 50)
             rejections += verdict.outcome == "reject"
         assert rejections >= 5
 
     def test_baseline_strategy_validation(self):
         with pytest.raises(DomainError):
-            baseline_strategy("unknown", 10, 2, RngStream(0))
+            baseline_queries("unknown", 10, 2, 1, RngStream(0))
         with pytest.raises(DomainError):
-            baseline_strategy("line-segment", 2, 2, RngStream(0))
+            baseline_queries("line-segment", 2, 2, 1, RngStream(0))
 
     def test_queries_follow_the_stream(self):
         # Each query is the next standard_normal(d) draw of the strategy's
         # stream; midpoints take no draw.
         d = 5
         verdict, points, labels = run_one_sided(
-            baseline_strategy("line-segment", 6, d, RngStream(8)), _constant(d, 1), 6
+            _batches(baseline_queries("line-segment", 6, d, 1, RngStream(8))[0]), _constant(d, 1), 6
         )
         gen = RngStream(8).generator()
         x1, y1, x2, y2 = (gen.standard_normal(d) for _ in range(4))
         expected = [x1, y1, 0.5 * (x1 + y1), x2, y2, 0.5 * (x2 + y2)]
         np.testing.assert_array_equal(points, np.vstack(expected))
         verdict, points, labels = run_one_sided(
-            baseline_strategy("hull-sampling", 3, d, RngStream(8)), _constant(d, 1), 3
+            _batches(baseline_queries("hull-sampling", 3, d, 1, RngStream(8))[0]), _constant(d, 1), 3
         )
         gen = RngStream(8).generator()
         np.testing.assert_array_equal(
@@ -238,7 +245,14 @@ class TestStrategies:
 
     def test_strategy_dimension_must_match_oracle(self):
         with pytest.raises(DimensionMismatchError):
-            run_one_sided(baseline_strategy("hull-sampling", 2, 3, RngStream(0)), _constant(4, 1), 2)
+            run_one_sided(_batches(baseline_queries("hull-sampling", 2, 3, 1, RngStream(0))[0]), _constant(4, 1), 2)
+
+
+def _separation_pass(zeros, support):
+    """_outside_mask of one stack: every row of zeros asked against the hull
+    of every row of support."""
+    every = np.ones((1, len(zeros)), dtype=bool), np.ones((1, len(support)), dtype=bool)
+    return _outside_mask(zeros[None], support[None], HULL_TOL, *every)[0]
 
 
 def _certified_outside_row(y, points, tol) -> bool:
@@ -318,7 +332,7 @@ def _near_hull_rows(support, gen, tol):
 class TestPrefilter:
     @staticmethod
     def _assert_covers_rows(zeros, support):
-        mask = _outside_mask(zeros, support, HULL_TOL)
+        mask = _separation_pass(zeros, support)
         centroid = [_certified_outside_row(y, support, HULL_TOL) for y in zeros]
         assert mask.dtype == bool and mask.shape == (len(zeros),)
         assert not (np.array(centroid, dtype=bool) & ~mask).any()
@@ -343,8 +357,8 @@ class TestPrefilter:
         self._assert_covers_rows(np.vstack([support[0], support[0] + 1e-3]), support[:1])
         self._assert_covers_rows(support[[2, 4]], support)
         self._assert_covers_rows(centroid[None, :], support)
-        assert not _outside_mask(centroid[None, :], support, HULL_TOL)[0]
-        empty = _outside_mask(np.empty((0, 4)), support, HULL_TOL)
+        assert not _separation_pass(centroid[None, :], support)[0]
+        empty = _separation_pass(np.empty((0, 4)), support)
         assert empty.shape == (0,)
 
     def test_rows_within_half_tol_never_marked(self):
@@ -352,7 +366,7 @@ class TestPrefilter:
         for m, d in [(8, 2), (8, 3), (12, 6), (40, 8), (200, 16), (9, 40)]:
             support = gen.standard_normal((m, d))
             rows = _near_hull_rows(support, gen, HULL_TOL)
-            assert not _outside_mask(rows, support, HULL_TOL).any(), (m, d)
+            assert not _separation_pass(rows, support).any(), (m, d)
 
     def test_separates_rows_just_beyond_a_vertex(self):
         # Vertices pushed 2 tol outward along a direction the vertex
@@ -367,7 +381,7 @@ class TestPrefilter:
             rows = support[(support @ w.T).argmax(axis=0)] + 2 * HULL_TOL * w
             rows = rows[[not _certified_outside_row(y, support, HULL_TOL) for y in rows]]
             kept += len(rows)
-            separated += int(_outside_mask(rows, support, HULL_TOL).sum())
+            separated += int(_separation_pass(rows, support).sum())
         assert kept > 400 and separated > 0.8 * kept
 
     def test_marked_rows_are_outside_by_the_lp(self):
@@ -395,7 +409,7 @@ class TestPrefilter:
         reach = (support @ w.T).max(axis=0) / np.einsum("ij,ij->i", w, w)
         rows = 1.05 * reach[:, None] * w
         kept = rows[[not _certified_outside_row(y, support, HULL_TOL) for y in rows]]
-        separated = _outside_mask(kept, support, HULL_TOL)
+        separated = _separation_pass(kept, support)
         assert len(kept) > 20 and separated.mean() > 0.8
         assert all(_feasibility_hull(y, support) is None for y in kept[separated])
 
@@ -631,7 +645,7 @@ PIN_ORACLES = {
     "ptf-yes": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "yes", rng),
     "ptf-no": lambda rng: ptf.sample_ptf_instance(4, 3, ptf.DEFAULT_CLIP, "no", rng),
     **{
-        f"control-{name}": (lambda rng, name=name: family_oracle(name, 4, rng))
+        f"control-{name}": (lambda rng, name=name: _convex_oracle(name, 4, rng))
         for name in CONVEX_FAMILIES
         if name not in INSTANCE_FAMILIES
     },
@@ -649,7 +663,7 @@ class TestLeafVerdict:
         for kind in ("line-segment", "hull-sampling"):
             for seed in range(50):
                 oracle = PIN_ORACLES[name](RngStream(900, seed))
-                strategy = baseline_strategy(kind, 24, oracle.ambient_dim, RngStream(901, seed))
+                strategy = _batches(baseline_queries(kind, 24, oracle.ambient_dim, 1, RngStream(901, seed))[0])
                 verdict, points, labels = run_one_sided(strategy, oracle, 24)
                 assert verdict.outcome == _per_prefix_verdict(points, labels), (kind, seed)
                 if verdict.outcome == "accept":
@@ -881,7 +895,7 @@ def _run_by_run_verdict(points, labels) -> str:
     if not len(support):
         return "accept"
     zeros = points[labels == 0]
-    zeros = zeros[~_outside_mask(zeros, support, HULL_TOL)]
+    zeros = zeros[~_separation_pass(zeros, support)]
     return "reject" if any(in_convex_hull(y, support) is not None for y in zeros) else "accept"
 
 
@@ -915,7 +929,7 @@ class TestBlockLeaf:
         zeros, _, asked = packed_rows(queries, labels == 0)
         stacked = _outside_mask(zeros, hulls, HULL_TOL, asked, spans)
         for points, ys, marks, rows in zip(queries, labels, stacked, asked):
-            own = _outside_mask(points[ys == 0], points[ys == 1], HULL_TOL) if (ys == 1).any() else True
+            own = _separation_pass(points[ys == 0], points[ys == 1]) if (ys == 1).any() else True
             np.testing.assert_array_equal(marks[rows], own)
         if family == "adaptive":
             assert calls  # some 0-queries reach the exact stage
@@ -962,12 +976,12 @@ class TestViewOracles:
     @pytest.mark.parametrize("family, n", [(family, n) for family in INSTANCE_FAMILIES for n in (4, 8)])
     def test_view_labels_match_materialized(self, family, n):
         # Chi-square homogeneity of the label vectors of one fixed batch:
-        # answered by a one-run oracle, and as the last run of a three-run
-        # block whose other runs ask batches of their own first.
+        # drawn as a one-run stack, and as the last run of a three-run
+        # stack whose other runs ask batches of their own.
         trials = 2500
         d = MATERIALIZED[family](n, RngStream(0)).ambient_dim
         batch = _mixed_batch(d, RngStream(910))
-        lazy = [tuple(family_oracle(family, n, RngStream(911, t), 0.35).labels(batch)) for t in range(trials)]
+        lazy = [tuple(family_labels(family, n, 1, RngStream(911, t), 0.35)(batch[None])[0]) for t in range(trials)]
         blocked = []
         for t in range(trials):
             stack = np.stack([_mixed_batch(d, RngStream(917, 2 * t)), _mixed_batch(d, RngStream(917, 2 * t + 1)), batch])
@@ -983,7 +997,7 @@ class TestViewOracles:
         dense = 0
         for t in range(trials):
             inst = adaptive.sample_adaptive_instance(4, None, RngStream(914, 2 * t))
-            strategy = baseline_strategy("line-segment", 60, 8, RngStream(914, 2 * t + 1))
+            strategy = _batches(baseline_queries("line-segment", 60, 8, 1, RngStream(914, 2 * t + 1))[0])
             dense += run_one_sided(strategy, inst, 60)[0].outcome == "reject"
         assert lazy > 0 and dense > 0
         assert abs(two_proportion_z(lazy, trials, dense, trials)) < 3.29
@@ -1004,23 +1018,10 @@ class TestViewOracles:
         dense = 0
         for t in range(trials):
             inst = adaptive.sample_adaptive_instance(8, None, RngStream(927, 2 * t))
-            strategy = baseline_strategy("line-segment", 30, 16, RngStream(927, 2 * t + 1))
+            strategy = _batches(baseline_queries("line-segment", 30, 16, 1, RngStream(927, 2 * t + 1))[0])
             dense += run_one_sided(strategy, inst, 30)[0].outcome == "reject"
         assert lazy > 0 and dense > 0
         assert abs(two_proportion_z(lazy, trials, dense, trials)) < 3.29
-
-    @pytest.mark.parametrize("family", INSTANCE_FAMILIES)
-    def test_view_oracle_answers_one_batch(self, family):
-        oracle = family_oracle(family, 4, RngStream(915), 0.35)
-        rows = np.zeros((2, oracle.ambient_dim))
-        with pytest.raises(DimensionMismatchError):
-            oracle.labels(np.zeros((2, oracle.ambient_dim + 1)))
-        assert oracle.labels(rows).shape == (2,)
-        with pytest.raises(DomainError, match="one batch"):
-            oracle.labels(rows)
-        two_batches = _batches(rows[:1], rows[1:])
-        with pytest.raises(DomainError, match="one batch"):
-            run_one_sided(two_batches, family_oracle(family, 4, RngStream(916), 0.35), 2)
 
 
 def _adaptive8():
@@ -1040,7 +1041,7 @@ PROTOCOL_IMPLEMENTERS = {
     "body": lambda: nazarov.sample_body(8, 16, nazarov.solve_r_half(8, 16), RngStream(44)),
     "convexified-adaptive": lambda: adaptive.convexified_oracle(_adaptive8()),
     **{
-        f"control-{name}": (lambda name=name: family_oracle(name, 6, RngStream(45)))
+        f"control-{name}": (lambda name=name: _convex_oracle(name, 6, RngStream(45)))
         for name in CONVEX_FAMILIES
         if name not in INSTANCE_FAMILIES
     },

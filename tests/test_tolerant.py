@@ -146,7 +146,8 @@ class TestLabels:
         xc = x[:, :n]
         assert float(xc[0] @ xc[0]) > n
         body = NazarovBody(n=n, N=1, r=1.0, normals=np.eye(n)[1:2])
-        view = TolerantView.of(n, C2_TEST, x, xc, x[:, n], body.violated, np.zeros(1, dtype=bool))
+        p_set = np.zeros((1, 1), dtype=bool)
+        view = TolerantView.stack(n, C2_TEST, x[None], xc[None], x[None, :, n], lambda rows, _: body.violated(rows), p_set)[0]
         assert view.probed.tolist() == [0]
         assert view.codes.tolist() == [0]
 
